@@ -31,9 +31,9 @@ from . import validation
 from .errors import ConfigurationError, ValidationFailure
 from .geometry import PhysicalConstants
 from .links import LinkEngine, LinkType, Mode, Permanence, link_census
-from .orbital import ConstellationSpec, GroundStation, build_constellation
+from .orbital import SATELLITE_ID_PATTERN, ConstellationSpec, GroundStation, build_constellation
 from .scenario import (BUNDLED_STATIONS, DEFAULT_RANGES_KM, ScenarioConfig,
-                       compare, range_sweep, run_scenario, write_comparison_csv,
+                       compare_many, run_scenarios, write_comparison_csv,
                        write_slots_csv, write_summary_csv)
 
 CONFIG_KEY_HELP = """\
@@ -138,6 +138,9 @@ def _parse_stations(raw, path: str) -> tuple[GroundStation, ...]:
         _reject_unknown(item, _STATION_KEYS, f"{path}[{k}]")
         if "name" not in item:
             raise ConfigurationError(f"{path}[{k}].name is required")
+        if SATELLITE_ID_PATTERN.fullmatch(str(item["name"])):
+            raise ConfigurationError(
+                f"{path}[{k}].name: {item['name']!r} has the form of a satellite id")
         try:
             stations.append(GroundStation(
                 name=str(item["name"]),
@@ -307,11 +310,13 @@ def _cmd_census(config: RunConfig, args) -> int:
     engine = _make_engine(config)
     modes = [_parse_mode(args.mode, "--mode")] if args.mode else [Mode.NG, Mode.NNG]
     ranges = args.range if args.range else list(DEFAULT_RANGES_KM)
+    geometry = engine.slot_geometry(args.time, [(r, mode) for mode in modes for r in ranges])
     censuses = []
     totals = {}
     for mode in modes:
         for r in ranges:
-            census = link_census(engine.snapshot(args.time, r, mode, config.stations))
+            census = link_census(
+                engine.snapshot(args.time, r, mode, config.stations, geometry))
             censuses.append(census)
             totals[f"{mode.value}@{r:g}km"] = {
                 "total_undirected": census.total_undirected,
@@ -354,18 +359,18 @@ def _cmd_run(config: RunConfig, args) -> int:
     out_dir = Path(args.output_dir or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine = _make_engine(config)
-    workers = config.effective_parallelism()
+    queries = [base.with_range(r).with_mode(mode)
+               for spec, base in _scenario_configs(config, args)
+               for mode in spec.modes for r in spec.ranges_km]
+    results = run_scenarios(engine, queries, config.effective_parallelism())
     summary_rows = []
-    for spec, base in _scenario_configs(config, args):
-        for mode in spec.modes:
-            for r in spec.ranges_km:
-                cfg = base.with_range(r).with_mode(mode)
-                records, summary = run_scenario(engine, cfg, workers)
-                stem = f"{_slug(cfg.name)}_{mode.value.lower()}_{r:g}km"
-                write_slots_csv(out_dir / f"slots_{stem}.csv", records)
-                summary_rows.append((cfg.name, mode, r, summary))
-                print(f"{cfg.name} {mode.value} @ {r:g} km: "
-                      f"{summary.slots_with_path}/{summary.slot_count} slots with a path")
+    for cfg, (records, summary) in zip(queries, results):
+        r, mode = cfg.lisl_range_km, cfg.mode
+        stem = f"{_slug(cfg.name)}_{mode.value.lower()}_{r:g}km"
+        write_slots_csv(out_dir / f"slots_{stem}.csv", records)
+        summary_rows.append((cfg.name, mode, r, summary))
+        print(f"{cfg.name} {mode.value} @ {r:g} km: "
+              f"{summary.slots_with_path}/{summary.slot_count} slots with a path")
     write_summary_csv(out_dir / "summary.csv", summary_rows)
     _write_json(out_dir / "summary.json", [
         {"scenario": name, "mode": mode.value, "range_km": r, **_summary_payload(s)}
@@ -374,48 +379,40 @@ def _cmd_run(config: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_compare(config: RunConfig, args) -> int:
+def _write_comparisons(config: RunConfig, args, kind: str, ranges_of) -> int:
+    """Compare NG and NNG at ranges_of(spec) for every scenario, in one batch,
+    and write <kind>_<pair>.csv/.json per scenario."""
     out_dir = Path(args.output_dir or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine = _make_engine(config)
-    workers = config.effective_parallelism()
-    for spec, base in _scenario_configs(config, args):
-        comparisons = [compare(engine, base.with_range(r), workers) for r in spec.ranges_km]
-        stem = _slug(f"{spec.src}-{spec.dst}")
-        write_comparison_csv(out_dir / f"compare_{stem}.csv", f"{spec.src}-{spec.dst}",
-                             comparisons)
-        _write_json(out_dir / f"compare_{stem}.json", [
+    scenarios = _scenario_configs(config, args)
+    bases = [[base.with_range(r) for r in ranges_of(spec)] for spec, base in scenarios]
+    results = compare_many(engine, [b for group in bases for b in group],
+                           config.effective_parallelism())
+    for (spec, _base), group in zip(scenarios, bases):
+        comparisons, results = results[:len(group)], results[len(group):]
+        name = f"{spec.src}-{spec.dst}"
+        stem = _slug(name)
+        write_comparison_csv(out_dir / f"{kind}_{stem}.csv", name, comparisons)
+        _write_json(out_dir / f"{kind}_{stem}.json", [
             {
-                "scenario": f"{spec.src}-{spec.dst}", "range_km": comp.lisl_range_km,
+                "scenario": name, "range_km": comp.lisl_range_km,
                 "ng": _summary_payload(comp.ng_summary),
                 "nng": _summary_payload(comp.nng_summary),
                 "latency_improvement_ms": comp.latency_improvement_ms,
                 "hop_improvement": comp.hop_improvement,
             } for comp in comparisons])
-        print(f"wrote {out_dir / f'compare_{stem}.csv'}")
+        print(f"wrote {out_dir / f'{kind}_{stem}.csv'}")
     return 0
+
+
+def _cmd_compare(config: RunConfig, args) -> int:
+    return _write_comparisons(config, args, "compare", lambda spec: spec.ranges_km)
 
 
 def _cmd_sweep(config: RunConfig, args) -> int:
-    out_dir = Path(args.output_dir or config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    engine = _make_engine(config)
-    workers = config.effective_parallelism()
-    for spec, base in _scenario_configs(config, args):
-        comparisons = range_sweep(engine, base, spec.ranges_km, workers)
-        stem = _slug(f"{spec.src}-{spec.dst}")
-        write_comparison_csv(out_dir / f"sweep_{stem}.csv", f"{spec.src}-{spec.dst}",
-                             comparisons)
-        _write_json(out_dir / f"sweep_{stem}.json", [
-            {
-                "scenario": f"{spec.src}-{spec.dst}", "range_km": comp.lisl_range_km,
-                "ng": _summary_payload(comp.ng_summary),
-                "nng": _summary_payload(comp.nng_summary),
-                "latency_improvement_ms": comp.latency_improvement_ms,
-                "hop_improvement": comp.hop_improvement,
-            } for comp in comparisons])
-        print(f"wrote {out_dir / f'sweep_{stem}.csv'}")
-    return 0
+    # Ascending, as range_sweep orders them.
+    return _write_comparisons(config, args, "sweep", lambda spec: sorted(spec.ranges_km))
 
 
 def _cmd_validate(config: RunConfig, args) -> int:

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .geometry import PhysicalConstants
-from .orbital import Constellation, GroundStation, SatelliteId, format_id, ground_station_position
+from .orbital import (Constellation, GroundStation, SatelliteId, format_id,
+                      ground_station_position, parse_id)
 
 
 class LinkType(enum.Enum):
@@ -135,9 +136,12 @@ class GraphSnapshot:
         for k, gs in enumerate(self.stations):
             if gs.name == node:
                 return self.satellite_count + k
-        for k in range(self.satellite_count):
-            if format_id(self.constellation.satellite_id(k)) == node:
-                return k
+        sat = parse_id(node) if isinstance(node, str) else None
+        if sat is not None:
+            try:
+                return self.constellation.flat_index(sat)
+            except KeyError:
+                pass
         raise KeyError(f"node {node!r} not present in snapshot")
 
     @cached_property
@@ -178,7 +182,11 @@ class LinkEngine:
 
     The pair-class permanence tables are computed once at construction and
     are read-only afterwards, so one engine can serve any number of slots,
-    ranges, and modes, from any number of threads.
+    ranges, and modes. The candidate-pair cache is filled lazily and is not
+    guarded by a lock, so threads must not build snapshots on one engine
+    concurrently. Forked worker processes may share an engine: each gets a
+    copy-on-write image of the tables and of whatever the cache held at the
+    fork, and fills its own copy of the cache from there.
     """
 
     def __init__(self, constellation: Constellation, constants: PhysicalConstants | None = None,
@@ -187,7 +195,7 @@ class LinkEngine:
         self.constants = constants if constants is not None else PhysicalConstants()
         self.earth_rotation0_deg = earth_rotation0_deg
         self._pair_max_km, self._pair_min_km = self._build_class_tables()
-        self._candidate_cache: dict[tuple[Mode, float], tuple[np.ndarray, ...]] = {}
+        self._candidate_cache: dict[bytes, _PairRows] = {}
 
     # -- pair classes -------------------------------------------------
 
@@ -282,31 +290,34 @@ class LinkEngine:
 
     # -- snapshots ----------------------------------------------------
 
-    def _candidate_pairs(self, mode: Mode, lisl_range_km: float):
-        """Unordered satellite pairs that can ever satisfy (mode, range).
+    def _class_mask(self, lisl_range_km: float, mode: Mode) -> np.ndarray:
+        """Pair classes (dp, ds) that can ever satisfy (range, mode).
 
-        NG keeps pairs whose class max stays within range (permanent);
-        NNG keeps pairs whose class min ever comes within range.
+        NG keeps classes whose max stays within range (permanent); NNG keeps
+        classes whose min ever comes within range.
         """
-        key = (mode, float(lisl_range_km))
+        if mode is Mode.NG:
+            return self._pair_max_km <= lisl_range_km
+        # Pair separations are sampled at 1 s; between samples a pair can
+        # close by up to the relative speed times half a step, so pad the
+        # candidate cut to keep it a superset of anything ever in range.
+        spec = self.constellation.spec
+        return self._pair_min_km <= lisl_range_km + spec.orbital_speed_kms + 1e-3
+
+    def _candidate_pairs(self, class_mask: np.ndarray) -> _PairRows:
+        """Unordered satellite pairs whose class lies in class_mask, cached per mask."""
+        key = class_mask.tobytes()
         cached = self._candidate_cache.get(key)
         if cached is not None:
             return cached
         spec = self.constellation.spec
-        if mode is Mode.NG:
-            table = self._pair_max_km
-            threshold = lisl_range_km
-        else:
-            # Pair separations are sampled at 1 s; between samples a pair can
-            # close by up to the relative speed times half a step, so pad the
-            # candidate cut to keep it a superset of anything ever in range.
-            table = self._pair_min_km
-            threshold = lisl_range_km + spec.orbital_speed_kms + 1e-3
         # A class (dp, ds) reaches the partner dp planes above the base, so
         # enumerating qualifying classes from every base satellite generates
         # each cross-plane pair once (from its lower-plane endpoint) and each
-        # intra-plane pair twice; a < b dedupes the latter.
-        cls_dp, cls_ds = np.nonzero(table <= threshold)
+        # intra-plane pair twice; a < b dedupes the latter. Pairs come out
+        # base-major, then in (dp, ds) order, so the pairs of a smaller mask
+        # are an order-preserving subsequence of those of a larger one.
+        cls_dp, cls_ds = np.nonzero(class_mask)
         n = spec.satellite_count
         a = np.repeat(np.arange(n, dtype=np.int32), len(cls_dp))
         dp = np.tile(cls_dp.astype(np.int32), n)
@@ -317,42 +328,73 @@ class LinkEngine:
         a, dp, ds, plane_b, slot_b = a[keep], dp[keep], ds[keep], plane_b[keep], slot_b[keep]
         b = (plane_b * spec.sats_per_plane + slot_b).astype(np.int32)
         keep = a < b
-        a, b = a[keep], b[keep]
-        permanent = self._pair_max_km[dp[keep], ds[keep]] <= lisl_range_km
+        a, b, dp, ds = a[keep], b[keep], dp[keep], ds[keep]
         plane_offset = np.abs(self.constellation.plane_of[a] - self.constellation.plane_of[b])
         plane_offset = np.minimum(plane_offset, spec.plane_count - plane_offset)
-        result = (a, b, permanent, plane_offset)
+        result = _PairRows(a=a, b=b, cls=(dp * spec.sats_per_plane + ds).astype(np.int16),
+                           plane_offset=plane_offset.astype(np.int8))
         self._candidate_cache[key] = result
         return result
 
-    def snapshot(self, t: float, lisl_range_km: float, mode: Mode,
-                 ground_stations: list[GroundStation] | tuple[GroundStation, ...] = ()) -> GraphSnapshot:
-        """All links feasible at time t under the range and link policy.
+    def slot_geometry(self, t: float, requests) -> SlotGeometry:
+        """The state at time t that snapshots for any of the requests share.
 
-        A non-positive range yields a snapshot with no satellite links.
+        requests is an iterable of (lisl_range_km, Mode). Positions and
+        velocities are propagated once, and the candidate pairs of all
+        requests are measured once as one superset; pairs longer than the
+        largest requested range are dropped, and the plane relation of the
+        rest is classified here, since it does not depend on the request.
         """
-        spec = self.constellation.spec
+        requests = frozenset((float(r), Mode(mode)) for r, mode in requests)
+        if not requests:
+            raise ValueError("a slot geometry needs at least one (range, mode) request")
+        union = np.logical_or.reduce([self._class_mask(r, mode) for r, mode in requests])
+        pairs = self._candidate_pairs(union)
+        # np.take gathers rows far faster than fancy indexing, with equal values.
         pos = self.constellation.positions_at(t)
-        a, b, permanent, plane_offset = self._candidate_pairs(mode, lisl_range_km)
-
-        diff = pos[a] - pos[b]
+        diff = np.take(pos, pairs.a, axis=0) - np.take(pos, pairs.b, axis=0)
         length = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        within = length <= lisl_range_km
-        occ = self.constants.occlusion_radius_km
-        if lisl_range_km > 2.0 * math.sqrt(max(spec.orbit_radius_km**2 - occ**2, 0.0)):
-            # Range exceeds the grazing chord, so visibility can bind.
-            within &= _segments_clear_origin(pos[a], pos[b], occ)
-        a, b = a[within], b[within]
-        length = length[within]
-        permanent = permanent[within]
-        plane_offset = plane_offset[within]
+        near = np.flatnonzero(length <= max(r for r, _ in requests))
+        pairs = pairs.take(near)
 
         vel = self.constellation.velocities_at(t)
-        co_moving = np.einsum("ij,ij->i", vel[a], vel[b]) > 0.0
-        type_code = np.full(len(a), 3, dtype=np.int8)  # crossing unless shown otherwise
-        type_code[(plane_offset == 1) & co_moving] = 1
-        type_code[(plane_offset >= 2) & co_moving] = 2
-        type_code[plane_offset == 0] = 0
+        co_moving = np.einsum("ij,ij->i", np.take(vel, pairs.a, axis=0),
+                              np.take(vel, pairs.b, axis=0)) > 0.0
+        type_code = np.full(len(near), 3, dtype=np.int8)  # crossing unless shown otherwise
+        type_code[(pairs.plane_offset == 1) & co_moving] = 1
+        type_code[(pairs.plane_offset >= 2) & co_moving] = 2
+        type_code[pairs.plane_offset == 0] = 0
+        return SlotGeometry(engine=self, time_s=t, requests=requests, positions=pos,
+                            pairs=pairs, length_km=length[near], type_code=type_code)
+
+    def snapshot(self, t: float, lisl_range_km: float, mode: Mode,
+                 ground_stations: list[GroundStation] | tuple[GroundStation, ...] = (),
+                 geometry: SlotGeometry | None = None) -> GraphSnapshot:
+        """All links feasible at time t under the range and link policy.
+
+        With geometry from slot_geometry at the same t and with (range, mode)
+        among its requests, the snapshot selects its links from that shared
+        state; without it, the snapshot measures a geometry of its own. The
+        links come out in the same order either way. A non-positive range
+        yields a snapshot with no satellite links.
+        """
+        if geometry is None:
+            geometry = self.slot_geometry(t, [(lisl_range_km, mode)])
+        elif (geometry.engine is not self or geometry.time_s != t
+              or (float(lisl_range_km), mode) not in geometry.requests):
+            raise ValueError(f"geometry does not cover {mode.value} at {lisl_range_km:g} km "
+                             f"and t = {t:g} s")
+        pairs = geometry.pairs
+        keep = self._class_mask(lisl_range_km, mode).ravel()[pairs.cls]
+        keep &= geometry.length_km <= lisl_range_km
+        r_orbit = self.constellation.spec.orbit_radius_km
+        occ = self.constants.occlusion_radius_km
+        if lisl_range_km > 2.0 * math.sqrt(max(r_orbit**2 - occ**2, 0.0)):
+            # Range exceeds the grazing chord, so visibility can bind.
+            keep &= geometry.clear_of_earth()
+        # Keeping every pair hands out views of the geometry's arrays, which
+        # snapshots, like their shared positions, never write to.
+        index = slice(None) if keep.all() else np.flatnonzero(keep)
 
         stations = tuple(ground_stations)
         gs_positions = np.zeros((len(stations), 3))
@@ -360,26 +402,85 @@ class LinkEngine:
         gs_sat_index: list[np.ndarray] = []
         gs_length: list[np.ndarray] = []
         for k, gs in enumerate(stations):
-            g = ground_station_position(
-                gs, t, self.earth_rotation0_deg, self.constants.earth_radius_km)
-            gs_positions[k] = g
-            delta = pos - g
-            slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-            above_horizon = delta @ g > 0.0
-            feasible = np.nonzero((slant <= gs.range_km) & above_horizon)[0]
+            gs_positions[k], feasible, slant = geometry.ground_links(gs)
             gs_station_index.append(np.full(len(feasible), k, dtype=np.int32))
-            gs_sat_index.append(feasible.astype(np.int32))
-            gs_length.append(slant[feasible])
+            gs_sat_index.append(feasible)
+            gs_length.append(slant)
 
         return GraphSnapshot(
             time_s=t, lisl_range_km=lisl_range_km, mode=mode,
             constellation=self.constellation, constants=self.constants,
-            stations=stations, sat_positions=pos, gs_positions=gs_positions,
-            sat_a=a, sat_b=b, sat_length_km=length,
-            sat_type_code=type_code, sat_permanent=permanent,
+            stations=stations, sat_positions=geometry.positions, gs_positions=gs_positions,
+            sat_a=pairs.a[index], sat_b=pairs.b[index],
+            sat_length_km=geometry.length_km[index],
+            sat_type_code=geometry.type_code[index],
+            sat_permanent=(self._pair_max_km <= lisl_range_km).ravel()[pairs.cls[index]],
             gs_station_index=_concat(gs_station_index),
             gs_sat_index=_concat(gs_sat_index),
             gs_length_km=_concat(gs_length, dtype=float))
+
+
+@dataclass(frozen=True, eq=False)
+class _PairRows:
+    """Parallel per-pair arrays: endpoints (a < b), flat pair class
+    dp * sats_per_plane + ds (int16 holds it for shells of up to 99 x 99),
+    and wrapped plane offset."""
+
+    a: np.ndarray
+    b: np.ndarray
+    cls: np.ndarray
+    plane_offset: np.ndarray
+
+    def take(self, index) -> "_PairRows":
+        return _PairRows(a=self.a[index], b=self.b[index], cls=self.cls[index],
+                         plane_offset=self.plane_offset[index])
+
+
+@dataclass(eq=False)
+class SlotGeometry:
+    """Satellite state at one instant, shared by the snapshots of many queries.
+
+    Made by LinkEngine.slot_geometry. pairs holds every pair of the
+    requests' candidate classes that lies within the largest requested
+    range, with its length and plane-relation type code. Line of
+    sight and the ground links of each station are computed on first use
+    and then kept.
+    """
+
+    engine: LinkEngine
+    time_s: float
+    requests: frozenset
+    positions: np.ndarray
+    pairs: _PairRows
+    length_km: np.ndarray
+    type_code: np.ndarray
+    _clear: np.ndarray | None = field(default=None, init=False, repr=False)
+    _ground: dict = field(default_factory=dict, init=False, repr=False)
+
+    def clear_of_earth(self) -> np.ndarray:
+        """Per pair, True iff the segment between the two satellites clears the
+        occlusion sphere."""
+        if self._clear is None:
+            occ = self.engine.constants.occlusion_radius_km
+            self._clear = _segments_clear_origin(
+                np.take(self.positions, self.pairs.a, axis=0),
+                np.take(self.positions, self.pairs.b, axis=0), occ)
+        return self._clear
+
+    def ground_links(self, gs: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Station position, and the satellites it can link to with their slant ranges."""
+        found = self._ground.get(gs)
+        if found is None:
+            engine = self.engine
+            g = ground_station_position(gs, self.time_s, engine.earth_rotation0_deg,
+                                        engine.constants.earth_radius_km)
+            delta = self.positions - g
+            slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+            above_horizon = delta @ g > 0.0
+            feasible = np.nonzero((slant <= gs.range_km) & above_horizon)[0]
+            found = (g, feasible.astype(np.int32), slant[feasible])
+            self._ground[gs] = found
+        return found
 
 
 def _concat(chunks, dtype=np.int32):

@@ -9,6 +9,7 @@ operation here is a pure function of (spec, id, time).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,10 @@ from .errors import ConfigurationError
 from .geometry import EARTH_RADIUS_KM, EARTH_SIDEREAL_RATE_RAD_S
 
 EARTH_MU_KM3_S2 = 398_600.4418
+
+# Satellite ids are x1PPSS with 1-based two-digit plane and slot fields.
+MAX_ID_FIELD = 99
+SATELLITE_ID_PATTERN = re.compile(r"x1([0-9]{2})([0-9]{2})")
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,10 @@ class ConstellationSpec:
     def __post_init__(self):
         if self.plane_count < 1 or self.sats_per_plane < 1:
             raise ConfigurationError("constellation needs at least one plane and one slot per plane")
+        if self.plane_count > MAX_ID_FIELD or self.sats_per_plane > MAX_ID_FIELD:
+            raise ConfigurationError(
+                f"constellation supports at most {MAX_ID_FIELD} planes and {MAX_ID_FIELD} "
+                f"slots per plane (satellite ids have two-digit fields)")
         if self.altitude_km <= 0:
             raise ConfigurationError("constellation.altitude_km must be positive")
         if not 0 <= self.phasing_offset < self.plane_count:
@@ -111,11 +120,19 @@ class OrbitalElements:
 
 def format_id(sat: SatelliteId) -> str:
     """Render a satellite id as x1PPSS with 1-based two-digit plane and slot."""
-    if sat.plane_index >= 99 or sat.slot_index >= 99:
+    if sat.plane_index >= MAX_ID_FIELD or sat.slot_index >= MAX_ID_FIELD:
         raise ValueError(f"cannot format {sat}: two-digit field overflow")
     if sat.plane_index < 0 or sat.slot_index < 0:
         raise ValueError(f"cannot format {sat}: negative index")
     return f"x1{sat.plane_index + 1:02d}{sat.slot_index + 1:02d}"
+
+
+def parse_id(text: str) -> SatelliteId | None:
+    """Inverse of format_id: the SatelliteId that text names, or None."""
+    match = SATELLITE_ID_PATTERN.fullmatch(text)
+    if match is None or match[1] == "00" or match[2] == "00":
+        return None
+    return SatelliteId(int(match[1]) - 1, int(match[2]) - 1)
 
 
 class Constellation:

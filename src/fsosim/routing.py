@@ -59,7 +59,6 @@ class RouteGraph:
     edge_length_km: np.ndarray
     c_mps: float = SPEED_OF_LIGHT_MPS
     name_of: Callable[[int], str] = field(default=str)
-    positions_km: np.ndarray | None = None
 
     @property
     def node_count(self) -> int:
@@ -78,8 +77,7 @@ class RouteGraph:
             edge_v=np.concatenate([snapshot.sat_b.astype(np.int64), gs_node]),
             edge_length_km=np.concatenate([snapshot.sat_length_km, snapshot.gs_length_km]),
             c_mps=snapshot.constants.c_mps,
-            name_of=snapshot.node_name,
-            positions_km=snapshot._position_table)
+            name_of=snapshot.node_name)
 
 
 def _as_graph(graph) -> RouteGraph:

@@ -5,8 +5,13 @@ link policy, and a slot grid; the runner routes the minimum-latency path on
 every slot's snapshot and aggregates the results. Averages cover only the
 slots where a path exists; pathless slots are data, not failures.
 
-Slots are independent, so they may be evaluated by a process pool; records
-are always emitted in slot order regardless of the parallelism degree.
+A batch of scenarios is evaluated slot-major: at each instant the shell is
+propagated and the candidate links of every scenario are measured once, in
+one shared SlotGeometry, and each scenario then selects and routes its own
+snapshot. With parallelism > 1 one process pool serves the whole batch; its
+tasks are chunks of slots, and the workers use the caller's engine, which
+they inherit through the pool initializer rather than rebuild. Records are
+always emitted in slot order regardless of the parallelism degree.
 """
 from __future__ import annotations
 
@@ -17,9 +22,8 @@ from dataclasses import dataclass
 
 from . import routing
 from .errors import ConfigurationError
-from .geometry import PhysicalConstants
-from .links import LinkEngine, Mode
-from .orbital import ConstellationSpec, GroundStation, build_constellation
+from .links import LinkEngine, Mode, SlotGeometry
+from .orbital import GroundStation
 
 # Stations at the stock exchanges of the studied cities.
 BUNDLED_STATIONS: tuple[GroundStation, ...] = (
@@ -119,10 +123,11 @@ class ComparisonResult:
         return self.ng_summary.avg_hops - self.nng_summary.avg_hops
 
 
-def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int) -> SlotRecord:
-    """Route one slot of the scenario."""
+def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
+                  geometry: SlotGeometry | None = None) -> SlotRecord:
+    """Route one slot of the scenario, optionally on a shared slot geometry."""
     t = slot_index * cfg.slot_duration_s
-    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst))
+    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), geometry)
     result = routing.shortest_path(snap, cfg.src.name, cfg.dst.name, cfg.node_delay_ms)
     if result is None:
         return SlotRecord(slot_index=slot_index, path_found=False)
@@ -147,20 +152,64 @@ def summarize(records: list[SlotRecord] | tuple[SlotRecord, ...]) -> MetricsSumm
         slot_count=len(records))
 
 
-# -- process-pool plumbing --------------------------------------------
+# -- batch evaluation --------------------------------------------------
+
+# One instant of a batch: its time and the (query, slot index) pairs due then.
+_Instant = tuple[float, list[tuple[int, int]]]
 
 _WORKER_ENGINE: LinkEngine | None = None
+_WORKER_CONFIGS: list[ScenarioConfig] = []
 
 
-def _worker_init(spec: ConstellationSpec, constants: PhysicalConstants,
-                 earth_rotation0_deg: float):
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = LinkEngine(build_constellation(spec), constants, earth_rotation0_deg)
+def _worker_init(engine: LinkEngine, configs: list[ScenarioConfig]):
+    global _WORKER_ENGINE, _WORKER_CONFIGS
+    _WORKER_ENGINE, _WORKER_CONFIGS = engine, configs
 
 
-def _worker_chunk(args) -> list[SlotRecord]:
-    cfg, indices = args
-    return [evaluate_slot(_WORKER_ENGINE, cfg, i) for i in indices]
+def _evaluate_instants(engine: LinkEngine, configs: list[ScenarioConfig],
+                       instants: list[_Instant]) -> list[tuple[int, SlotRecord]]:
+    requests = {(cfg.lisl_range_km, cfg.mode) for cfg in configs}
+    out = []
+    for t, due in instants:
+        # A query alone at its instant has nothing to share, so its snapshot
+        # measures its own geometry and a snapshot's cost stays whole.
+        geometry = engine.slot_geometry(t, requests) if len(due) > 1 else None
+        out.extend((q, evaluate_slot(engine, configs[q], i, geometry)) for q, i in due)
+    return out
+
+
+def _worker_chunk(instants: list[_Instant]) -> list[tuple[int, SlotRecord]]:
+    return _evaluate_instants(_WORKER_ENGINE, _WORKER_CONFIGS, instants)
+
+
+def run_scenarios(engine: LinkEngine, configs,
+                  parallelism: int = 1) -> list[tuple[list[SlotRecord], MetricsSummary]]:
+    """Evaluate every slot of every scenario, slot-major, and aggregate each.
+
+    Returns one (records, summary) pair per config, in the given order.
+    With parallelism > 1 the instants are split over one process pool;
+    output is identical to the serial run.
+    """
+    configs = list(configs)
+    by_time: dict[float, list[tuple[int, int]]] = {}
+    for q, cfg in enumerate(configs):
+        for i in range(cfg.slot_count):
+            by_time.setdefault(i * cfg.slot_duration_s, []).append((q, i))
+    instants = sorted(by_time.items())
+    if parallelism <= 1 or len(instants) < 4:
+        found = _evaluate_instants(engine, configs, instants)
+    else:
+        chunk_size = max(1, len(instants) // (parallelism * 4))
+        chunks = [instants[k:k + chunk_size] for k in range(0, len(instants), chunk_size)]
+        with ProcessPoolExecutor(max_workers=parallelism, initializer=_worker_init,
+                                 initargs=(engine, configs)) as pool:
+            found = [pair for part in pool.map(_worker_chunk, chunks) for pair in part]
+    records: list[list[SlotRecord]] = [[] for _ in configs]
+    for q, record in found:
+        records[q].append(record)
+    for query_records in records:
+        query_records.sort(key=lambda r: r.slot_index)
+    return [(query_records, summarize(query_records)) for query_records in records]
 
 
 def run_scenario(engine: LinkEngine, cfg: ScenarioConfig,
@@ -170,31 +219,28 @@ def run_scenario(engine: LinkEngine, cfg: ScenarioConfig,
     With parallelism > 1 the slots are split over a process pool; output is
     identical to the serial run.
     """
-    indices = list(range(cfg.slot_count))
-    if parallelism <= 1 or cfg.slot_count < 4:
-        records = [evaluate_slot(engine, cfg, i) for i in indices]
-    else:
-        chunk_size = max(1, len(indices) // (parallelism * 4))
-        chunks = [indices[k:k + chunk_size] for k in range(0, len(indices), chunk_size)]
-        spec = engine.constellation.spec
-        with ProcessPoolExecutor(
-                max_workers=parallelism, initializer=_worker_init,
-                initargs=(spec, engine.constants, engine.earth_rotation0_deg)) as pool:
-            parts = pool.map(_worker_chunk, [(cfg, c) for c in chunks])
-            records = [rec for part in parts for rec in part]
-        records.sort(key=lambda r: r.slot_index)
-    return records, summarize(records)
+    return run_scenarios(engine, [cfg], parallelism)[0]
+
+
+def compare_many(engine: LinkEngine, bases, parallelism: int = 1) -> list[ComparisonResult]:
+    """Compare NG and NNG for each base config, all in one batch, in order."""
+    bases = list(bases)
+    queries = [base.with_mode(mode) for base in bases for mode in (Mode.NG, Mode.NNG)]
+    results = run_scenarios(engine, queries, parallelism)
+    out = []
+    for k, base in enumerate(bases):
+        (ng_records, ng_summary), (nng_records, nng_summary) = results[2 * k:2 * k + 2]
+        out.append(ComparisonResult(
+            lisl_range_km=base.lisl_range_km,
+            ng_summary=ng_summary, nng_summary=nng_summary,
+            ng_records=tuple(ng_records), nng_records=tuple(nng_records)))
+    return out
 
 
 def compare(engine: LinkEngine, cfg_base: ScenarioConfig,
             parallelism: int = 1) -> ComparisonResult:
     """Run NG and NNG over identical geometry and report improvements."""
-    ng_records, ng_summary = run_scenario(engine, cfg_base.with_mode(Mode.NG), parallelism)
-    nng_records, nng_summary = run_scenario(engine, cfg_base.with_mode(Mode.NNG), parallelism)
-    return ComparisonResult(
-        lisl_range_km=cfg_base.lisl_range_km,
-        ng_summary=ng_summary, nng_summary=nng_summary,
-        ng_records=tuple(ng_records), nng_records=tuple(nng_records))
+    return compare_many(engine, [cfg_base], parallelism)[0]
 
 
 def range_sweep(engine: LinkEngine, cfg_base: ScenarioConfig, ranges_km,
@@ -203,7 +249,7 @@ def range_sweep(engine: LinkEngine, cfg_base: ScenarioConfig, ranges_km,
     ranges = sorted(ranges_km)
     if not ranges:
         raise ConfigurationError("range sweep needs at least one range")
-    return [compare(engine, cfg_base.with_range(r), parallelism) for r in ranges]
+    return compare_many(engine, [cfg_base.with_range(r) for r in ranges], parallelism)
 
 
 # -- CSV emission ------------------------------------------------------

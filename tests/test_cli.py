@@ -167,3 +167,40 @@ def test_help_documents_config_keys(capsys):
     for key in ("plane_count", "altitude_km", "node_delay_ms", "phasing_offset",
                 "occlusion_clearance_km", "parallelism", "output_dir"):
         assert key in out
+
+
+def test_station_named_like_a_satellite_rejected(tmp_path):
+    f = tmp_path / "bad.yaml"
+    f.write_text("stations:\n  - {name: x10102, latitude_deg: 0.0, longitude_deg: 0.0}\n")
+    with pytest.raises(ConfigurationError, match="x10102"):
+        parse_config(f)
+
+
+def test_shell_beyond_two_digit_ids_exit_code(tmp_path):
+    f = tmp_path / "big.yaml"
+    f.write_text("constellation: {plane_count: 4, sats_per_plane: 120, phasing_offset: 0}\n")
+    assert main(["--config", str(f), "run", "--slots", "1"]) == 2
+
+
+STUDY_26 = (
+    "scenarios:\n"
+    "  - {src: Sydney, dst: Sao Paulo,"
+    " ranges_km: [659.5, 1319.0, 1500.0, 1700.0, 2500.0, 3500.0, 5016.0]}\n"
+    "  - {src: Toronto, dst: Istanbul, ranges_km: [1700.0, 5016.0]}\n"
+    "  - {src: Madrid, dst: Tokyo, ranges_km: [5016.0, 1700.0]}\n"
+    "  - {src: New York, dst: Jakarta, ranges_km: [1700.0, 5016.0]}\n")
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_batch_outputs_identical_across_parallelism(tmp_path, command):
+    """The paper's 26 queries give byte-identical files on one worker and on two."""
+    outputs = []
+    for workers in (1, 2):
+        cfg = tmp_path / f"cfg{workers}.yaml"
+        cfg.write_text(STUDY_26 + f"parallelism: {workers}\n")
+        out = tmp_path / f"out{workers}"
+        assert main(["--config", str(cfg), command, "--slots", "6",
+                     "--output-dir", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == {"run": 28, "compare": 8, "sweep": 8}[command]
+    assert outputs[0] == outputs[1]

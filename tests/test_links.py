@@ -262,3 +262,90 @@ def test_single_plane_shell_everything_permanent():
     snap = engine.snapshot(0.0, 1200.0, Mode.NNG)
     assert np.all(snap.sat_permanent)
     assert link_census(snap).total_undirected == 40
+
+
+SNAPSHOT_FIELDS = ("sat_positions", "gs_positions", "sat_a", "sat_b", "sat_length_km",
+                   "sat_type_code", "sat_permanent", "gs_station_index", "gs_sat_index",
+                   "gs_length_km")
+SHARED_PASS_TIMES = (0.0, 7.0, 1234.0)
+
+
+def small_walker_engine():
+    spec = ConstellationSpec(plane_count=6, sats_per_plane=20, phasing_offset=1)
+    return LinkEngine(build_constellation(spec))
+
+
+def assert_same_snapshot(expected, actual):
+    for name in SNAPSHOT_FIELDS:
+        x, y = getattr(expected, name), getattr(actual, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("shell_name", ["starlink", "walker-6x20"])
+def test_shared_geometry_selection_equals_own_snapshot(shell_name, engine):
+    """Selecting from one superset geometry gives each of the 14 (range, mode)
+    snapshots exactly, in the same link order, as measuring it alone."""
+    if shell_name != "starlink":
+        engine = small_walker_engine()
+    stations = (GroundStation("Sydney", -33.8614, 151.2099),
+                GroundStation("Sao Paulo", -23.5475, -46.6361),
+                GroundStation("Quito", -0.18, -78.47))
+    requests = [(r, mode) for r in STANDARD_RANGES for mode in Mode]
+    for t in SHARED_PASS_TIMES:
+        shared = engine.slot_geometry(t, requests)
+        for r, mode in requests:
+            alone = engine.snapshot(t, r, mode, stations)
+            assert_same_snapshot(alone, engine.snapshot(t, r, mode, stations, shared))
+
+
+def test_small_shell_snapshot_matches_brute_force():
+    """All-pairs distances with an explicit line-of-sight test, independent of
+    the candidate classes; NG additionally keeps only permanent pairs."""
+    engine = small_walker_engine()
+    shell = engine.constellation
+    occ = engine.constants.occlusion_radius_km
+    for t in SHARED_PASS_TIMES:
+        pos = shell.positions_at(t)
+        for r in STANDARD_RANGES + (5100.0,):
+            expected = {mode: set() for mode in Mode}
+            for i in range(len(shell)):
+                for j in range(i + 1, len(shell)):
+                    p, q = pos[i], pos[j]
+                    if np.linalg.norm(p - q) > r:
+                        continue
+                    s = np.clip(-(p @ (q - p)) / ((q - p) @ (q - p)), 0.0, 1.0)
+                    if np.linalg.norm(p + s * (q - p)) < occ:
+                        continue
+                    expected[Mode.NNG].add((i, j))
+                    if engine.is_permanent(shell.satellite_id(i), shell.satellite_id(j), r):
+                        expected[Mode.NG].add((i, j))
+            shared = engine.slot_geometry(t, [(r, mode) for mode in Mode])
+            for mode in Mode:
+                snap = engine.snapshot(t, r, mode, geometry=shared)
+                found = set(zip(snap.sat_a.tolist(), snap.sat_b.tolist()))
+                assert found == expected[mode], (t, r, mode)
+
+
+def test_snapshot_rejects_geometry_that_does_not_cover_it(engine):
+    shared = engine.slot_geometry(5.0, [(1700.0, Mode.NG)])
+    with pytest.raises(ValueError):
+        engine.snapshot(5.0, 1700.0, Mode.NNG, geometry=shared)
+    with pytest.raises(ValueError):
+        engine.snapshot(5.0, 5016.0, Mode.NG, geometry=shared)
+    with pytest.raises(ValueError):
+        engine.snapshot(6.0, 1700.0, Mode.NG, geometry=shared)
+    with pytest.raises(ValueError):
+        engine.slot_geometry(5.0, [])
+
+
+def test_node_index_inverts_satellite_ids(engine):
+    snap = engine.snapshot(0.0, 659.5, Mode.NG, (GroundStation("Sydney", -33.86, 151.21),))
+    assert snap.node_index("x12454") == 23 * 66 + 53
+    assert snap.node_index("x10101") == 0
+    assert snap.node_index("Sydney") == 1584
+    for k in (0, 65, 66, 1583):
+        assert snap.node_index(snap.node_name(k)) == k
+    for missing in ("x12501", "x10167", "x10000", "Tokyo"):
+        with pytest.raises(KeyError):
+            snap.node_index(missing)

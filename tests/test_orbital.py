@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from fsosim.errors import ConfigurationError
 from fsosim.orbital import (ConstellationSpec, GroundStation, SatelliteId,
-                            build_constellation, format_id, ground_station_position)
+                            build_constellation, format_id, ground_station_position,
+                            parse_id)
 
 sat_indices = st.tuples(st.integers(0, 23), st.integers(0, 65))
 times = st.floats(min_value=0.0, max_value=7200.0, allow_nan=False)
@@ -120,6 +121,28 @@ def test_format_id_last_slot_first_plane():
 
 def test_format_id_plane24_slot54():
     assert format_id(SatelliteId(23, 53)) == "x12454"
+
+
+@pytest.mark.parametrize("spec_kwargs", [
+    dict(plane_count=100, phasing_offset=0),
+    dict(sats_per_plane=100),
+])
+def test_spec_rejects_shells_beyond_two_digit_ids(spec_kwargs):
+    with pytest.raises(ConfigurationError, match="99"):
+        ConstellationSpec(**spec_kwargs)
+
+
+def test_spec_accepts_99_planes_of_99_and_formats_the_last_id():
+    spec = ConstellationSpec(plane_count=99, sats_per_plane=99, phasing_offset=0)
+    shell = build_constellation(spec)
+    assert shell.format_id(shell.satellite_id(len(shell) - 1)) == "x19999"
+
+
+def test_parse_id_inverts_format_id():
+    for sat in (SatelliteId(0, 0), SatelliteId(23, 53), SatelliteId(98, 98)):
+        assert parse_id(format_id(sat)) == sat
+    for text in ("x10001", "x10100", "x1245", "x124540", "X12454", "Sydney"):
+        assert parse_id(text) is None
 
 
 def test_format_id_overflow_rejected():

@@ -6,8 +6,8 @@ from fsosim import (BUNDLED_STATIONS, ConstellationSpec, GroundStation, LinkEngi
                     Mode, ScenarioConfig, build_constellation, compare, range_sweep,
                     run_scenario)
 from fsosim.errors import ConfigurationError
-from fsosim.scenario import (SlotRecord, summarize, write_comparison_csv,
-                             write_slots_csv, write_summary_csv)
+from fsosim.scenario import (SlotRecord, compare_many, run_scenarios, summarize,
+                             write_comparison_csv, write_slots_csv, write_summary_csv)
 
 SYDNEY = BUNDLED_STATIONS[0]
 SAO_PAULO = BUNDLED_STATIONS[1]
@@ -180,3 +180,34 @@ def test_csv_byte_reproducible(tmp_path, engine):
     records2, _ = run_scenario(engine, cfg, parallelism=2)
     write_slots_csv(f2, records2)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_batch_matches_one_run_per_query(engine):
+    """A mixed batch, with two slot grids, gives each query the records of
+    its own run."""
+    queries = [short_cfg(1700.0, Mode.NG, slots=5), short_cfg(5016.0, Mode.NNG, slots=5),
+               short_cfg(1319.0, Mode.NNG, slots=5, src=BUNDLED_STATIONS[2],
+                         dst=BUNDLED_STATIONS[3]),
+               dataclasses.replace(short_cfg(1700.0, Mode.NNG, slots=4), slot_duration_s=2.5)]
+    batch = run_scenarios(engine, queries, parallelism=2)
+    assert len(batch) == len(queries)
+    for cfg, (records, summary) in zip(queries, batch):
+        assert (records, summary) == run_scenario(engine, cfg)
+
+
+def test_compare_many_matches_compare(engine):
+    bases = [short_cfg(1319.0, slots=3), short_cfg(5016.0, slots=3, src=BUNDLED_STATIONS[4],
+                                                   dst=BUNDLED_STATIONS[5])]
+    assert compare_many(engine, bases) == [compare(engine, base) for base in bases]
+
+
+def test_workers_use_the_callers_engine(engine, monkeypatch):
+    """The pool's workers inherit the engine; none of them builds one."""
+    queries = [short_cfg(1700.0, Mode.NG, slots=6), short_cfg(1700.0, Mode.NNG, slots=6)]
+    serial = run_scenarios(engine, queries)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LinkEngine was built")
+
+    monkeypatch.setattr(LinkEngine, "__init__", refuse)
+    assert run_scenarios(engine, queries, parallelism=2) == serial
