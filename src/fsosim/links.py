@@ -16,8 +16,12 @@ Because every orbit shares the same radius, period, and inclination, the
 distance history of a pair depends only on the plane offset and slot offset
 between its members. Permanence is therefore precomputed once per
 constellation into a (plane_count x sats_per_plane) class table of
-max/min separations over one period, sampled at 1 s; intra-plane offsets
-short-circuit to the constant chord 2*r*sin(pi*ds/S).
+max/min separations over one period, in closed form. Two satellites with
+RAAN difference W, inclination i and phase lead delta subtend an angle g,
+cos g = (A+B)/2 cos(delta) - C sin(delta) + (A-B)/2 cos(2u + delta) at
+argument of latitude u, where A = cos W, B = A cos^2 i + sin^2 i and
+C = cos i sin W; their separation r sqrt(2 (1 - cos g)) peaks and dips where
+cos(2u + delta) = +/-1. Intra-plane classes get the chord 2 r sin(delta/2).
 """
 from __future__ import annotations
 
@@ -53,6 +57,7 @@ class Mode(enum.Enum):
     NNG = "NNG"
 
 
+_PAIR_BLOCK = 16_384  # pairs per block in the per-slot geometry pass
 _SAT_TYPE_CODES = (LinkType.INTRA_OP, LinkType.ADJACENT_OP,
                    LinkType.NEARBY_OP, LinkType.CROSSING_OP)
 
@@ -202,36 +207,18 @@ class LinkEngine:
     def _build_class_tables(self) -> tuple[np.ndarray, np.ndarray]:
         spec = self.constellation.spec
         planes, slots = spec.plane_count, spec.sats_per_plane
-        r = spec.orbit_radius_km
-        times = np.arange(0.0, math.ceil(spec.orbital_period_s) + 1.0, 1.0)
-
-        u_ref = spec.mean_motion_rad_s * times
+        dp = np.arange(planes)[:, None]
+        raan = 2.0 * np.pi * dp / planes * (spec.raan_spread_deg / 360.0)
+        delta = 2.0 * np.pi * (np.arange(slots) / slots + dp * spec.phasing_offset / (planes * slots))
         incl = math.radians(spec.inclination_deg)
         ci, si = math.cos(incl), math.sin(incl)
-
-        def track(raan_rad, u):
-            cu, su = np.cos(u), np.sin(u)
-            co, so = math.cos(raan_rad), math.sin(raan_rad)
-            return np.stack([
-                r * (cu * co - su * so * ci),
-                r * (cu * so + su * co * ci),
-                r * (su * si)], axis=-1)
-
-        ref = track(0.0, u_ref)
-        pair_max = np.full((planes, slots), np.inf)
-        pair_min = np.full((planes, slots), np.inf)
-        slot_step = 2.0 * math.pi / slots
-        phase_step = 2.0 * math.pi / (planes * slots)
-        chords = 2.0 * r * np.sin(np.pi * np.arange(1, slots) / slots)
-        pair_max[0, 1:] = chords
-        pair_min[0, 1:] = chords
-        ds_offsets = np.arange(slots) * slot_step
-        for dp in range(1, planes):
-            raan = 2.0 * math.pi * dp / planes * (spec.raan_spread_deg / 360.0)
-            u = u_ref[None, :] + (ds_offsets + dp * spec.phasing_offset * phase_step)[:, None]
-            d = np.linalg.norm(track(raan, u) - ref[None, :, :], axis=-1)
-            pair_max[dp] = d.max(axis=1)
-            pair_min[dp] = d.min(axis=1)
+        # (A+B)/2 and |A-B|/2 of the module docstring; A - B = -si^2 (1 - cos W).
+        mean = (0.5 * (np.cos(raan) * (1.0 + ci**2) + si**2) * np.cos(delta)
+                - ci * np.sin(raan) * np.sin(delta))
+        swing = 0.5 * si**2 * (1.0 - np.cos(raan))
+        pair_max = spec.orbit_radius_km * np.sqrt(np.maximum(2.0 * (1.0 - mean + swing), 0.0))
+        pair_min = spec.orbit_radius_km * np.sqrt(np.maximum(2.0 * (1.0 - mean - swing), 0.0))
+        pair_max[0, 0] = pair_min[0, 0] = np.inf  # a satellite is no pair with itself
         return pair_max, pair_min
 
     @property
@@ -298,11 +285,9 @@ class LinkEngine:
         """
         if mode is Mode.NG:
             return self._pair_max_km <= lisl_range_km
-        # Pair separations are sampled at 1 s; between samples a pair can
-        # close by up to the relative speed times half a step, so pad the
-        # candidate cut to keep it a superset of anything ever in range.
-        spec = self.constellation.spec
-        return self._pair_min_km <= lisl_range_km + spec.orbital_speed_kms + 1e-3
+        # The 1 m guard absorbs rounding in the exact extrema and in measured
+        # lengths, so the cut keeps every pair that is ever in range.
+        return self._pair_min_km <= lisl_range_km + 1e-3
 
     def _candidate_pairs(self, class_mask: np.ndarray) -> _PairRows:
         """Unordered satellite pairs whose class lies in class_mask, cached per mask."""
@@ -350,16 +335,13 @@ class LinkEngine:
             raise ValueError("a slot geometry needs at least one (range, mode) request")
         union = np.logical_or.reduce([self._class_mask(r, mode) for r, mode in requests])
         pairs = self._candidate_pairs(union)
-        # np.take gathers rows far faster than fancy indexing, with equal values.
         pos = self.constellation.positions_at(t)
-        diff = np.take(pos, pairs.a, axis=0) - np.take(pos, pairs.b, axis=0)
-        length = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        length = pairs.per_pair(pos, _distance, float)
         near = np.flatnonzero(length <= max(r for r, _ in requests))
         pairs = pairs.take(near)
 
         vel = self.constellation.velocities_at(t)
-        co_moving = np.einsum("ij,ij->i", np.take(vel, pairs.a, axis=0),
-                              np.take(vel, pairs.b, axis=0)) > 0.0
+        co_moving = pairs.per_pair(vel, lambda v, w: np.einsum("ij,ij->i", v, w) > 0.0, bool)
         type_code = np.full(len(near), 3, dtype=np.int8)  # crossing unless shown otherwise
         type_code[(pairs.plane_offset == 1) & co_moving] = 1
         type_code[(pairs.plane_offset >= 2) & co_moving] = 2
@@ -435,6 +417,18 @@ class _PairRows:
         return _PairRows(a=self.a[index], b=self.b[index], cls=self.cls[index],
                          plane_offset=self.plane_offset[index])
 
+    def per_pair(self, table: np.ndarray, rows, dtype) -> np.ndarray:
+        """rows(table[a], table[b]) into one array, over blocks of pairs small
+        enough that the allocator reuses their temporaries from slot to slot;
+        whole-list temporaries of several MB go back to the system and fault
+        in again every slot. np.take gathers like fancy indexing, but faster."""
+        out = np.empty(len(self.a), dtype=dtype)
+        for lo in range(0, len(out), _PAIR_BLOCK):
+            hi = lo + _PAIR_BLOCK
+            out[lo:hi] = rows(np.take(table, self.a[lo:hi], axis=0),
+                              np.take(table, self.b[lo:hi], axis=0))
+        return out
+
 
 @dataclass(eq=False)
 class SlotGeometry:
@@ -462,9 +456,8 @@ class SlotGeometry:
         occlusion sphere."""
         if self._clear is None:
             occ = self.engine.constants.occlusion_radius_km
-            self._clear = _segments_clear_origin(
-                np.take(self.positions, self.pairs.a, axis=0),
-                np.take(self.positions, self.pairs.b, axis=0), occ)
+            self._clear = self.pairs.per_pair(
+                self.positions, lambda p, q: _segments_clear_origin(p, q, occ), bool)
         return self._clear
 
     def ground_links(self, gs: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -481,6 +474,11 @@ class SlotGeometry:
             found = (g, feasible.astype(np.int32), slant[feasible])
             self._ground[gs] = found
         return found
+
+
+def _distance(p, q):
+    diff = p - q
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _concat(chunks, dtype=np.int32):

@@ -67,14 +67,12 @@ class RouteGraph:
     @classmethod
     def from_snapshot(cls, snapshot: GraphSnapshot) -> "RouteGraph":
         n_sat = snapshot.satellite_count
-        gs_node = snapshot.gs_station_index.astype(np.int64) + n_sat
         kinds = np.zeros(snapshot.node_count, dtype=bool)
         kinds[:n_sat] = True
         return cls(
             is_satellite=kinds,
-            edge_u=np.concatenate([snapshot.sat_a.astype(np.int64),
-                                   snapshot.gs_sat_index.astype(np.int64)]),
-            edge_v=np.concatenate([snapshot.sat_b.astype(np.int64), gs_node]),
+            edge_u=np.concatenate([snapshot.sat_a, snapshot.gs_sat_index]),
+            edge_v=np.concatenate([snapshot.sat_b, snapshot.gs_station_index + n_sat]),
             edge_length_km=np.concatenate([snapshot.sat_length_km, snapshot.gs_length_km]),
             c_mps=snapshot.constants.c_mps,
             name_of=snapshot.node_name)
@@ -101,15 +99,19 @@ def _resolve(graph, raw, node) -> int:
 
 def _directed_arcs(graph: RouteGraph, src: int, dst: int, node_delay_per_hop_ms: float):
     """Directed arcs (tail, head, weight) with node delay charged on
-    satellite entry; arcs through interior stations are dropped."""
-    prop = graph.edge_length_km * (1e6 / graph.c_mps)
-    enter = np.where(graph.is_satellite, node_delay_per_hop_ms, 0.0)
-    tails = np.concatenate([graph.edge_u, graph.edge_v])
-    heads = np.concatenate([graph.edge_v, graph.edge_u])
-    weights = np.concatenate([prop, prop]) + enter[heads]
-    station = ~graph.is_satellite
-    keep = ~(station[heads] & (heads != dst)) & ~(station[tails] & (tails != src))
-    return tails[keep], heads[keep], weights[keep]
+    satellite entry; arcs through interior stations are dropped. Only edges
+    at a station need that filter: the rest enter a satellite both ways."""
+    per_km, sat = 1e6 / graph.c_mps, graph.is_satellite
+    inner = sat[graph.edge_u] & sat[graph.edge_v]
+    u, v = graph.edge_u[inner], graph.edge_v[inner]
+    w = graph.edge_length_km[inner] * per_km + node_delay_per_hop_ms
+    tails = np.concatenate([graph.edge_u[~inner], graph.edge_v[~inner]])
+    heads = np.concatenate([graph.edge_v[~inner], graph.edge_u[~inner]])
+    weights = (np.tile(graph.edge_length_km[~inner] * per_km, 2)
+               + np.where(sat[heads], node_delay_per_hop_ms, 0.0))
+    keep = (sat[heads] | (heads == dst)) & (sat[tails] | (tails == src))
+    return (np.concatenate([u, v, tails[keep]]), np.concatenate([v, u, heads[keep]]),
+            np.concatenate([w, w, weights[keep]]))
 
 
 def _result_from_nodes(graph: RouteGraph, nodes: list[int],

@@ -24,6 +24,8 @@ from fsosim.validation import (REFERENCE_PERMANENT_DEGREES, scan_phasing_offset,
                                slot_nearest_latitude, total_degree_profile)
 from test_routing import random_graph
 
+pytestmark = pytest.mark.acceptance
+
 WORKERS = min(4, os.cpu_count() or 1)
 SLOTS = 3600
 FEASIBLE_RANGES = (1500.0, 1700.0, 2500.0, 3500.0, 5016.0)

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsosim import ConstellationSpec, GroundStation, LinkEngine, Mode, build_constellation
+from fsosim import links
 from fsosim.links import LinkType, Permanence, degree, degree_counts, link_census
 from fsosim.orbital import SatelliteId
+from fsosim.validation import permanent_degree_profile, scan_phasing_offset
 
 STANDARD_RANGES = (659.5, 1319.0, 1500.0, 1700.0, 2500.0, 3500.0, 5016.0)
 
@@ -80,11 +84,83 @@ def test_permanence_agrees_with_fine_resampling(engine):
         for r in (659.5, 1700.0, 5016.0):
             if engine.is_permanent(a, b, r):
                 assert fine_max <= r
-        # Both grids approach the true extrema from inside; the 1 s class
-        # sampling can miss by a few km near fast crossings, the 0.1 s
-        # resample by ~1% of that.
+        # The class tables hold the exact (closed-form) extrema, which the
+        # 0.1 s resample approaches from inside, here to within 0.1 m; the
+        # 4 km side of each bound is looser than needed.
         assert fine_min - 0.05 <= engine.pair_min_distance_km(a, b) <= fine_min + 4.0
         assert fine_max + 0.05 >= engine.pair_max_distance_km(a, b) >= fine_max - 4.0
+
+
+def sampled_class_tables(spec):
+    """Reference class tables: the separation of every (plane offset, slot
+    offset) class sampled at 1 s over one period, intra-plane classes at
+    their constant chord. Returns (max, min), inf for the self class."""
+    planes, slots = spec.plane_count, spec.sats_per_plane
+    r = spec.orbit_radius_km
+    times = np.arange(0.0, math.ceil(spec.orbital_period_s) + 1.0, 1.0)
+    u_ref = spec.mean_motion_rad_s * times
+    incl = math.radians(spec.inclination_deg)
+    ci, si = math.cos(incl), math.sin(incl)
+
+    def track(raan_rad, u):
+        cu, su = np.cos(u), np.sin(u)
+        co, so = math.cos(raan_rad), math.sin(raan_rad)
+        return np.stack([
+            r * (cu * co - su * so * ci),
+            r * (cu * so + su * co * ci),
+            r * (su * si)], axis=-1)
+
+    ref = track(0.0, u_ref)
+    pair_max = np.full((planes, slots), np.inf)
+    pair_min = np.full((planes, slots), np.inf)
+    slot_step = 2.0 * math.pi / slots
+    phase_step = 2.0 * math.pi / (planes * slots)
+    chords = 2.0 * r * np.sin(np.pi * np.arange(1, slots) / slots)
+    pair_max[0, 1:] = chords
+    pair_min[0, 1:] = chords
+    ds_offsets = np.arange(slots) * slot_step
+    for dp in range(1, planes):
+        raan = 2.0 * math.pi * dp / planes * (spec.raan_spread_deg / 360.0)
+        u = u_ref[None, :] + (ds_offsets + dp * spec.phasing_offset * phase_step)[:, None]
+        d = np.linalg.norm(track(raan, u) - ref[None, :, :], axis=-1)
+        pair_max[dp] = d.max(axis=1)
+        pair_min[dp] = d.min(axis=1)
+    return pair_max, pair_min
+
+
+@settings(deadline=None)
+@given(planes=st.integers(1, 8), slots=st.integers(3, 30), data=st.data(),
+       inclination_deg=st.floats(0.0, 180.0), raan_spread_deg=st.sampled_from([180.0, 360.0]))
+def test_closed_form_tables_bound_the_sampled_separations(planes, slots, data, inclination_deg,
+                                                          raan_spread_deg):
+    spec = ConstellationSpec(plane_count=planes, sats_per_plane=slots,
+                             phasing_offset=data.draw(st.integers(0, planes - 1)),
+                             inclination_deg=inclination_deg, raan_spread_deg=raan_spread_deg)
+    engine = LinkEngine(build_constellation(spec))
+    closed_max, closed_min = engine.pair_max_table_km, engine.pair_min_table_km
+    sampled_max, sampled_min = sampled_class_tables(spec)
+    assert closed_max[0, 0] == closed_min[0, 0] == np.inf
+    pair = np.isfinite(sampled_max)
+    # Every sample lies within [min, max] up to the 1 m guard of the NNG
+    # candidate cut: where a pair nearly coincides, 1 - cos g cancels and
+    # leaves the closed form up to r * sqrt(2 * eps) = 0.15 m off.
+    assert np.all(closed_max[pair] >= sampled_max[pair] - 1e-3)
+    assert np.all(closed_min[pair] <= sampled_min[pair] + 1e-3)
+    # At 550 km the two maxima of an orbit fall 0.41 s apart modulo 1 s, so
+    # a sample lands within 0.3 s of one, where a separation is at most
+    # r * n^2 * 0.3^2 = 0.75 m short of its maximum.
+    assert np.all(closed_max[pair] - sampled_max[pair] <= 1e-3)
+
+
+def test_permanent_profile_equals_sampled_reference_at_every_offset():
+    """The closed form sorts every Starlink-shell class as the 1 s sampling
+    did at the seven paper ranges, so the phasing scan still pins 15."""
+    for f in range(24):
+        spec = dataclasses.replace(ConstellationSpec(), phasing_offset=f)
+        sampled_max, _ = sampled_class_tables(spec)
+        expected = tuple(int((sampled_max <= r).sum()) for r in STANDARD_RANGES)
+        assert permanent_degree_profile(build_constellation(spec), STANDARD_RANGES) == expected, f
+    assert scan_phasing_offset(ConstellationSpec())[0] == 15
 
 
 def test_temporary_snapshot_links_leave_range(engine):
@@ -349,3 +425,36 @@ def test_node_index_inverts_satellite_ids(engine):
     for missing in ("x12501", "x10167", "x10000", "Tokyo"):
         with pytest.raises(KeyError):
             snap.node_index(missing)
+
+
+@pytest.mark.parametrize("count", [0, 1, links._PAIR_BLOCK - 1, links._PAIR_BLOCK,
+                                   links._PAIR_BLOCK + 1])
+def test_blockwise_geometry_equals_one_pass(count, shell):
+    """Lengths, plane-relation types and line of sight computed block by
+    block equal one einsum over the whole candidate list, bit for bit."""
+    engine = LinkEngine(shell)
+    t, r = 321.0, 5016.0
+    candidates = engine._candidate_pairs(engine._class_mask(r, Mode.NNG)).take(slice(0, count))
+    assert len(candidates.a) == count
+    engine._candidate_pairs = lambda _mask: candidates
+    geometry = engine.slot_geometry(t, [(r, Mode.NNG)])
+
+    pos, vel = shell.positions_at(t), shell.velocities_at(t)
+    diff = pos[candidates.a] - pos[candidates.b]
+    length = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    near = length <= r
+    a, b = candidates.a[near], candidates.b[near]
+    co_moving = np.einsum("ij,ij->i", vel[a], vel[b]) > 0.0
+    p, chord = pos[a], pos[b] - pos[a]
+    s = np.clip(-np.einsum("ij,ij->i", p, chord)
+                / np.maximum(np.einsum("ij,ij->i", chord, chord), 1e-300), 0.0, 1.0)
+    closest = p + s[:, None] * chord
+    clear = np.einsum("ij,ij->i", closest, closest) >= engine.constants.occlusion_radius_km**2
+
+    assert np.array_equal(geometry.pairs.a, a) and np.array_equal(geometry.pairs.b, b)
+    assert np.array_equal(geometry.length_km, length[near])
+    offset = candidates.plane_offset[near]
+    type_code = np.where(offset == 0, 0, np.where(co_moving, np.where(offset == 1, 1, 2), 3))
+    assert np.array_equal(geometry.type_code, type_code)
+    assert geometry.clear_of_earth().dtype == bool
+    assert np.array_equal(geometry.clear_of_earth(), clear)

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from fsosim import BUNDLED_STATIONS, Mode
 from fsosim.geometry import SPEED_OF_LIGHT_MPS, distance
-from fsosim.routing import (ORACLE_MAX_NODES, RouteGraph, oracle_shortest_path,
+from fsosim.routing import (ORACLE_MAX_NODES, RouteGraph, _directed_arcs, oracle_shortest_path,
                             shortest_path, shortest_path_exact)
 
 LIGHT_MS_KM = 299.792458  # one light-millisecond
@@ -215,3 +218,50 @@ def test_snapshot_superset_latency_dominance(engine):
         lat_ng = shortest_path(ng, "Sydney", "Sao Paulo").latency_ms
         lat_nng = shortest_path(nng, "Sydney", "Sao Paulo").latency_ms
         assert lat_nng <= lat_ng + 1e-6
+
+
+# -- arc lists against the full-arc reference -----------------------------
+
+def full_arc_reference(graph, src, dst, node_delay_per_hop_ms):
+    """Every edge in both directions, node delay on entering a satellite,
+    then every arc through a station other than src or dst dropped."""
+    prop = graph.edge_length_km * (1e6 / graph.c_mps)
+    enter = np.where(graph.is_satellite, node_delay_per_hop_ms, 0.0)
+    tails = np.concatenate([graph.edge_u, graph.edge_v])
+    heads = np.concatenate([graph.edge_v, graph.edge_u])
+    weights = np.concatenate([prop, prop]) + enter[heads]
+    station = ~graph.is_satellite
+    keep = ~(station[heads] & (heads != dst)) & ~(station[tails] & (tails != src))
+    return tails[keep], heads[keep], weights[keep]
+
+
+def assert_same_csr(graph, src, dst, node_delay_per_hop_ms=10.0):
+    n = graph.node_count
+    matrices = [csr_matrix((w, (t, h)), shape=(n, n))
+                for t, h, w in (full_arc_reference(graph, src, dst, node_delay_per_hop_ms),
+                                _directed_arcs(graph, src, dst, node_delay_per_hop_ms))]
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(matrices[0], name), getattr(matrices[1], name)), name
+
+
+@pytest.mark.parametrize("range_km", [1700.0, 5016.0])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_snapshot_arcs_build_the_reference_csr(engine, range_km, mode):
+    snap = engine.snapshot(0.0, range_km, mode, BUNDLED_STATIONS[:3])
+    graph = RouteGraph.from_snapshot(snap)
+    assert graph.edge_u.dtype == graph.edge_v.dtype == np.int32
+    n_sat = snap.satellite_count
+    assert_same_csr(graph, n_sat, n_sat + 1)
+    assert_same_csr(graph, n_sat + 2, n_sat)
+
+
+@pytest.mark.parametrize("edges", [
+    [(3, 0, 10.0), (0, 1, 5.0), (4, 1, 7.0), (2, 1, 3.0)],  # stations as edge_u
+    [(0, 3, 10.0), (0, 1, 5.0), (1, 4, 7.0), (1, 2, 3.0)],  # stations as edge_v
+    [(3, 4, 30.0), (2, 3, 4.0), (0, 2, 9.0), (0, 1, 5.0)],  # station-station edges
+], ids=["station-u", "station-v", "station-station"])
+def test_hand_built_arcs_build_the_reference_csr(edges):
+    graph = make_graph([True, True, False, False, False], edges)
+    for src, dst in itertools.permutations([2, 3, 4], 2):
+        for delay in (0.0, 10.0):
+            assert_same_csr(graph, src, dst, delay)
