@@ -7,7 +7,7 @@ Produces, under the output directory:
   compare_<pair>.csv/.json          three more city pairs at 1700/5016 km
 
 A full-fidelity run evaluates 3,600 one-second slots per scenario and
-takes tens of minutes on a small machine; use --slots for a quick look.
+takes about 7 minutes on two cores; use --slots for a quick look.
 """
 import argparse
 import os

@@ -329,7 +329,7 @@ def _cmd_census(config: RunConfig, args) -> int:
     return 0
 
 
-def _scenario_configs(config: RunConfig, args, need_range=True):
+def _scenario_configs(config: RunConfig, args):
     """Scenario configs selected by flags, or everything in the config file."""
     if args.src or args.dst:
         if not (args.src and args.dst):
@@ -337,31 +337,29 @@ def _scenario_configs(config: RunConfig, args, need_range=True):
         ranges = args.range if getattr(args, "range", None) else list(DEFAULT_RANGES_KM)
         modes = ([_parse_mode(args.mode, "--mode")]
                  if getattr(args, "mode", None) else [Mode.NG, Mode.NNG])
-        spec = ScenarioSpec(
-            src=args.src, dst=args.dst, ranges_km=tuple(ranges), modes=tuple(modes),
-            slot_count=args.slots or 3600, slot_duration_s=args.slot_duration)
-        specs = [spec]
+        specs = [ScenarioSpec(src=args.src, dst=args.dst, ranges_km=tuple(ranges),
+                              modes=tuple(modes), slot_duration_s=args.slot_duration)]
     else:
         specs = list(config.scenarios)
-        if args.slots:
-            specs = [dataclasses.replace(s, slot_count=args.slots) for s in specs]
+    if args.slots is not None:
+        specs = [dataclasses.replace(s, slot_count=args.slots) for s in specs]
     out = []
     for spec in specs:
         base = ScenarioConfig(
             src=config.station(spec.src), dst=config.station(spec.dst),
             lisl_range_km=spec.ranges_km[0], slot_duration_s=spec.slot_duration_s,
-            slot_count=spec.slot_count, node_delay_ms=config.constants.node_delay_ms)
+            slot_count=spec.slot_count)
         out.append((spec, base))
     return out
 
 
 def _cmd_run(config: RunConfig, args) -> int:
-    out_dir = Path(args.output_dir or config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    engine = _make_engine(config)
     queries = [base.with_range(r).with_mode(mode)
                for spec, base in _scenario_configs(config, args)
                for mode in spec.modes for r in spec.ranges_km]
+    out_dir = Path(args.output_dir or config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    engine = _make_engine(config)
     results = run_scenarios(engine, queries, config.effective_parallelism())
     summary_rows = []
     for cfg, (records, summary) in zip(queries, results):
@@ -382,10 +380,10 @@ def _cmd_run(config: RunConfig, args) -> int:
 def _write_comparisons(config: RunConfig, args, kind: str, ranges_of) -> int:
     """Compare NG and NNG at ranges_of(spec) for every scenario, in one batch,
     and write <kind>_<pair>.csv/.json per scenario."""
+    scenarios = _scenario_configs(config, args)
     out_dir = Path(args.output_dir or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine = _make_engine(config)
-    scenarios = _scenario_configs(config, args)
     bases = [[base.with_range(r) for r in ranges_of(spec)] for spec, base in scenarios]
     results = compare_many(engine, [b for group in bases for b in group],
                            config.effective_parallelism())

@@ -1,14 +1,8 @@
-"""Distance, visibility, and range mathematics shared by all other modules.
-
-All positions are kilometres in a right-handed inertial frame with the
-polar axis along +z. Functions accept plain sequences or numpy arrays.
-"""
+"""Physical constants, the visibility-limited link range, and great-circle distance."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 SPEED_OF_LIGHT_MPS = 299_792_458.0
 EARTH_RADIUS_KM = 6378.0
@@ -32,41 +26,6 @@ class PhysicalConstants:
     @property
     def occlusion_radius_km(self) -> float:
         return self.earth_radius_km + self.occlusion_clearance_km
-
-    def propagation_delay_ms(self, length_km):
-        """Delay of a straight-line link: length / c, in milliseconds."""
-        return length_km * 1e6 / self.c_mps
-
-
-def distance(p, q) -> float:
-    """Euclidean distance between two points, km."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return float(np.linalg.norm(p - q))
-
-
-def segment_min_distance_from_origin(p, q) -> float:
-    """Minimum distance from the origin to the closed segment p-q, km."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    chord = q - p
-    cc = float(chord @ chord)
-    if cc == 0.0:
-        return float(np.linalg.norm(p))
-    s = min(1.0, max(0.0, float(-(p @ chord)) / cc))
-    return float(np.linalg.norm(p + s * chord))
-
-
-def has_line_of_sight(p, q, occlusion_radius_km: float) -> bool:
-    """True iff the segment p-q clears the occlusion sphere around Earth's center.
-
-    Raises ValueError if either endpoint lies inside the occlusion sphere.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.linalg.norm(p) < occlusion_radius_km or np.linalg.norm(q) < occlusion_radius_km:
-        raise ValueError("line-of-sight endpoint inside the occlusion sphere")
-    return segment_min_distance_from_origin(p, q) >= occlusion_radius_km
 
 
 def max_lisl_range(altitude_km: float, clearance_km: float,
@@ -97,12 +56,3 @@ def great_circle_distance(a, b, radius_km: float = EARTH_RADIUS_KM) -> float:
     h = sdlat * sdlat + math.cos(lat1) * math.cos(lat2) * sdlon * sdlon
     h = min(1.0, max(0.0, h))
     return radius_km * 2.0 * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
-
-
-def latitude_of(position) -> float:
-    """Geocentric latitude of an inertial position, degrees in [-90, 90]."""
-    p = np.asarray(position, dtype=float)
-    norm = float(np.linalg.norm(p))
-    if norm == 0.0:
-        raise ValueError("latitude of the zero vector is undefined")
-    return math.degrees(math.asin(float(p[2]) / norm))

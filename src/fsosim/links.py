@@ -28,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -63,18 +62,6 @@ _SAT_TYPE_CODES = (LinkType.INTRA_OP, LinkType.ADJACENT_OP,
 
 
 @dataclass(frozen=True)
-class Link:
-    """One undirected laser link present in a snapshot."""
-
-    endpoint_a: str
-    endpoint_b: str
-    length_km: float
-    propagation_delay_ms: float
-    link_type: LinkType
-    permanence: Permanence
-
-
-@dataclass(frozen=True)
 class LinkCensus:
     """Exhaustive partition of a snapshot's links by (type, permanence)."""
 
@@ -90,8 +77,9 @@ class GraphSnapshot:
     """The connectivity graph of the network at one time slot.
 
     Satellite nodes use flat indices 0..N-1; ground stations follow in the
-    order given, at indices N..N+K-1. Link data is held in parallel arrays;
-    the ``links`` property materializes Link records on demand.
+    order given, at indices N..N+K-1. Link data is held in parallel arrays,
+    one set for satellite links (sat_a < sat_b) and one for ground links,
+    which are all temporary.
     """
 
     def __init__(self, *, time_s, lisl_range_km, mode, constellation, constants,
@@ -149,43 +137,13 @@ class GraphSnapshot:
                 pass
         raise KeyError(f"node {node!r} not present in snapshot")
 
-    @cached_property
-    def _position_table(self) -> np.ndarray:
-        if len(self.stations) == 0:
-            return self.sat_positions
-        return np.vstack([self.sat_positions, self.gs_positions])
-
-    def node_position(self, index: int) -> np.ndarray:
-        return self._position_table[index]
-
-    @property
-    def links(self) -> list[Link]:
-        delay = self.constants.propagation_delay_ms
-        out = []
-        for a, b, length, code, perm in zip(self.sat_a, self.sat_b, self.sat_length_km,
-                                            self.sat_type_code, self.sat_permanent):
-            out.append(Link(
-                endpoint_a=self.node_name(int(a)),
-                endpoint_b=self.node_name(int(b)),
-                length_km=float(length),
-                propagation_delay_ms=float(delay(length)),
-                link_type=_SAT_TYPE_CODES[int(code)],
-                permanence=Permanence.PERMANENT if perm else Permanence.TEMPORARY))
-        for gi, si, length in zip(self.gs_station_index, self.gs_sat_index, self.gs_length_km):
-            out.append(Link(
-                endpoint_a=self.node_name(int(si)),
-                endpoint_b=self.stations[int(gi)].name,
-                length_km=float(length),
-                propagation_delay_ms=float(delay(length)),
-                link_type=LinkType.GROUND_LINK,
-                permanence=Permanence.TEMPORARY))
-        return out
-
 
 class LinkEngine:
     """Builds snapshots of one constellation under shared physical constants.
 
-    The pair-class permanence tables are computed once at construction and
+    The pair-class permanence tables, pair_max_table_km and
+    pair_min_table_km (the largest and smallest separation over one period
+    by plane offset and slot offset), are computed once at construction and
     are read-only afterwards, so one engine can serve any number of slots,
     ranges, and modes. The candidate-pair cache is filled lazily and is not
     guarded by a lock, so threads must not build snapshots on one engine
@@ -199,7 +157,7 @@ class LinkEngine:
         self.constellation = constellation
         self.constants = constants if constants is not None else PhysicalConstants()
         self.earth_rotation0_deg = earth_rotation0_deg
-        self._pair_max_km, self._pair_min_km = self._build_class_tables()
+        self.pair_max_table_km, self.pair_min_table_km = self._build_class_tables()
         self._candidate_cache: dict[bytes, _PairRows] = {}
 
     # -- pair classes -------------------------------------------------
@@ -221,60 +179,6 @@ class LinkEngine:
         pair_max[0, 0] = pair_min[0, 0] = np.inf  # a satellite is no pair with itself
         return pair_max, pair_min
 
-    @property
-    def pair_max_table_km(self) -> np.ndarray:
-        """Class table of max pair separation over one period, by (plane offset, slot offset)."""
-        return self._pair_max_km
-
-    @property
-    def pair_min_table_km(self) -> np.ndarray:
-        """Class table of min pair separation over one period, by (plane offset, slot offset)."""
-        return self._pair_min_km
-
-    def _pair_class(self, plane_a, slot_a, plane_b, slot_b):
-        """Map a satellite pair to its separation-history class (dp, ds).
-
-        Swapping endpoints leaves the separation history unchanged, so the
-        class is always read from the lower-plane endpoint; dp never wraps
-        and the mapping holds for partial-spread shells too. Works on
-        scalars or arrays.
-        """
-        swap = plane_b < plane_a
-        dp = np.where(swap, plane_a - plane_b, plane_b - plane_a)
-        ds = np.where(swap, slot_a - slot_b, slot_b - slot_a) % self.constellation.spec.sats_per_plane
-        return dp, ds
-
-    def pair_max_distance_km(self, a: SatelliteId, b: SatelliteId) -> float:
-        """Largest separation the pair reaches over one orbital period."""
-        dp, ds = self._pair_class(a.plane_index, a.slot_index, b.plane_index, b.slot_index)
-        return float(self._pair_max_km[dp, ds])
-
-    def pair_min_distance_km(self, a: SatelliteId, b: SatelliteId) -> float:
-        """Smallest separation the pair reaches over one orbital period."""
-        dp, ds = self._pair_class(a.plane_index, a.slot_index, b.plane_index, b.slot_index)
-        return float(self._pair_min_km[dp, ds])
-
-    def is_permanent(self, a: SatelliteId, b: SatelliteId, lisl_range_km: float) -> bool:
-        """True iff the pair never drifts beyond lisl_range_km over a period."""
-        if a == b:
-            raise ValueError("a pair needs two distinct satellites")
-        return self.pair_max_distance_km(a, b) <= lisl_range_km
-
-    def link_type_at(self, a: SatelliteId, b: SatelliteId, t: float) -> LinkType:
-        """Plane relation of the pair, using the velocity dot sign at time t."""
-        if a == b:
-            raise ValueError("a pair needs two distinct satellites")
-        if a.plane_index == b.plane_index:
-            return LinkType.INTRA_OP
-        va = self.constellation.state_at(a, t).velocity_kms
-        vb = self.constellation.state_at(b, t).velocity_kms
-        if float(va @ vb) <= 0.0:
-            return LinkType.CROSSING_OP
-        planes = self.constellation.spec.plane_count
-        off = abs(a.plane_index - b.plane_index)
-        off = min(off, planes - off)
-        return LinkType.ADJACENT_OP if off == 1 else LinkType.NEARBY_OP
-
     # -- snapshots ----------------------------------------------------
 
     def _class_mask(self, lisl_range_km: float, mode: Mode) -> np.ndarray:
@@ -284,10 +188,10 @@ class LinkEngine:
         classes whose min ever comes within range.
         """
         if mode is Mode.NG:
-            return self._pair_max_km <= lisl_range_km
+            return self.pair_max_table_km <= lisl_range_km
         # The 1 m guard absorbs rounding in the exact extrema and in measured
         # lengths, so the cut keeps every pair that is ever in range.
-        return self._pair_min_km <= lisl_range_km + 1e-3
+        return self.pair_min_table_km <= lisl_range_km + 1e-3
 
     def _candidate_pairs(self, class_mask: np.ndarray) -> _PairRows:
         """Unordered satellite pairs whose class lies in class_mask, cached per mask."""
@@ -396,7 +300,7 @@ class LinkEngine:
             sat_a=pairs.a[index], sat_b=pairs.b[index],
             sat_length_km=geometry.length_km[index],
             sat_type_code=geometry.type_code[index],
-            sat_permanent=(self._pair_max_km <= lisl_range_km).ravel()[pairs.cls[index]],
+            sat_permanent=(self.pair_max_table_km <= lisl_range_km).ravel()[pairs.cls[index]],
             gs_station_index=_concat(gs_station_index),
             gs_sat_index=_concat(gs_sat_index),
             gs_length_km=_concat(gs_length, dtype=float))
@@ -493,12 +397,6 @@ def _segments_clear_origin(p, q, occlusion_radius_km):
     s = np.clip(-np.einsum("ij,ij->i", p, chord) / np.maximum(cc, 1e-300), 0.0, 1.0)
     closest = p + s[:, None] * chord
     return np.einsum("ij,ij->i", closest, closest) >= occlusion_radius_km**2
-
-
-def degree(snapshot: GraphSnapshot, sat: SatelliteId) -> int:
-    """Incident satellite-satellite links of one satellite (ground links excluded)."""
-    k = snapshot.constellation.flat_index(sat)
-    return int((snapshot.sat_a == k).sum() + (snapshot.sat_b == k).sum())
 
 
 def degree_counts(snapshot: GraphSnapshot) -> np.ndarray:

@@ -4,13 +4,14 @@ The constellation is uniform: every orbit is circular at the same radius
 and inclination, planes are spread evenly in right ascension, and in-plane
 slots are spread evenly in phase with an inter-plane phasing offset.
 Satellites and ground stations are propagated analytically, so every
-operation here is a pure function of (spec, id, time).
+operation here is a pure function of (spec, id, time). Positions are
+kilometres in a right-handed inertial frame with the polar axis along +z.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,15 +83,6 @@ class SatelliteId:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Inertial position/velocity of one satellite at one instant."""
-
-    time_s: float
-    position_km: np.ndarray
-    velocity_kms: np.ndarray
-
-
-@dataclass(frozen=True)
 class GroundStation:
     """An Earth-fixed station that can link to satellites within range_km slant."""
 
@@ -106,16 +98,6 @@ class GroundStation:
             raise ConfigurationError(f"station {self.name!r}: longitude out of [-180, 180]")
         if self.range_km <= 0:
             raise ConfigurationError(f"station {self.name!r}: range_km must be positive")
-
-
-@dataclass(frozen=True)
-class OrbitalElements:
-    """Circular-orbit elements of one satellite at the simulation epoch."""
-
-    raan_deg: float
-    phase_deg: float  # argument of latitude at t=0, measured from the ascending node
-    radius_km: float
-    inclination_deg: float
 
 
 def format_id(sat: SatelliteId) -> str:
@@ -140,7 +122,7 @@ class Constellation:
 
     Satellites are ordered by flat index plane*sats_per_plane + slot. All
     angles are carried in radians internally; the per-satellite RAAN and
-    epoch phase arrays drive both scalar and vectorized state queries.
+    epoch phase arrays drive every state query.
     """
 
     def __init__(self, spec: ConstellationSpec):
@@ -170,74 +152,34 @@ class Constellation:
         s = self.spec.sats_per_plane
         return SatelliteId(flat_index // s, flat_index % s)
 
-    def elements(self) -> list[tuple[SatelliteId, OrbitalElements]]:
-        out = []
-        for k in range(len(self)):
-            sat = self.satellite_id(k)
-            out.append((sat, OrbitalElements(
-                raan_deg=math.degrees(self._raan[k]),
-                phase_deg=math.degrees(self._phase0[k]) % 360.0,
-                radius_km=self.spec.orbit_radius_km,
-                inclination_deg=self.spec.inclination_deg)))
-        return out
-
     def positions_at(self, t: float) -> np.ndarray:
         """Inertial positions of all satellites at time t, shape (N, 3), km."""
         u = self._phase0 + self.spec.mean_motion_rad_s * t
-        cu, su = np.cos(u), np.sin(u)
-        co, so = np.cos(self._raan), np.sin(self._raan)
-        ci, si = math.cos(self._incl), math.sin(self._incl)
-        r = self.spec.orbit_radius_km
-        return np.stack([
-            r * (cu * co - su * so * ci),
-            r * (cu * so + su * co * ci),
-            r * (su * si),
-        ], axis=-1)
+        return self._to_inertial(np.cos(u), np.sin(u), self.spec.orbit_radius_km)
 
     def velocities_at(self, t: float) -> np.ndarray:
         """Inertial velocities of all satellites at time t, shape (N, 3), km/s."""
         u = self._phase0 + self.spec.mean_motion_rad_s * t
-        cu, su = np.cos(u), np.sin(u)
+        return self._to_inertial(-np.sin(u), np.cos(u),
+                                 self.spec.orbit_radius_km * self.spec.mean_motion_rad_s)
+
+    def _to_inertial(self, along_node, across_node, scale: float) -> np.ndarray:
+        """scale * (along_node, across_node), given per satellite in its orbit
+        plane (along the ascending node and 90 deg ahead of it in the direction
+        of motion), rotated into the inertial frame: R3(raan) R1(incl)."""
         co, so = np.cos(self._raan), np.sin(self._raan)
         ci, si = math.cos(self._incl), math.sin(self._incl)
-        v = self.spec.orbit_radius_km * self.spec.mean_motion_rad_s
         return np.stack([
-            v * (-su * co - cu * so * ci),
-            v * (-su * so + cu * co * ci),
-            v * (cu * si),
+            scale * (along_node * co - across_node * so * ci),
+            scale * (along_node * so + across_node * co * ci),
+            scale * (across_node * si),
         ], axis=-1)
-
-    def state_at(self, sat: SatelliteId, t: float) -> StateVector:
-        """State vector of one satellite under uniform circular motion."""
-        k = self.flat_index(sat)
-        u = float(self._phase0[k]) + self.spec.mean_motion_rad_s * t
-        cu, su = math.cos(u), math.sin(u)
-        co, so = math.cos(float(self._raan[k])), math.sin(float(self._raan[k]))
-        ci, si = math.cos(self._incl), math.sin(self._incl)
-        r = self.spec.orbit_radius_km
-        v = r * self.spec.mean_motion_rad_s
-        position = np.array([
-            r * (cu * co - su * so * ci),
-            r * (cu * so + su * co * ci),
-            r * (su * si),
-        ])
-        velocity = np.array([
-            v * (-su * co - cu * so * ci),
-            v * (-su * so + cu * co * ci),
-            v * (cu * si),
-        ])
-        return StateVector(time_s=t, position_km=position, velocity_kms=velocity)
 
     def latitude_deg(self, sat: SatelliteId, t):
         """Geocentric latitude of the satellite at time t (scalar or array), degrees."""
         k = self.flat_index(sat)
         u = self._phase0[k] + self.spec.mean_motion_rad_s * np.asarray(t, dtype=float)
         return np.rad2deg(np.arcsin(np.sin(u) * math.sin(self._incl)))
-
-    def format_id(self, sat: SatelliteId) -> str:
-        self.flat_index(sat)  # membership check
-        return format_id(sat)
-
 
 def build_constellation(spec: ConstellationSpec) -> Constellation:
     """Construct the shell described by spec; raises ConfigurationError if invalid."""

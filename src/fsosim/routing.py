@@ -8,23 +8,14 @@ charge is folded into the edges as an enter cost, which keeps the problem
 a plain weighted digraph; arcs that would route *through* a station are
 dropped, so ground stations can only ever terminate a path.
 
-Three implementations share the objective:
-
-* ``shortest_path``       - compiled sparse Dijkstra, used by scenario runs;
-* ``shortest_path_exact`` - reference Dijkstra with a fully specified total
-  order among equal-latency paths (fewest hops, then smallest node-index
-  sequence);
-* ``oracle_shortest_path`` - exhaustive simple-path enumeration for graphs
-  of at most 12 nodes, used as an independent test oracle.
-
-All three accept either a GraphSnapshot or a hand-built RouteGraph and
-return identical latencies; the compiled route may differ from the exact
-one only in which equal-latency path it reports.
+``shortest_path`` builds that digraph as a CSR matrix, from a
+GraphSnapshot or a hand-built RouteGraph, and runs scipy's compiled
+Dijkstra on it; the reported latency is summed again along the found path,
+link by link from the source. tests/test_routing.py checks it against an
+exhaustive oracle and a reference Dijkstra with a total tie order.
 """
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,8 +25,6 @@ from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from .geometry import SPEED_OF_LIGHT_MPS
 from .links import GraphSnapshot
-
-ORACLE_MAX_NODES = 12
 
 
 @dataclass(frozen=True)
@@ -154,8 +143,7 @@ def shortest_path(graph, src, dst, node_delay_per_hop_ms: float = 10.0) -> PathR
     """Minimum-latency path between two stations, or None if unreachable.
 
     Deterministic for a given graph; among equal-latency paths the choice is
-    implementation-defined (see shortest_path_exact for the fully specified
-    ordering).
+    implementation-defined.
     """
     raw = _as_graph(graph)
     s, d = _endpoints(graph, raw, src, dst)
@@ -169,98 +157,4 @@ def shortest_path(graph, src, dst, node_delay_per_hop_ms: float = 10.0) -> PathR
     while nodes[-1] != s:
         nodes.append(int(pred[nodes[-1]]))
     nodes.reverse()
-    return _result_from_nodes(raw, nodes, node_delay_per_hop_ms, _length_lookup(raw, nodes))
-
-
-def shortest_path_exact(graph, src, dst, node_delay_per_hop_ms: float = 10.0) -> PathResult | None:
-    """Reference minimum-latency path with a total tie order.
-
-    Paths are ranked by (latency, hop count, node-index sequence); the
-    returned path is the unique minimum under that order.
-    """
-    raw = _as_graph(graph)
-    s, d = _endpoints(graph, raw, src, dst)
-    tails, heads, weights = _directed_arcs(raw, s, d, node_delay_per_hop_ms)
-    order = np.argsort(tails, kind="stable")
-    tails, heads, weights = tails[order], heads[order], weights[order]
-    n = raw.node_count
-    indptr = np.searchsorted(tails, np.arange(n + 1))
-    sat = raw.is_satellite
-
-    inf = math.inf
-    dist: list[tuple[float, float]] = [(inf, inf)] * n
-    parent = [-1] * n
-    dist[s] = (0.0, 0)
-    heap: list[tuple[float, int, int]] = [(0.0, 0, s)]
-
-    def path_to(node: int) -> list[int]:
-        nodes = [node]
-        while nodes[-1] != s:
-            nodes.append(parent[nodes[-1]])
-        nodes.reverse()
-        return nodes
-
-    while heap:
-        lat, hops, u = heapq.heappop(heap)
-        if (lat, hops) > dist[u]:
-            continue
-        if u == d:
-            break
-        for k in range(indptr[u], indptr[u + 1]):
-            v = int(heads[k])
-            cand = (lat + float(weights[k]), hops + (1 if sat[v] else 0))
-            if cand < dist[v]:
-                dist[v] = cand
-                parent[v] = u
-                heapq.heappush(heap, (cand[0], cand[1], v))
-            elif cand == dist[v] and parent[v] != u and path_to(u) < path_to(parent[v]):
-                parent[v] = u
-    if dist[d][0] == inf:
-        return None
-    nodes = path_to(d)
-    return _result_from_nodes(raw, nodes, node_delay_per_hop_ms, _length_lookup(raw, nodes))
-
-
-def oracle_shortest_path(graph, src, dst, node_delay_per_hop_ms: float = 10.0) -> PathResult | None:
-    """Exhaustive enumeration of all simple paths; test oracle only.
-
-    Refuses graphs with more than 12 nodes. Uses the same
-    (latency, hops, node-index sequence) ranking as shortest_path_exact and
-    accumulates latency left-to-right along each path, so results are
-    float-for-float comparable with the Dijkstra implementations.
-    """
-    raw = _as_graph(graph)
-    if raw.node_count > ORACLE_MAX_NODES:
-        raise ValueError(f"oracle refuses graphs with more than {ORACLE_MAX_NODES} nodes")
-    s, d = _endpoints(graph, raw, src, dst)
-    tails, heads, weights = _directed_arcs(raw, s, d, node_delay_per_hop_ms)
-    adjacency: dict[int, list[tuple[int, float]]] = {}
-    for t_, h_, w_ in zip(tails, heads, weights):
-        adjacency.setdefault(int(t_), []).append((int(h_), float(w_)))
-    for neighbors in adjacency.values():
-        neighbors.sort()
-    sat = raw.is_satellite
-
-    best: tuple[float, int, tuple[int, ...]] | None = None
-
-    def walk(u: int, visited: set[int], lat: float, hops: int, trail: list[int]):
-        nonlocal best
-        if u == d:
-            candidate = (lat, hops, tuple(trail))
-            if best is None or candidate < best:
-                best = candidate
-            return
-        for v, w in adjacency.get(u, ()):
-            if v in visited:
-                continue
-            visited.add(v)
-            trail.append(v)
-            walk(v, visited, lat + w, hops + (1 if sat[v] else 0), trail)
-            trail.pop()
-            visited.remove(v)
-
-    walk(s, {s}, 0.0, 0, [s])
-    if best is None:
-        return None
-    nodes = list(best[2])
     return _result_from_nodes(raw, nodes, node_delay_per_hop_ms, _length_lookup(raw, nodes))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import routing
 from .errors import ConfigurationError
@@ -42,7 +42,8 @@ DEFAULT_RANGES_KM: tuple[float, ...] = (659.5, 1319.0, 1500.0, 1700.0, 2500.0, 3
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One connection study: endpoints, range, link policy, and slot grid."""
+    """One connection study: endpoints, range, link policy, and slot grid.
+    Each hop costs the engine's constants.node_delay_ms."""
 
     src: GroundStation
     dst: GroundStation
@@ -50,9 +51,11 @@ class ScenarioConfig:
     mode: Mode = Mode.NNG
     slot_duration_s: float = 1.0
     slot_count: int = 3600
-    node_delay_ms: float = 10.0
 
     def __post_init__(self):
+        if self.src.name == self.dst.name:
+            raise ConfigurationError(
+                f"scenario source and destination are both {self.src.name!r}")
         if self.lisl_range_km <= 0:
             raise ConfigurationError("scenario lisl_range_km must be positive")
         if self.slot_duration_s <= 0:
@@ -61,12 +64,10 @@ class ScenarioConfig:
             raise ConfigurationError("scenario slot_count must be at least 1")
 
     def with_mode(self, mode: Mode) -> "ScenarioConfig":
-        return ScenarioConfig(self.src, self.dst, self.lisl_range_km, mode,
-                              self.slot_duration_s, self.slot_count, self.node_delay_ms)
+        return replace(self, mode=mode)
 
     def with_range(self, lisl_range_km: float) -> "ScenarioConfig":
-        return ScenarioConfig(self.src, self.dst, lisl_range_km, self.mode,
-                              self.slot_duration_s, self.slot_count, self.node_delay_ms)
+        return replace(self, lisl_range_km=lisl_range_km)
 
     @property
     def name(self) -> str:
@@ -128,7 +129,8 @@ def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
     """Route one slot of the scenario, optionally on a shared slot geometry."""
     t = slot_index * cfg.slot_duration_s
     snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), geometry)
-    result = routing.shortest_path(snap, cfg.src.name, cfg.dst.name, cfg.node_delay_ms)
+    result = routing.shortest_path(snap, cfg.src.name, cfg.dst.name,
+                                   engine.constants.node_delay_ms)
     if result is None:
         return SlotRecord(slot_index=slot_index, path_found=False)
     return SlotRecord(

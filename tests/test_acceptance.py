@@ -18,11 +18,11 @@ from fsosim import (BUNDLED_STATIONS, ConstellationSpec, LinkEngine, Mode,
                     max_lisl_range, run_scenario)
 from fsosim.links import degree_counts, link_census
 from fsosim.orbital import SatelliteId
-from fsosim.routing import oracle_shortest_path, shortest_path
+from fsosim.routing import shortest_path
 from fsosim.scenario import DEFAULT_RANGES_KM
 from fsosim.validation import (REFERENCE_PERMANENT_DEGREES, scan_phasing_offset,
                                slot_nearest_latitude, total_degree_profile)
-from test_routing import random_graph
+from test_routing import oracle_shortest_path, random_graph
 
 pytestmark = pytest.mark.acceptance
 

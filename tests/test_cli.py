@@ -182,6 +182,30 @@ def test_shell_beyond_two_digit_ids_exit_code(tmp_path):
     assert main(["--config", str(f), "run", "--slots", "1"]) == 2
 
 
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_same_source_and_destination_exit_code(tmp_path, via):
+    """Rejected as a configuration error before any slot runs."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("scenarios:\n  - {src: Sydney, dst: Sydney, ranges_km: [1700.0]}\n")
+    argv = (["run", "--src", "Sydney", "--dst", "Sydney", "--range", "1700"] if via == "flags"
+            else ["--config", str(cfg), "run"])
+    assert main(argv + ["--slots", "2", "--output-dir", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_zero_slots_exit_code(tmp_path, via):
+    """--slots 0 is an invalid slot count, not a request for the default hour."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("scenarios:\n  - {src: Sydney, dst: Sao Paulo, ranges_km: [1700.0]}\n")
+    argv = (["run", "--src", "Sydney", "--dst", "Sao Paulo", "--range", "1700"]
+            if via == "flags" else ["--config", str(cfg), "run"])
+    assert main(argv + ["--slots", "0", "--output-dir", str(out)]) == 2
+    assert not list(out.glob("slots_*.csv"))
+
+
 STUDY_26 = (
     "scenarios:\n"
     "  - {src: Sydney, dst: Sao Paulo,"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fsosim import ConstellationSpec, GroundStation, LinkEngine, Mode, build_constellation
 from fsosim import links
-from fsosim.links import LinkType, Permanence, degree, degree_counts, link_census
+from fsosim.links import LinkType, Permanence, degree_counts, link_census
 from fsosim.orbital import SatelliteId
 from fsosim.validation import permanent_degree_profile, scan_phasing_offset
 
@@ -36,26 +36,44 @@ def fine_separation_extrema(shell, a, b, step_s=0.1):
     return float(d.min()), float(d.max())
 
 
+def pair_class(spec, a, b):
+    """Class (plane offset, slot offset) of a satellite pair in the engine's
+    tables. Swapping endpoints leaves the separation history unchanged, so
+    the class is read from the lower-plane endpoint; the plane offset never
+    wraps, which holds for partial-spread shells too."""
+    if b.plane_index < a.plane_index:
+        a, b = b, a
+    return b.plane_index - a.plane_index, (b.slot_index - a.slot_index) % spec.sats_per_plane
+
+
+def pair_max_distance_km(engine, a, b):
+    """Largest separation the pair reaches over one orbital period."""
+    return float(engine.pair_max_table_km[pair_class(engine.constellation.spec, a, b)])
+
+
+def pair_min_distance_km(engine, a, b):
+    """Smallest separation the pair reaches over one orbital period."""
+    return float(engine.pair_min_table_km[pair_class(engine.constellation.spec, a, b)])
+
+
+def is_permanent(engine, a, b, lisl_range_km):
+    """True iff the pair never drifts beyond lisl_range_km over a period."""
+    return pair_max_distance_km(engine, a, b) <= lisl_range_km
+
+
 def test_intra_plane_neighbors_permanent_at_min_range(engine):
-    assert engine.is_permanent(SatelliteId(0, 0), SatelliteId(0, 1), 659.5)
+    assert is_permanent(engine, SatelliteId(0, 0), SatelliteId(0, 1), 659.5)
 
 
 def test_intra_plane_three_hop_not_permanent_at_1319(engine):
     # chord 2 * 6928 * sin(3*pi/66) = 1971.9 km
-    assert not engine.is_permanent(SatelliteId(0, 0), SatelliteId(0, 3), 1319.0)
-    assert engine.pair_max_distance_km(
-        SatelliteId(0, 0), SatelliteId(0, 3)) == pytest.approx(1971.9, abs=1.0)
+    assert not is_permanent(engine, SatelliteId(0, 0), SatelliteId(0, 3), 1319.0)
+    assert pair_max_distance_km(
+        engine, SatelliteId(0, 0), SatelliteId(0, 3)) == pytest.approx(1971.9, abs=1.0)
 
 
 def test_opposing_plane_not_permanent_at_1319(engine):
-    assert not engine.is_permanent(SatelliteId(0, 0), SatelliteId(12, 0), 1319.0)
-
-
-def test_self_pair_rejected(engine):
-    with pytest.raises(ValueError):
-        engine.is_permanent(SatelliteId(0, 0), SatelliteId(0, 0), 1000.0)
-    with pytest.raises(ValueError):
-        engine.link_type_at(SatelliteId(0, 0), SatelliteId(0, 0), 0.0)
+    assert not is_permanent(engine, SatelliteId(0, 0), SatelliteId(12, 0), 1319.0)
 
 
 def test_pair_distance_symmetry(engine):
@@ -65,10 +83,10 @@ def test_pair_distance_symmetry(engine):
         b = SatelliteId(int(rng.integers(24)), int(rng.integers(66)))
         if a == b:
             continue
-        assert engine.pair_max_distance_km(a, b) == pytest.approx(
-            engine.pair_max_distance_km(b, a), rel=1e-5)
+        assert pair_max_distance_km(engine, a, b) == pytest.approx(
+            pair_max_distance_km(engine, b, a), rel=1e-5)
         for r in STANDARD_RANGES:
-            assert engine.is_permanent(a, b, r) == engine.is_permanent(b, a, r)
+            assert is_permanent(engine, a, b, r) == is_permanent(engine, b, a, r)
 
 
 def test_permanence_agrees_with_fine_resampling(engine):
@@ -82,13 +100,13 @@ def test_permanence_agrees_with_fine_resampling(engine):
             continue
         fine_min, fine_max = fine_separation_extrema(shell, a, b)
         for r in (659.5, 1700.0, 5016.0):
-            if engine.is_permanent(a, b, r):
+            if is_permanent(engine, a, b, r):
                 assert fine_max <= r
         # The class tables hold the exact (closed-form) extrema, which the
         # 0.1 s resample approaches from inside, here to within 0.1 m; the
         # 4 km side of each bound is looser than needed.
-        assert fine_min - 0.05 <= engine.pair_min_distance_km(a, b) <= fine_min + 4.0
-        assert fine_max + 0.05 >= engine.pair_max_distance_km(a, b) >= fine_max - 4.0
+        assert fine_min - 0.05 <= pair_min_distance_km(engine, a, b) <= fine_min + 4.0
+        assert fine_max + 0.05 >= pair_max_distance_km(engine, a, b) >= fine_max - 4.0
 
 
 def sampled_class_tables(spec):
@@ -175,29 +193,36 @@ def test_temporary_snapshot_links_leave_range(engine):
         assert fine_max > 1700.0
 
 
+def sat_type_code_of(snap, a, b):
+    """Type code of the snapshot's link between satellites a and b."""
+    shell = snap.constellation
+    i, j = sorted((shell.flat_index(a), shell.flat_index(b)))
+    (k,) = np.flatnonzero((snap.sat_a == i) & (snap.sat_b == j))
+    return int(snap.sat_type_code[k])
+
+
 def test_link_type_intra_plane(engine):
-    assert engine.link_type_at(SatelliteId(0, 0), SatelliteId(0, 1), 0.0) is LinkType.INTRA_OP
+    snap = engine.snapshot(0.0, 1700.0, Mode.NNG)
+    assert sat_type_code_of(snap, SatelliteId(0, 0), SatelliteId(0, 1)) == 0  # IntraOP
 
 
 def test_link_type_adjacent_plane(engine):
     # x10101 vs x10265: neighboring plane, co-moving
-    assert engine.link_type_at(SatelliteId(0, 0), SatelliteId(1, 64), 0.0) is LinkType.ADJACENT_OP
+    snap = engine.snapshot(0.0, 1700.0, Mode.NNG)
+    assert sat_type_code_of(snap, SatelliteId(0, 0), SatelliteId(1, 64)) == 1  # AdjacentOP
 
 
 def test_link_type_counter_directional(engine):
+    """A link whose endpoints move against each other is CrossingOP."""
     shell = engine.constellation
-    v0 = shell.state_at(SatelliteId(0, 0), 0.0).velocity_kms
-    found = None
-    for plane in range(2, 24):
-        for slot in range(0, 66, 5):
-            cand = SatelliteId(plane, slot)
-            if float(v0 @ shell.state_at(cand, 0.0).velocity_kms) < 0.0:
-                found = cand
-                break
-        if found:
-            break
-    assert found is not None
-    assert engine.link_type_at(SatelliteId(0, 0), found, 0.0) is LinkType.CROSSING_OP
+    snap = engine.snapshot(0.0, 5016.0, Mode.NNG)
+    vel = shell.velocities_at(0.0)
+    k = shell.flat_index(SatelliteId(0, 0))
+    partners = np.concatenate([snap.sat_b[snap.sat_a == k], snap.sat_a[snap.sat_b == k]])
+    found = [int(j) for j in partners if float(vel[k] @ vel[j]) < 0.0]
+    assert found
+    assert sat_type_code_of(snap, SatelliteId(0, 0), shell.satellite_id(found[0])) == 3
+    assert LinkType.CROSSING_OP is links._SAT_TYPE_CODES[3]
 
 
 def test_ng_snapshot_degree_2_at_min_range(engine):
@@ -218,9 +243,10 @@ def test_ng_degree_uniform_and_constant_across_slots(engine):
 
 def test_degree_single_satellite(engine):
     snap = engine.snapshot(0.0, 1700.0, Mode.NG)
-    assert degree(snap, SatelliteId(0, 0)) == 10
+    shell = engine.constellation
+    assert degree_counts(snap)[shell.flat_index(SatelliteId(0, 0))] == 10
     with pytest.raises(KeyError):
-        degree(snap, SatelliteId(50, 0))
+        shell.flat_index(SatelliteId(50, 0))
 
 
 def test_all_links_degree_at_reference_latitudes(engine):
@@ -229,8 +255,9 @@ def test_all_links_degree_at_reference_latitudes(engine):
     shell = engine.constellation
     slot_eq = slot_nearest_latitude(shell, sat, 0.0)
     slot_hi = slot_nearest_latitude(shell, sat, 47.33)
-    at_equator = degree(engine.snapshot(float(slot_eq), 1700.0, Mode.NNG), sat)
-    at_47 = degree(engine.snapshot(float(slot_hi), 1700.0, Mode.NNG), sat)
+    k = shell.flat_index(sat)
+    at_equator = degree_counts(engine.snapshot(float(slot_eq), 1700.0, Mode.NNG))[k]
+    at_47 = degree_counts(engine.snapshot(float(slot_hi), 1700.0, Mode.NNG))[k]
     assert abs(at_equator - 22) <= 2
     assert abs(at_47 - 40) <= 3
 
@@ -239,9 +266,8 @@ def test_ground_links_excluded_from_degree(engine):
     stations = (GroundStation("eq", 0.0, 0.0),)
     snap = engine.snapshot(0.0, 1700.0, Mode.NG, stations)
     assert len(snap.gs_sat_index) > 0
-    linked_sat = engine.constellation.satellite_id(int(snap.gs_sat_index[0]))
     bare = engine.snapshot(0.0, 1700.0, Mode.NG)
-    assert degree(snap, linked_sat) == degree(bare, linked_sat)
+    assert np.array_equal(degree_counts(snap), degree_counts(bare))
 
 
 def test_empty_station_list_means_no_ground_links(engine):
@@ -303,18 +329,23 @@ def test_link_lengths_within_range_and_delay_consistent(engine):
     snap = engine.snapshot(123.0, 1700.0, Mode.NNG, stations)
     assert np.all(snap.sat_length_km <= 1700.0)
     assert np.all(snap.gs_length_km <= 1000.0)
-    c = snap.constants.c_mps
-    for link in snap.links[:200]:
-        assert link.propagation_delay_ms == pytest.approx(
-            link.length_km * 1e6 / c, rel=1e-9)
+    # every length is the distance between its endpoints' positions
+    assert np.allclose(snap.sat_length_km, np.linalg.norm(
+        snap.sat_positions[snap.sat_a] - snap.sat_positions[snap.sat_b], axis=1), rtol=1e-12)
+    assert np.allclose(snap.gs_length_km, np.linalg.norm(
+        snap.sat_positions[snap.gs_sat_index] - snap.gs_positions[snap.gs_station_index],
+        axis=1), rtol=1e-12)
+    census = link_census(snap)
+    assert census.total_undirected == snap.link_count
 
 
 def test_ground_link_always_temporary(engine):
     stations = (GroundStation("eq", 0.0, 0.0),)
     snap = engine.snapshot(0.0, 1319.0, Mode.NNG, stations)
-    ground = [l for l in snap.links if l.link_type is LinkType.GROUND_LINK]
-    assert ground
-    assert all(l.permanence is Permanence.TEMPORARY for l in ground)
+    assert len(snap.gs_sat_index) > 0
+    census = link_census(snap)
+    ground = {key: n for key, n in census.counts.items() if key[0] is LinkType.GROUND_LINK}
+    assert ground == {(LinkType.GROUND_LINK, Permanence.TEMPORARY): len(snap.gs_sat_index)}
 
 
 def test_permanent_links_never_longer_than_range_across_slots(engine):
@@ -394,7 +425,7 @@ def test_small_shell_snapshot_matches_brute_force():
                     if np.linalg.norm(p + s * (q - p)) < occ:
                         continue
                     expected[Mode.NNG].add((i, j))
-                    if engine.is_permanent(shell.satellite_id(i), shell.satellite_id(j), r):
+                    if is_permanent(engine, shell.satellite_id(i), shell.satellite_id(j), r):
                         expected[Mode.NG].add((i, j))
             shared = engine.slot_geometry(t, [(r, mode) for mode in Mode])
             for mode in Mode:

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fsosim.errors import ConfigurationError
 from fsosim.orbital import (ConstellationSpec, GroundStation, SatelliteId,
@@ -11,26 +13,35 @@ sat_indices = st.tuples(st.integers(0, 23), st.integers(0, 65))
 times = st.floats(min_value=0.0, max_value=7200.0, allow_nan=False)
 
 
+def node_line_raan_deg(shell, t=0.0):
+    """RAAN of every satellite's orbit plane, read from its state: the
+    ascending node lies along z x h, h = p x v the orbit normal."""
+    h = np.cross(shell.positions_at(t), shell.velocities_at(t))
+    return np.rad2deg(np.arctan2(h[:, 0], -h[:, 1]))
+
+
 def test_shell_has_1584_satellites(shell):
     assert len(shell) == 1584
-    assert len(shell.elements()) == 1584
+    assert shell.positions_at(0.0).shape == shell.velocities_at(0.0).shape == (1584, 3)
 
 
 def test_degenerate_single_satellite():
     shell = build_constellation(ConstellationSpec(plane_count=1, sats_per_plane=1,
                                                   phasing_offset=0))
-    (sat, elements), = shell.elements()
-    assert sat == SatelliteId(0, 0)
-    assert elements.raan_deg == 0.0
-    assert elements.phase_deg == 0.0
+    assert shell.satellite_id(0) == SatelliteId(0, 0)
+    # at the epoch it sits on its ascending node, which lies on +x
+    p, v = shell.positions_at(0.0), shell.velocities_at(0.0)
+    assert np.allclose(p, [[shell.spec.orbit_radius_km, 0.0, 0.0]], atol=1e-9)
+    assert v[0, 2] > 0.0
+    assert node_line_raan_deg(shell)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_adjacent_planes_15_degrees_apart(shell):
-    elements = dict(shell.elements())
+    raan = node_line_raan_deg(shell) % 360.0
     for plane in range(23):
-        a = elements[SatelliteId(plane, 0)].raan_deg
-        b = elements[SatelliteId(plane + 1, 0)].raan_deg
-        assert b - a == pytest.approx(15.0, abs=1e-12)
+        a = raan[shell.flat_index(SatelliteId(plane, 0))]
+        b = raan[shell.flat_index(SatelliteId(plane + 1, 0))]
+        assert b - a == pytest.approx(15.0, abs=1e-9)
 
 
 def test_orbital_period():
@@ -42,15 +53,20 @@ def test_orbital_period():
 _shell = build_constellation(ConstellationSpec())
 
 
+def state_at(shell, sat, t):
+    """Position and velocity of one satellite, picked out of the whole shell."""
+    k = shell.flat_index(sat)
+    return shell.positions_at(t)[k], shell.velocities_at(t)[k]
+
+
 @given(sat_indices, times)
 def test_circular_state(sat_idx, t):
-    sat = SatelliteId(*sat_idx)
-    state = _shell.state_at(sat, t)
-    radius = float(np.linalg.norm(state.position_km))
-    speed = float(np.linalg.norm(state.velocity_kms))
+    position, velocity = state_at(_shell, SatelliteId(*sat_idx), t)
+    radius = float(np.linalg.norm(position))
+    speed = float(np.linalg.norm(velocity))
     spec = _shell.spec
     assert abs(radius - spec.orbit_radius_km) < 1e-6
-    assert abs(float(state.position_km @ state.velocity_kms)) < 1e-6
+    assert abs(float(position @ velocity)) < 1e-6
     assert abs(speed - spec.orbital_speed_kms) < 1e-9
 
 
@@ -58,14 +74,14 @@ def test_circular_state(sat_idx, t):
 def test_periodicity(sat_idx):
     sat = SatelliteId(*sat_idx)
     period = _shell.spec.orbital_period_s
-    p0 = _shell.state_at(sat, 0.0).position_km
-    p1 = _shell.state_at(sat, period).position_km
+    p0, _ = state_at(_shell, sat, 0.0)
+    p1, _ = state_at(_shell, sat, period)
     assert float(np.linalg.norm(p1 - p0)) < 1e-3
 
 
 def test_radius_is_6928(shell):
-    state = shell.state_at(SatelliteId(5, 17), 1234.5)
-    assert float(np.linalg.norm(state.position_km)) == pytest.approx(6928.0, abs=1e-9)
+    position, _ = state_at(shell, SatelliteId(5, 17), 1234.5)
+    assert float(np.linalg.norm(position)) == pytest.approx(6928.0, abs=1e-9)
 
 
 @given(st.tuples(st.integers(0, 23), st.integers(0, 65)),
@@ -75,28 +91,58 @@ def test_intra_plane_distances_constant(a_idx, b_idx, t1, t2):
     b = SatelliteId(a_idx[0], b_idx[1])  # force same plane
     if a == b:
         return
-    d1 = np.linalg.norm(_shell.state_at(a, t1).position_km - _shell.state_at(b, t1).position_km)
-    d2 = np.linalg.norm(_shell.state_at(a, t2).position_km - _shell.state_at(b, t2).position_km)
+    d1 = np.linalg.norm(state_at(_shell, a, t1)[0] - state_at(_shell, b, t1)[0])
+    d2 = np.linalg.norm(state_at(_shell, a, t2)[0] - state_at(_shell, b, t2)[0])
     assert abs(float(d1) - float(d2)) < 1e-3
 
 
-@given(sat_indices, times)
-def test_vectorized_positions_match_scalar(sat_idx, t):
-    sat = SatelliteId(*sat_idx)
-    k = _shell.flat_index(sat)
-    bulk = _shell.positions_at(t)[k]
-    single = _shell.state_at(sat, t).position_km
-    assert np.allclose(bulk, single, atol=1e-9)
-    bulk_v = _shell.velocities_at(t)[k]
-    single_v = _shell.state_at(sat, t).velocity_kms
-    assert np.allclose(bulk_v, single_v, atol=1e-12)
+def rotation_matrix_states(spec, t):
+    """Independent propagation: each satellite's in-plane state, rotated by an
+    explicit R3(raan) R1(inclination) built per satellite."""
+    n = spec.satellite_count
+    r, rate = spec.orbit_radius_km, spec.mean_motion_rad_s
+    incl = math.radians(spec.inclination_deg)
+    r1 = np.array([[1.0, 0.0, 0.0],
+                   [0.0, math.cos(incl), -math.sin(incl)],
+                   [0.0, math.sin(incl), math.cos(incl)]])
+    positions, velocities = [], []
+    for plane in range(spec.plane_count):
+        raan = math.radians(plane * spec.raan_spread_deg / spec.plane_count)
+        r3 = np.array([[math.cos(raan), -math.sin(raan), 0.0],
+                       [math.sin(raan), math.cos(raan), 0.0],
+                       [0.0, 0.0, 1.0]])
+        for slot in range(spec.sats_per_plane):
+            u = (2.0 * math.pi * (slot / spec.sats_per_plane + plane * spec.phasing_offset / n)
+                 + rate * t)
+            positions.append(r3 @ r1 @ [r * math.cos(u), r * math.sin(u), 0.0])
+            velocities.append(rate * (r3 @ r1 @ [-r * math.sin(u), r * math.cos(u), 0.0]))
+    return np.array(positions), np.array(velocities)
+
+
+@settings(deadline=None)
+@given(planes=st.integers(1, 8), slots=st.integers(3, 30), data=st.data(),
+       inclination_deg=st.floats(0.0, 180.0), raan_spread_deg=st.sampled_from([180.0, 360.0]),
+       t=times)
+def test_positions_and_velocities_match_rotation_matrices(planes, slots, data, inclination_deg,
+                                                          raan_spread_deg, t):
+    spec = ConstellationSpec(plane_count=planes, sats_per_plane=slots,
+                             phasing_offset=data.draw(st.integers(0, planes - 1)),
+                             inclination_deg=inclination_deg, raan_spread_deg=raan_spread_deg)
+    shell = build_constellation(spec)
+    p, v = shell.positions_at(t), shell.velocities_at(t)
+    p_ref, v_ref = rotation_matrix_states(spec, t)
+    assert np.allclose(p, p_ref, rtol=0.0, atol=1e-9)
+    assert np.allclose(v, v_ref, rtol=0.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(p, axis=1), spec.orbit_radius_km, rtol=0.0, atol=1e-9)
+    assert np.allclose(np.linalg.norm(v, axis=1), spec.orbital_speed_kms, rtol=0.0, atol=1e-12)
+    assert np.allclose(np.einsum("ij,ij->i", p, v), 0.0, rtol=0.0, atol=1e-8)
 
 
 def test_unknown_satellite_rejected(shell):
     with pytest.raises(KeyError):
-        shell.state_at(SatelliteId(24, 0), 0.0)
+        shell.flat_index(SatelliteId(24, 0))
     with pytest.raises(KeyError):
-        shell.state_at(SatelliteId(0, 66), 0.0)
+        shell.flat_index(SatelliteId(0, 66))
 
 
 @pytest.mark.parametrize("spec_kwargs", [
@@ -135,7 +181,7 @@ def test_spec_rejects_shells_beyond_two_digit_ids(spec_kwargs):
 def test_spec_accepts_99_planes_of_99_and_formats_the_last_id():
     spec = ConstellationSpec(plane_count=99, sats_per_plane=99, phasing_offset=0)
     shell = build_constellation(spec)
-    assert shell.format_id(shell.satellite_id(len(shell) - 1)) == "x19999"
+    assert format_id(shell.satellite_id(len(shell) - 1)) == "x19999"
 
 
 def test_parse_id_inverts_format_id():

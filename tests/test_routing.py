@@ -1,15 +1,16 @@
+import heapq
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from fsosim import BUNDLED_STATIONS, Mode
-from fsosim.geometry import SPEED_OF_LIGHT_MPS, distance
-from fsosim.routing import (ORACLE_MAX_NODES, RouteGraph, _directed_arcs, oracle_shortest_path,
-                            shortest_path, shortest_path_exact)
+from fsosim import BUNDLED_STATIONS, GraphSnapshot, Mode, PathResult
+from fsosim.routing import RouteGraph, _directed_arcs, shortest_path
 
 LIGHT_MS_KM = 299.792458  # one light-millisecond
+ORACLE_MAX_NODES = 12
 
 
 def make_graph(is_satellite, edges, names=None):
@@ -41,6 +42,130 @@ def random_graph(rng):
     graph = make_graph(kinds, edges)
     src, dst = (int(x) for x in rng.choice(stations, size=2, replace=False))
     return graph, src, dst
+
+
+# -- reference routers, on the full arc list ---------------------------
+
+def full_arc_reference(graph, src, dst, node_delay_per_hop_ms):
+    """Every edge in both directions, node delay on entering a satellite,
+    then every arc through a station other than src or dst dropped."""
+    prop = graph.edge_length_km * (1e6 / graph.c_mps)
+    enter = np.where(graph.is_satellite, node_delay_per_hop_ms, 0.0)
+    tails = np.concatenate([graph.edge_u, graph.edge_v])
+    heads = np.concatenate([graph.edge_v, graph.edge_u])
+    weights = np.concatenate([prop, prop]) + enter[heads]
+    station = ~graph.is_satellite
+    keep = ~(station[heads] & (heads != dst)) & ~(station[tails] & (tails != src))
+    return tails[keep], heads[keep], weights[keep]
+
+
+def node_of(graph, raw, node):
+    """Index of a node given by index or name (or by SatelliteId in a snapshot)."""
+    if isinstance(graph, GraphSnapshot):
+        return graph.node_index(node)
+    if isinstance(node, (int, np.integer)):
+        return int(node)
+    return [raw.name_of(k) for k in range(raw.node_count)].index(node)
+
+
+def reference_arcs(graph, src, dst, node_delay_per_hop_ms):
+    """The RouteGraph of graph (a GraphSnapshot or a RouteGraph), the node
+    indices of src and dst, and the full reference arcs between them."""
+    raw = RouteGraph.from_snapshot(graph) if isinstance(graph, GraphSnapshot) else graph
+    s, d = node_of(graph, raw, src), node_of(graph, raw, dst)
+    assert s != d
+    return raw, s, d, full_arc_reference(raw, s, d, node_delay_per_hop_ms)
+
+
+def path_result(graph, nodes, node_delay_per_hop_ms):
+    """The PathResult of a node path, its propagation delay summed link by
+    link from the source, as shortest_path sums it."""
+    length_of = {}
+    for u, v, length in zip(graph.edge_u.tolist(), graph.edge_v.tolist(),
+                            graph.edge_length_km.tolist()):
+        length_of[(u, v)] = length_of[(v, u)] = length
+    per_km = 1e6 / graph.c_mps
+    prop_ms = 0.0
+    for u, v in zip(nodes, nodes[1:]):
+        prop_ms += length_of[(u, v)] * per_km
+    hops = int(sum(1 for k in nodes if graph.is_satellite[k]))
+    node_ms = node_delay_per_hop_ms * hops
+    return PathResult(node_sequence=tuple(graph.name_of(k) for k in nodes), hop_count=hops,
+                      propagation_delay_ms=prop_ms, node_delay_ms=node_ms,
+                      latency_ms=prop_ms + node_ms)
+
+
+def shortest_path_exact(graph, src, dst, node_delay_per_hop_ms=10.0):
+    """Reference heap Dijkstra with a total tie order: paths are ranked by
+    (latency, hop count, node-index sequence), and the unique minimum under
+    that order is returned, or None if dst is unreachable."""
+    raw, s, d, (tails, heads, weights) = reference_arcs(graph, src, dst, node_delay_per_hop_ms)
+    order = np.argsort(tails, kind="stable")
+    tails, heads, weights = tails[order], heads[order], weights[order]
+    n = raw.node_count
+    indptr = np.searchsorted(tails, np.arange(n + 1))
+    sat = raw.is_satellite
+
+    dist = [(math.inf, math.inf)] * n
+    parent = [-1] * n
+    dist[s] = (0.0, 0)
+    heap = [(0.0, 0, s)]
+
+    def path_to(node):
+        nodes = [node]
+        while nodes[-1] != s:
+            nodes.append(parent[nodes[-1]])
+        nodes.reverse()
+        return nodes
+
+    while heap:
+        lat, hops, u = heapq.heappop(heap)
+        if (lat, hops) > dist[u]:
+            continue
+        if u == d:
+            break
+        for k in range(indptr[u], indptr[u + 1]):
+            v = int(heads[k])
+            cand = (lat + float(weights[k]), hops + (1 if sat[v] else 0))
+            if cand < dist[v]:
+                dist[v] = cand
+                parent[v] = u
+                heapq.heappush(heap, (cand[0], cand[1], v))
+            elif cand == dist[v] and parent[v] != u and path_to(u) < path_to(parent[v]):
+                parent[v] = u
+    if dist[d][0] == math.inf:
+        return None
+    return path_result(raw, path_to(d), node_delay_per_hop_ms)
+
+
+def oracle_shortest_path(graph, src, dst, node_delay_per_hop_ms=10.0):
+    """Exhaustive enumeration of every simple path, for graphs of at most
+    ORACLE_MAX_NODES nodes, ranked as shortest_path_exact ranks them."""
+    raw, s, d, arcs = reference_arcs(graph, src, dst, node_delay_per_hop_ms)
+    if raw.node_count > ORACLE_MAX_NODES:
+        raise ValueError(f"oracle refuses graphs with more than {ORACLE_MAX_NODES} nodes")
+    adjacency = {}
+    for tail, head, weight in zip(*(a.tolist() for a in arcs)):
+        adjacency.setdefault(tail, []).append((head, weight))
+    for neighbors in adjacency.values():
+        neighbors.sort()
+    sat = raw.is_satellite
+    best = None
+
+    def walk(u, visited, lat, hops, trail):
+        nonlocal best
+        if u == d:
+            if best is None or (lat, hops, tuple(trail)) < best:
+                best = (lat, hops, tuple(trail))
+            return
+        for v, w in adjacency.get(u, ()):
+            if v not in visited:
+                trail.append(v)
+                walk(v, visited | {v}, lat + w, hops + (1 if sat[v] else 0), trail)
+                trail.pop()
+
+    walk(s, {s}, 0.0, 0, [s])
+    return None if best is None else path_result(raw, list(best[2]), node_delay_per_hop_ms)
 
 
 def test_direct_station_link_is_one_light_millisecond():
@@ -163,7 +288,7 @@ def test_node_delay_scales_with_hops():
     for _ in range(50):
         graph, src, dst = random_graph(rng)
         for delay in (0.0, 10.0, 25.0):
-            result = shortest_path_exact(graph, src, dst, delay)
+            result = shortest_path(graph, src, dst, delay)
             if result is None:
                 continue
             assert result.node_delay_ms == delay * result.hop_count
@@ -205,9 +330,8 @@ def test_snapshot_path_is_valid(routed_snapshot):
 
 def test_snapshot_propagation_lower_bound(routed_snapshot):
     result = shortest_path(routed_snapshot, "Sydney", "Sao Paulo")
-    src_pos = routed_snapshot.node_position(routed_snapshot.node_index("Sydney"))
-    dst_pos = routed_snapshot.node_position(routed_snapshot.node_index("Sao Paulo"))
-    chord_ms = distance(src_pos, dst_pos) * 1e6 / SPEED_OF_LIGHT_MPS
+    src_pos, dst_pos = routed_snapshot.gs_positions  # Sydney, Sao Paulo
+    chord_ms = np.linalg.norm(src_pos - dst_pos) * 1e6 / routed_snapshot.constants.c_mps
     assert result.propagation_delay_ms >= chord_ms
 
 
@@ -221,19 +345,6 @@ def test_snapshot_superset_latency_dominance(engine):
 
 
 # -- arc lists against the full-arc reference -----------------------------
-
-def full_arc_reference(graph, src, dst, node_delay_per_hop_ms):
-    """Every edge in both directions, node delay on entering a satellite,
-    then every arc through a station other than src or dst dropped."""
-    prop = graph.edge_length_km * (1e6 / graph.c_mps)
-    enter = np.where(graph.is_satellite, node_delay_per_hop_ms, 0.0)
-    tails = np.concatenate([graph.edge_u, graph.edge_v])
-    heads = np.concatenate([graph.edge_v, graph.edge_u])
-    weights = np.concatenate([prop, prop]) + enter[heads]
-    station = ~graph.is_satellite
-    keep = ~(station[heads] & (heads != dst)) & ~(station[tails] & (tails != src))
-    return tails[keep], heads[keep], weights[keep]
-
 
 def assert_same_csr(graph, src, dst, node_delay_per_hop_ms=10.0):
     n = graph.node_count

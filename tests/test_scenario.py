@@ -3,8 +3,8 @@ import dataclasses
 import pytest
 
 from fsosim import (BUNDLED_STATIONS, ConstellationSpec, GroundStation, LinkEngine,
-                    Mode, ScenarioConfig, build_constellation, compare, range_sweep,
-                    run_scenario)
+                    Mode, PhysicalConstants, ScenarioConfig, build_constellation, compare,
+                    range_sweep, run_scenario)
 from fsosim.errors import ConfigurationError
 from fsosim.scenario import (SlotRecord, compare_many, run_scenarios, summarize,
                              write_comparison_csv, write_slots_csv, write_summary_csv)
@@ -33,6 +33,18 @@ def test_config_validation():
         ScenarioConfig(SYDNEY, SAO_PAULO, 1500.0, slot_count=0)
     with pytest.raises(ConfigurationError):
         ScenarioConfig(SYDNEY, SAO_PAULO, 1500.0, slot_duration_s=0.0)
+    with pytest.raises(ConfigurationError, match="Sydney"):
+        ScenarioConfig(SYDNEY, SYDNEY, 1500.0)
+
+
+def test_node_delay_comes_from_the_engine(shell):
+    """Every hop costs the engine's node delay; the scenario has none of its own."""
+    engine = LinkEngine(shell, PhysicalConstants(node_delay_ms=5.0))
+    records, summary = run_scenario(engine, short_cfg(1700.0, Mode.NNG, slots=4))
+    assert summary.slots_with_path == 4
+    for r in records:
+        assert r.node_delay_ms == 5.0 * r.hop_count
+        assert r.latency_ms == r.propagation_ms + r.node_delay_ms
 
 
 def test_single_slot_summary_equals_record():
