@@ -8,6 +8,9 @@ Runs, in a temporary directory and at parallelism 1 and 2:
   fsosim validate                  its stdout
   scripts/run_full_study.py        --slots 12, its outputs and stdout
 
+and once more, on one worker, `fsosim run --slots 6` with a 5 ms node
+delay (constants: {node_delay_ms: 5.0}),
+
 then prints one "sha256  relative-path" line per file, sorted by path, and
 last the sha256 of that list. No golden digest is stored: to compare two
 trees, run this once against each, e.g.
@@ -33,7 +36,8 @@ def sha256(data: bytes) -> str:
 
 
 def produce(root: Path, env: dict) -> None:
-    """Write every output under root, one subdirectory per parallelism."""
+    """Write every output under root: one subdirectory per parallelism, and
+    delay5 for the run with a 5 ms node delay."""
     for workers in (1, 2):
         base = root / "out" / f"p{workers}"
         base.mkdir(parents=True)
@@ -52,6 +56,11 @@ def produce(root: Path, env: dict) -> None:
             [sys.executable, str(STUDY), "--slots", "12", "--workers", str(workers),
              "--output", "study"], cwd=base, env=env, check=True, capture_output=True)
         (base / "study.stdout").write_bytes(study.stdout)
+    config = root / "config_delay5.yaml"
+    config.write_text("parallelism: 1\nconstants: {node_delay_ms: 5.0}\n")
+    subprocess.run([sys.executable, "-m", "fsosim.cli", "--config", str(config), "run",
+                    "--slots", "6", "--output-dir", str(root / "out" / "delay5" / "run")],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def main() -> int:

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 
+from fsosim import DEFAULT_RANGES_KM
 from fsosim.cli import main as cli_main
 
 
@@ -31,7 +32,7 @@ def main() -> int:
         return rc
     rc = cli_main(base + ["sweep", "--src", "Sydney", "--dst", "Sao Paulo",
                           "--slots", str(args.slots), "--output-dir", args.output]
-                  + ranges_flags((659.5, 1319.0, 1500.0, 1700.0, 2500.0, 3500.0, 5016.0)))
+                  + ranges_flags(DEFAULT_RANGES_KM))
     if rc:
         return rc
     for src, dst in (("Toronto", "Istanbul"), ("Madrid", "Tokyo"), ("New York", "Jakarta")):

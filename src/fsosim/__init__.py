@@ -12,16 +12,16 @@ from .orbital import (ConstellationSpec, GroundStation, SatelliteId, build_const
                       format_id, ground_station_position)
 from .routing import PathResult, shortest_path
 from .scenario import (BUNDLED_STATIONS, DEFAULT_RANGES_KM, ComparisonResult,
-                       MetricsSummary, ScenarioConfig, SlotRecord, compare, compare_many,
-                       range_sweep, run_scenario, run_scenarios)
+                       MetricsSummary, ScenarioConfig, SlotRecord, compare_many, run_scenario,
+                       run_scenarios)
 
 __all__ = [
     "BUNDLED_STATIONS", "ComparisonResult", "ConstellationSpec", "DEFAULT_RANGES_KM",
     "GraphSnapshot", "GroundStation", "LinkEngine", "LinkType", "MetricsSummary", "Mode",
     "PathResult", "Permanence", "PhysicalConstants", "SatelliteId", "ScenarioConfig",
-    "SlotGeometry", "SlotRecord", "build_constellation", "compare", "compare_many", "format_id",
+    "SlotGeometry", "SlotRecord", "build_constellation", "compare_many", "format_id",
     "great_circle_distance", "ground_station_position", "link_census", "max_lisl_range",
-    "range_sweep", "run_scenario", "run_scenarios", "shortest_path",
+    "run_scenario", "run_scenarios", "shortest_path",
 ]
 
 __version__ = "0.1.0"

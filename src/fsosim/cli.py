@@ -20,13 +20,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
-from . import scenario as scenario_mod
 from . import validation
 from .errors import ConfigurationError, ValidationFailure
 from .geometry import PhysicalConstants
@@ -63,14 +63,6 @@ configuration file keys (YAML; every key optional, defaults in parentheses):
   parallelism                     worker processes; 0 = all cores (0)
 """
 
-_CONSTELLATION_KEYS = {"plane_count", "sats_per_plane", "altitude_km", "inclination_deg",
-                       "phasing_offset", "raan_spread_deg", "earth_radius_km", "mu_km3s2"}
-_CONSTANTS_KEYS = {"c_mps", "earth_radius_km", "occlusion_clearance_km", "node_delay_ms"}
-_STATION_KEYS = {"name", "latitude_deg", "longitude_deg", "range_km"}
-_SCENARIO_KEYS = {"src", "dst", "ranges_km", "modes", "slot_count", "slot_duration_s"}
-_TOP_KEYS = {"constellation", "constants", "earth_rotation0_deg", "stations",
-             "scenarios", "output_dir", "parallelism"}
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -92,7 +84,7 @@ class RunConfig:
     stations: tuple[GroundStation, ...]
     scenarios: tuple[ScenarioSpec, ...]
     output_dir: str
-    parallelism: int
+    parallelism: int  # worker processes, at least 1
 
     def station(self, name: str) -> GroundStation:
         for gs in self.stations:
@@ -100,31 +92,45 @@ class RunConfig:
                 return gs
         raise ConfigurationError(f"unknown station {name!r}")
 
-    def effective_parallelism(self) -> int:
-        if self.parallelism <= 0:
-            return scenario_mod.default_parallelism()
-        return self.parallelism
 
-
-def _require_mapping(value, path: str) -> dict:
+def _require_mapping(value, path: str, keys_of) -> dict:
+    """value as a mapping, None read as empty, whose keys all name fields of
+    the dataclass keys_of."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigurationError(f"{path}: expected a mapping")
+    unknown = sorted(set(value) - {f.name for f in dataclasses.fields(keys_of)})
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown key(s) {', '.join(unknown)}")
     return value
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown key(s) {', '.join(unknown)}")
-
-
-def _parse_mode(value, path: str) -> Mode:
+def _coerce(value, kind, path: str):
     try:
-        return Mode(str(value))
-    except ValueError:
-        raise ConfigurationError(f"{path}: mode must be NG or NNG, got {value!r}") from None
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{path}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _coerce_list(values, kind, path: str) -> tuple:
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{path}: expected a list, got {values!r}")
+    return tuple(_coerce(v, kind, f"{path}[{k}]") for k, v in enumerate(values))
+
+
+def _values(cls, mapping: dict, path: str, **given) -> dict:
+    """given, plus every other key of mapping coerced to the type of its
+    field's default in the dataclass cls."""
+    for key, value in mapping.items():
+        if key not in given:
+            given[key] = _coerce(value, type(getattr(cls, key)), f"{path}.{key}")
+    return given
+
+
+def _section(raw: dict, key: str, cls):
+    """The dataclass cls built from the config mapping raw[key]."""
+    return cls(**_values(cls, _require_mapping(raw.get(key), key, cls), key))
 
 
 def _parse_stations(raw, path: str) -> tuple[GroundStation, ...]:
@@ -134,21 +140,19 @@ def _parse_stations(raw, path: str) -> tuple[GroundStation, ...]:
         raise ConfigurationError(f"{path}: expected a non-empty list of stations")
     stations = []
     for k, item in enumerate(raw):
-        item = _require_mapping(item, f"{path}[{k}]")
-        _reject_unknown(item, _STATION_KEYS, f"{path}[{k}]")
+        where = f"{path}[{k}]"
+        item = _require_mapping(item, where, GroundStation)
         if "name" not in item:
-            raise ConfigurationError(f"{path}[{k}].name is required")
+            raise ConfigurationError(f"{where}.name is required")
         if SATELLITE_ID_PATTERN.fullmatch(str(item["name"])):
-            raise ConfigurationError(
-                f"{path}[{k}].name: {item['name']!r} has the form of a satellite id")
+            raise ConfigurationError(f"{where}.name: {item['name']!r} has the form of a satellite id")
+        values = _values(GroundStation, item, where, name=str(item["name"]), **{
+            key: _coerce(item.get(key, 0.0), float, f"{where}.{key}")
+            for key in ("latitude_deg", "longitude_deg")})
         try:
-            stations.append(GroundStation(
-                name=str(item["name"]),
-                latitude_deg=float(item.get("latitude_deg", 0.0)),
-                longitude_deg=float(item.get("longitude_deg", 0.0)),
-                range_km=float(item.get("range_km", 1000.0))))
+            stations.append(GroundStation(**values))
         except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}[{k}]: {exc}") from None
+            raise ConfigurationError(f"{where}: {exc}") from None
     names = [gs.name for gs in stations]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"{path}: duplicate station names")
@@ -163,43 +167,31 @@ def _parse_scenarios(raw, stations, path: str) -> tuple[ScenarioSpec, ...]:
     known = {gs.name for gs in stations}
     out = []
     for k, item in enumerate(raw):
-        item = _require_mapping(item, f"{path}[{k}]")
-        _reject_unknown(item, _SCENARIO_KEYS, f"{path}[{k}]")
+        where = f"{path}[{k}]"
+        item = _require_mapping(item, where, ScenarioSpec)
         for endpoint in ("src", "dst"):
             if endpoint not in item:
-                raise ConfigurationError(f"{path}[{k}].{endpoint} is required")
+                raise ConfigurationError(f"{where}.{endpoint} is required")
             if item[endpoint] not in known:
-                raise ConfigurationError(
-                    f"{path}[{k}].{endpoint}: unknown station {item[endpoint]!r}")
-        ranges = tuple(float(r) for r in item.get("ranges_km", DEFAULT_RANGES_KM))
-        if not ranges or any(r <= 0 for r in ranges):
-            raise ConfigurationError(f"{path}[{k}].ranges_km: ranges must be positive")
-        modes = tuple(_parse_mode(m, f"{path}[{k}].modes") for m in item.get("modes", ("NG", "NNG")))
-        slot_count = int(item.get("slot_count", 3600))
-        slot_duration = float(item.get("slot_duration_s", 1.0))
-        if slot_count < 1:
-            raise ConfigurationError(f"{path}[{k}].slot_count must be at least 1")
-        if slot_duration <= 0:
-            raise ConfigurationError(f"{path}[{k}].slot_duration_s must be positive")
-        out.append(ScenarioSpec(src=str(item["src"]), dst=str(item["dst"]),
-                                ranges_km=ranges, modes=modes,
-                                slot_count=slot_count, slot_duration_s=slot_duration))
+                raise ConfigurationError(f"{where}.{endpoint}: unknown station {item[endpoint]!r}")
+        lists = {key: _coerce_list(item[key], kind, f"{where}.{key}")
+                 for key, kind in (("ranges_km", float), ("modes", Mode)) if key in item}
+        spec = ScenarioSpec(**_values(ScenarioSpec, item, where, src=str(item["src"]),
+                                      dst=str(item["dst"]), **lists))
+        if not spec.ranges_km or any(r <= 0 for r in spec.ranges_km):
+            raise ConfigurationError(f"{where}.ranges_km: ranges must be positive")
+        if spec.slot_count < 1:
+            raise ConfigurationError(f"{where}.slot_count must be at least 1")
+        if spec.slot_duration_s <= 0:
+            raise ConfigurationError(f"{where}.slot_duration_s must be positive")
+        out.append(spec)
     return tuple(out)
-
-
-def _coerce(mapping: dict, key: str, kind, default, path: str):
-    try:
-        return kind(mapping.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{path}.{key}: expected {kind.__name__}, "
-                                 f"got {mapping.get(key)!r}") from None
 
 
 def parse_config(path: str | Path | None) -> RunConfig:
     """Load and validate a run configuration; missing keys take defaults."""
-    if path is None:
-        raw = {}
-    else:
+    raw = None
+    if path is not None:
         path = Path(path)
         if not path.exists():
             raise ConfigurationError(f"configuration file not found: {path}")
@@ -208,56 +200,23 @@ def parse_config(path: str | Path | None) -> RunConfig:
                 raw = yaml.safe_load(fh)
             except yaml.YAMLError as exc:
                 raise ConfigurationError(f"{path}: not valid YAML ({exc})") from None
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ConfigurationError("configuration root must be a mapping")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-
-    cmap = _require_mapping(raw.get("constellation"), "constellation")
-    _reject_unknown(cmap, _CONSTELLATION_KEYS, "constellation")
-    defaults = ConstellationSpec()
-    constellation = ConstellationSpec(
-        plane_count=_coerce(cmap, "plane_count", int, defaults.plane_count, "constellation"),
-        sats_per_plane=_coerce(cmap, "sats_per_plane", int, defaults.sats_per_plane,
-                               "constellation"),
-        altitude_km=_coerce(cmap, "altitude_km", float, defaults.altitude_km, "constellation"),
-        inclination_deg=_coerce(cmap, "inclination_deg", float, defaults.inclination_deg,
-                                "constellation"),
-        phasing_offset=_coerce(cmap, "phasing_offset", int, defaults.phasing_offset,
-                               "constellation"),
-        raan_spread_deg=_coerce(cmap, "raan_spread_deg", float, defaults.raan_spread_deg,
-                                "constellation"),
-        earth_radius_km=_coerce(cmap, "earth_radius_km", float, defaults.earth_radius_km,
-                                "constellation"),
-        mu_km3s2=_coerce(cmap, "mu_km3s2", float, defaults.mu_km3s2, "constellation"))
-
-    kmap = _require_mapping(raw.get("constants"), "constants")
-    _reject_unknown(kmap, _CONSTANTS_KEYS, "constants")
-    cdef = PhysicalConstants()
-    try:
-        constants = PhysicalConstants(
-            c_mps=_coerce(kmap, "c_mps", float, cdef.c_mps, "constants"),
-            earth_radius_km=_coerce(kmap, "earth_radius_km", float, cdef.earth_radius_km,
-                                    "constants"),
-            occlusion_clearance_km=_coerce(kmap, "occlusion_clearance_km", float,
-                                           cdef.occlusion_clearance_km, "constants"),
-            node_delay_ms=_coerce(kmap, "node_delay_ms", float, cdef.node_delay_ms, "constants"))
-    except ConfigurationError:
-        raise
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
-
+    if not isinstance(raw, (dict, type(None))):
+        raise ConfigurationError("configuration root must be a mapping")
+    raw = _require_mapping(raw, "config", RunConfig)
+    constellation = _section(raw, "constellation", ConstellationSpec)
+    constants = _section(raw, "constants", PhysicalConstants)
     stations = _parse_stations(raw.get("stations"), "stations")
     scenarios = _parse_scenarios(raw.get("scenarios"), stations, "scenarios")
+    rotation = _coerce(raw.get("earth_rotation0_deg", 0.0), float, "config.earth_rotation0_deg")
+    parallelism = _coerce(raw.get("parallelism", 0), int, "config.parallelism")
     return RunConfig(
         constellation=constellation,
         constants=constants,
-        earth_rotation0_deg=_coerce(raw, "earth_rotation0_deg", float, 0.0, "config"),
+        earth_rotation0_deg=rotation,
         stations=stations,
         scenarios=scenarios,
         output_dir=str(raw.get("output_dir", "out")),
-        parallelism=_coerce(raw, "parallelism", int, 0, "config"))
+        parallelism=parallelism if parallelism > 0 else os.cpu_count() or 1)
 
 
 # -- output helpers ----------------------------------------------------
@@ -270,15 +229,6 @@ def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _summary_payload(summary) -> dict:
-    return {
-        "avg_latency_ms": summary.avg_latency_ms,
-        "avg_hops": summary.avg_hops,
-        "slots_with_path": summary.slots_with_path,
-        "slot_count": summary.slot_count,
-    }
 
 
 def write_census_csv(path, censuses) -> None:
@@ -308,8 +258,8 @@ def _cmd_census(config: RunConfig, args) -> int:
     out_dir = Path(args.output_dir or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine = _make_engine(config)
-    modes = [_parse_mode(args.mode, "--mode")] if args.mode else [Mode.NG, Mode.NNG]
-    ranges = args.range if args.range else list(DEFAULT_RANGES_KM)
+    modes = [Mode(args.mode)] if args.mode else ScenarioSpec.modes
+    ranges = args.range or ScenarioSpec.ranges_km
     geometry = engine.slot_geometry(args.time, [(r, mode) for mode in modes for r in ranges])
     censuses = []
     totals = {}
@@ -334,11 +284,12 @@ def _scenario_configs(config: RunConfig, args):
     if args.src or args.dst:
         if not (args.src and args.dst):
             raise ConfigurationError("--src and --dst must be given together")
-        ranges = args.range if getattr(args, "range", None) else list(DEFAULT_RANGES_KM)
-        modes = ([_parse_mode(args.mode, "--mode")]
-                 if getattr(args, "mode", None) else [Mode.NG, Mode.NNG])
-        specs = [ScenarioSpec(src=args.src, dst=args.dst, ranges_km=tuple(ranges),
-                              modes=tuple(modes), slot_duration_s=args.slot_duration)]
+        given = {"slot_duration_s": args.slot_duration}
+        if args.range:
+            given["ranges_km"] = tuple(args.range)
+        if getattr(args, "mode", None):
+            given["modes"] = (Mode(args.mode),)
+        specs = [ScenarioSpec(src=args.src, dst=args.dst, **given)]
     else:
         specs = list(config.scenarios)
     if args.slots is not None:
@@ -354,13 +305,13 @@ def _scenario_configs(config: RunConfig, args):
 
 
 def _cmd_run(config: RunConfig, args) -> int:
-    queries = [base.with_range(r).with_mode(mode)
+    queries = [dataclasses.replace(base, lisl_range_km=r, mode=mode)
                for spec, base in _scenario_configs(config, args)
                for mode in spec.modes for r in spec.ranges_km]
     out_dir = Path(args.output_dir or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine = _make_engine(config)
-    results = run_scenarios(engine, queries, config.effective_parallelism())
+    results = run_scenarios(engine, queries, config.parallelism)
     summary_rows = []
     for cfg, (records, summary) in zip(queries, results):
         r, mode = cfg.lisl_range_km, cfg.mode
@@ -371,7 +322,7 @@ def _cmd_run(config: RunConfig, args) -> int:
               f"{summary.slots_with_path}/{summary.slot_count} slots with a path")
     write_summary_csv(out_dir / "summary.csv", summary_rows)
     _write_json(out_dir / "summary.json", [
-        {"scenario": name, "mode": mode.value, "range_km": r, **_summary_payload(s)}
+        {"scenario": name, "mode": mode.value, "range_km": r, **dataclasses.asdict(s)}
         for name, mode, r, s in summary_rows])
     print(f"wrote {out_dir / 'summary.csv'}")
     return 0
@@ -384,9 +335,9 @@ def _write_comparisons(config: RunConfig, args, kind: str, ranges_of) -> int:
     out_dir = Path(args.output_dir or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine = _make_engine(config)
-    bases = [[base.with_range(r) for r in ranges_of(spec)] for spec, base in scenarios]
-    results = compare_many(engine, [b for group in bases for b in group],
-                           config.effective_parallelism())
+    bases = [[dataclasses.replace(base, lisl_range_km=r) for r in ranges_of(spec)]
+             for spec, base in scenarios]
+    results = compare_many(engine, [b for group in bases for b in group], config.parallelism)
     for (spec, _base), group in zip(scenarios, bases):
         comparisons, results = results[:len(group)], results[len(group):]
         name = f"{spec.src}-{spec.dst}"
@@ -395,8 +346,8 @@ def _write_comparisons(config: RunConfig, args, kind: str, ranges_of) -> int:
         _write_json(out_dir / f"{kind}_{stem}.json", [
             {
                 "scenario": name, "range_km": comp.lisl_range_km,
-                "ng": _summary_payload(comp.ng_summary),
-                "nng": _summary_payload(comp.nng_summary),
+                "ng": dataclasses.asdict(comp.ng_summary),
+                "nng": dataclasses.asdict(comp.nng_summary),
                 "latency_improvement_ms": comp.latency_improvement_ms,
                 "hop_improvement": comp.hop_improvement,
             } for comp in comparisons])
@@ -409,7 +360,6 @@ def _cmd_compare(config: RunConfig, args) -> int:
 
 
 def _cmd_sweep(config: RunConfig, args) -> int:
-    # Ascending, as range_sweep orders them.
     return _write_comparisons(config, args, "sweep", lambda spec: sorted(spec.ranges_km))
 
 
@@ -419,7 +369,8 @@ def _cmd_validate(config: RunConfig, args) -> int:
         config.earth_rotation0_deg)
     for line in lines:
         print(line)
-    print(f"pinned phasing offset: {pinned}")
+    if pinned is not None:
+        print(f"pinned phasing offset: {pinned}")
     if not passed:
         raise ValidationFailure("one or more validation checks failed")
     return 0
@@ -442,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--range", type=float, action="append",
                            help="laser link range in km (repeatable)")
             p.add_argument("--slots", type=int, help="number of time slots")
-            p.add_argument("--slot-duration", type=float, default=1.0,
+            p.add_argument("--slot-duration", type=float, default=ScenarioSpec.slot_duration_s,
                            help="slot duration in seconds (default 1)")
 
     p_census = sub.add_parser("census", help="link counts by type and permanence")

@@ -4,9 +4,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigurationError
+
 SPEED_OF_LIGHT_MPS = 299_792_458.0
 EARTH_RADIUS_KM = 6378.0
 EARTH_SIDEREAL_RATE_RAD_S = 7.2921159e-5
+NODE_DELAY_MS = 10.0  # per satellite hop
 
 
 @dataclass(frozen=True)
@@ -16,12 +19,12 @@ class PhysicalConstants:
     c_mps: float = SPEED_OF_LIGHT_MPS
     earth_radius_km: float = EARTH_RADIUS_KM
     occlusion_clearance_km: float = 80.0
-    node_delay_ms: float = 10.0
+    node_delay_ms: float = NODE_DELAY_MS
 
     def __post_init__(self):
         for name in ("c_mps", "earth_radius_km", "occlusion_clearance_km", "node_delay_ms"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"constants.{name} must be strictly positive")
+                raise ConfigurationError(f"constants.{name} must be strictly positive")
 
     @property
     def occlusion_radius_km(self) -> float:

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import PhysicalConstants
-from .orbital import (Constellation, GroundStation, SatelliteId, format_id,
-                      ground_station_position, parse_id)
+from .orbital import (Constellation, GroundStation, format_id, ground_station_position,
+                      parse_id)
 
 
 class LinkType(enum.Enum):
@@ -120,12 +120,8 @@ class GraphSnapshot:
             return format_id(self.constellation.satellite_id(index))
         return self.stations[index - self.satellite_count].name
 
-    def node_index(self, node) -> int:
-        """Resolve a SatelliteId, station name, or formatted id to a node index."""
-        if isinstance(node, SatelliteId):
-            return self.constellation.flat_index(node)
-        if isinstance(node, GroundStation):
-            node = node.name
+    def node_index(self, node: str) -> int:
+        """Resolve a station name or formatted satellite id to a node index."""
         for k, gs in enumerate(self.stations):
             if gs.name == node:
                 return self.satellite_count + k

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
-from .geometry import SPEED_OF_LIGHT_MPS
+from .geometry import NODE_DELAY_MS, SPEED_OF_LIGHT_MPS
 from .links import GraphSnapshot
 
 
@@ -40,13 +40,15 @@ class PathResult:
 
 @dataclass(frozen=True)
 class RouteGraph:
-    """Undirected weighted graph with satellite/station node kinds."""
+    """Undirected weighted graph with satellite/station node kinds; every
+    satellite entered costs node_delay_ms."""
 
     is_satellite: np.ndarray  # bool per node
     edge_u: np.ndarray
     edge_v: np.ndarray
     edge_length_km: np.ndarray
     c_mps: float = SPEED_OF_LIGHT_MPS
+    node_delay_ms: float = NODE_DELAY_MS
     name_of: Callable[[int], str] = field(default=str)
 
     @property
@@ -64,54 +66,58 @@ class RouteGraph:
             edge_v=np.concatenate([snapshot.sat_b, snapshot.gs_station_index + n_sat]),
             edge_length_km=np.concatenate([snapshot.sat_length_km, snapshot.gs_length_km]),
             c_mps=snapshot.constants.c_mps,
+            node_delay_ms=snapshot.constants.node_delay_ms,
             name_of=snapshot.node_name)
 
 
-def _as_graph(graph) -> RouteGraph:
+def _endpoints(graph, src, dst) -> tuple[RouteGraph, int, int]:
+    """graph as a RouteGraph, and the node indices of src and dst. A snapshot
+    resolves node names; a RouteGraph takes names or node indices."""
     if isinstance(graph, GraphSnapshot):
-        return RouteGraph.from_snapshot(graph)
-    return graph
+        raw, index = RouteGraph.from_snapshot(graph), graph.node_index
+    else:
+        raw = graph
+
+        def index(node) -> int:
+            if isinstance(node, (int, np.integer)):
+                if not 0 <= node < raw.node_count:
+                    raise KeyError(f"node index {node} out of range")
+                return int(node)
+            for k in range(raw.node_count):
+                if raw.name_of(k) == node:
+                    return k
+            raise KeyError(f"node {node!r} not present in graph")
+    s, d = index(src), index(dst)
+    if s == d:
+        raise ValueError("source and destination must differ")
+    return raw, s, d
 
 
-def _resolve(graph, raw, node) -> int:
-    if isinstance(graph, GraphSnapshot):
-        return graph.node_index(node)
-    if isinstance(node, (int, np.integer)):
-        if not 0 <= node < raw.node_count:
-            raise KeyError(f"node index {node} out of range")
-        return int(node)
-    for k in range(raw.node_count):
-        if raw.name_of(k) == node:
-            return k
-    raise KeyError(f"node {node!r} not present in graph")
-
-
-def _directed_arcs(graph: RouteGraph, src: int, dst: int, node_delay_per_hop_ms: float):
+def _directed_arcs(graph: RouteGraph, src: int, dst: int):
     """Directed arcs (tail, head, weight) with node delay charged on
     satellite entry; arcs through interior stations are dropped. Only edges
     at a station need that filter: the rest enter a satellite both ways."""
     per_km, sat = 1e6 / graph.c_mps, graph.is_satellite
     inner = sat[graph.edge_u] & sat[graph.edge_v]
     u, v = graph.edge_u[inner], graph.edge_v[inner]
-    w = graph.edge_length_km[inner] * per_km + node_delay_per_hop_ms
+    w = graph.edge_length_km[inner] * per_km + graph.node_delay_ms
     tails = np.concatenate([graph.edge_u[~inner], graph.edge_v[~inner]])
     heads = np.concatenate([graph.edge_v[~inner], graph.edge_u[~inner]])
     weights = (np.tile(graph.edge_length_km[~inner] * per_km, 2)
-               + np.where(sat[heads], node_delay_per_hop_ms, 0.0))
+               + np.where(sat[heads], graph.node_delay_ms, 0.0))
     keep = (sat[heads] | (heads == dst)) & (sat[tails] | (tails == src))
     return (np.concatenate([u, v, tails[keep]]), np.concatenate([v, u, heads[keep]]),
             np.concatenate([w, w, weights[keep]]))
 
 
 def _result_from_nodes(graph: RouteGraph, nodes: list[int],
-                       node_delay_per_hop_ms: float,
                        length_of: dict[tuple[int, int], float]) -> PathResult:
     prop_ms = 0.0
     per_km = 1e6 / graph.c_mps
     for u, v in zip(nodes, nodes[1:]):
         prop_ms += length_of[(u, v)] * per_km
     hops = int(sum(1 for k in nodes if graph.is_satellite[k]))
-    node_ms = node_delay_per_hop_ms * hops
+    node_ms = graph.node_delay_ms * hops
     return PathResult(
         node_sequence=tuple(graph.name_of(k) for k in nodes),
         hop_count=hops,
@@ -131,23 +137,15 @@ def _length_lookup(graph: RouteGraph, nodes: list[int]) -> dict[tuple[int, int],
     return found
 
 
-def _endpoints(graph, raw: RouteGraph, src, dst) -> tuple[int, int]:
-    s = _resolve(graph, raw, src)
-    d = _resolve(graph, raw, dst)
-    if s == d:
-        raise ValueError("source and destination must differ")
-    return s, d
-
-
-def shortest_path(graph, src, dst, node_delay_per_hop_ms: float = 10.0) -> PathResult | None:
+def shortest_path(graph, src, dst) -> PathResult | None:
     """Minimum-latency path between two stations, or None if unreachable.
 
-    Deterministic for a given graph; among equal-latency paths the choice is
+    A snapshot's node delay is its constants.node_delay_ms. Deterministic
+    for a given graph; among equal-latency paths the choice is
     implementation-defined.
     """
-    raw = _as_graph(graph)
-    s, d = _endpoints(graph, raw, src, dst)
-    tails, heads, weights = _directed_arcs(raw, s, d, node_delay_per_hop_ms)
+    raw, s, d = _endpoints(graph, src, dst)
+    tails, heads, weights = _directed_arcs(raw, s, d)
     n = raw.node_count
     matrix = csr_matrix((weights, (tails, heads)), shape=(n, n))
     dist, pred = _sparse_dijkstra(matrix, directed=True, indices=s, return_predecessors=True)
@@ -157,4 +155,4 @@ def shortest_path(graph, src, dst, node_delay_per_hop_ms: float = 10.0) -> PathR
     while nodes[-1] != s:
         nodes.append(int(pred[nodes[-1]]))
     nodes.reverse()
-    return _result_from_nodes(raw, nodes, node_delay_per_hop_ms, _length_lookup(raw, nodes))
+    return _result_from_nodes(raw, nodes, _length_lookup(raw, nodes))

@@ -16,7 +16,6 @@ always emitted in slot order regardless of the parallelism degree.
 from __future__ import annotations
 
 import csv
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -62,12 +61,6 @@ class ScenarioConfig:
             raise ConfigurationError("scenario slot_duration_s must be positive")
         if self.slot_count < 1:
             raise ConfigurationError("scenario slot_count must be at least 1")
-
-    def with_mode(self, mode: Mode) -> "ScenarioConfig":
-        return replace(self, mode=mode)
-
-    def with_range(self, lisl_range_km: float) -> "ScenarioConfig":
-        return replace(self, lisl_range_km=lisl_range_km)
 
     @property
     def name(self) -> str:
@@ -129,8 +122,7 @@ def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
     """Route one slot of the scenario, optionally on a shared slot geometry."""
     t = slot_index * cfg.slot_duration_s
     snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), geometry)
-    result = routing.shortest_path(snap, cfg.src.name, cfg.dst.name,
-                                   engine.constants.node_delay_ms)
+    result = routing.shortest_path(snap, cfg.src.name, cfg.dst.name)
     if result is None:
         return SlotRecord(slot_index=slot_index, path_found=False)
     return SlotRecord(
@@ -227,7 +219,7 @@ def run_scenario(engine: LinkEngine, cfg: ScenarioConfig,
 def compare_many(engine: LinkEngine, bases, parallelism: int = 1) -> list[ComparisonResult]:
     """Compare NG and NNG for each base config, all in one batch, in order."""
     bases = list(bases)
-    queries = [base.with_mode(mode) for base in bases for mode in (Mode.NG, Mode.NNG)]
+    queries = [replace(base, mode=mode) for base in bases for mode in (Mode.NG, Mode.NNG)]
     results = run_scenarios(engine, queries, parallelism)
     out = []
     for k, base in enumerate(bases):
@@ -237,21 +229,6 @@ def compare_many(engine: LinkEngine, bases, parallelism: int = 1) -> list[Compar
             ng_summary=ng_summary, nng_summary=nng_summary,
             ng_records=tuple(ng_records), nng_records=tuple(nng_records)))
     return out
-
-
-def compare(engine: LinkEngine, cfg_base: ScenarioConfig,
-            parallelism: int = 1) -> ComparisonResult:
-    """Run NG and NNG over identical geometry and report improvements."""
-    return compare_many(engine, [cfg_base], parallelism)[0]
-
-
-def range_sweep(engine: LinkEngine, cfg_base: ScenarioConfig, ranges_km,
-                parallelism: int = 1) -> list[ComparisonResult]:
-    """Compare the two link policies at each range, ascending."""
-    ranges = sorted(ranges_km)
-    if not ranges:
-        raise ConfigurationError("range sweep needs at least one range")
-    return compare_many(engine, [cfg_base.with_range(r) for r in ranges], parallelism)
 
 
 # -- CSV emission ------------------------------------------------------
@@ -303,7 +280,3 @@ def write_comparison_csv(path, scenario_name: str, comparisons) -> None:
                 _fmt(comp.latency_improvement_ms),
                 _fmt(ng.avg_hops), _fmt(nng.avg_hops), _fmt(comp.hop_improvement),
                 ng.slots_with_path, nng.slots_with_path, nng.slot_count])
-
-
-def default_parallelism() -> int:
-    return os.cpu_count() or 1

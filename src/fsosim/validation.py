@@ -19,10 +19,11 @@ from .errors import ValidationFailure
 from .geometry import PhysicalConstants, great_circle_distance, max_lisl_range
 from .links import LinkEngine, Mode, degree_counts, link_census
 from .orbital import Constellation, ConstellationSpec, SatelliteId, build_constellation
+from .scenario import DEFAULT_RANGES_KM
 
 # Reference connectivity of the first satellite of the Starlink Phase-I
-# shell (24 planes x 66 slots, 550 km, 53 deg) at the standard ranges.
-REFERENCE_RANGES_KM = (659.5, 1319.0, 1500.0, 1700.0, 2500.0, 3500.0, 5016.0)
+# shell (24 planes x 66 slots, 550 km, 53 deg) at the standard ranges,
+# DEFAULT_RANGES_KM.
 REFERENCE_PERMANENT_DEGREES = (2, 4, 6, 10, 18, 42, 88)
 REFERENCE_TOTAL_DEGREES_EQUATOR = (4, 8, 12, 22, 38, 88, 180)
 REFERENCE_TOTAL_DEGREES_AT_47_33 = (8, 29, 33, 40, 70, 117, 209)
@@ -47,14 +48,14 @@ class CheckResult:
 
 
 def permanent_degree_profile(constellation: Constellation,
-                             ranges_km=REFERENCE_RANGES_KM) -> tuple[int, ...]:
+                             ranges_km=DEFAULT_RANGES_KM) -> tuple[int, ...]:
     """Permanent-link degree of every satellite (they are all equal) per range."""
     table = LinkEngine(constellation).pair_max_table_km
     return tuple(int((table <= r).sum()) for r in ranges_km)
 
 
 def total_degree_profile(constellation: Constellation, t: float,
-                         ranges_km=REFERENCE_RANGES_KM,
+                         ranges_km=DEFAULT_RANGES_KM,
                          sat: SatelliteId = SatelliteId(0, 0)) -> tuple[int, ...]:
     """All-links degree of one satellite at time t per range."""
     pos = constellation.positions_at(t)
@@ -73,8 +74,7 @@ def slot_nearest_latitude(constellation: Constellation, sat: SatelliteId,
     return int(np.argmin(np.abs(lat - target_deg)))
 
 
-def scan_phasing_offset(base_spec: ConstellationSpec,
-                        ranges_km=REFERENCE_RANGES_KM) -> tuple[int, dict[int, tuple[int, ...]]]:
+def scan_phasing_offset(base_spec: ConstellationSpec) -> tuple[int, dict[int, tuple[int, ...]]]:
     """Pin the phasing offset that reproduces the reference permanent census.
 
     Qualifying offsets match the low-range permanent degrees exactly and the
@@ -87,7 +87,7 @@ def scan_phasing_offset(base_spec: ConstellationSpec,
     for f in range(base_spec.plane_count):
         spec = dataclasses.replace(base_spec, phasing_offset=f)
         constellation = build_constellation(spec)
-        profile = permanent_degree_profile(constellation, ranges_km)
+        profile = permanent_degree_profile(constellation)
         profiles[f] = profile
         if profile[:PERMANENT_EXACT_COUNT] != REFERENCE_PERMANENT_DEGREES[:PERMANENT_EXACT_COUNT]:
             continue
@@ -95,7 +95,7 @@ def scan_phasing_offset(base_spec: ConstellationSpec,
                                                REFERENCE_PERMANENT_DEGREES[PERMANENT_EXACT_COUNT:])]
         if any(dev > PERMANENT_HIGH_TOLERANCE for dev in high_dev):
             continue
-        equator = total_degree_profile(constellation, 0.0, ranges_km)
+        equator = total_degree_profile(constellation, 0.0)
         eq_dev = sum(abs(a - b) for a, b in zip(equator, REFERENCE_TOTAL_DEGREES_EQUATOR))
         candidates.append((sum(high_dev), eq_dev, f))
     if not candidates:
@@ -107,14 +107,18 @@ def scan_phasing_offset(base_spec: ConstellationSpec,
 def check_geometry_constants(spec: ConstellationSpec,
                              constants: PhysicalConstants) -> list[CheckResult]:
     chord = 2.0 * spec.orbit_radius_km * math.sin(math.pi / spec.sats_per_plane)
-    max_range = max_lisl_range(spec.altitude_km, constants.occlusion_clearance_km,
-                               constants.earth_radius_km)
-    return [
-        CheckResult("intra-plane neighbor chord",
-                    abs(chord - 659.5) <= 1.0, f"{chord:.2f} km (659.5 +/- 1)"),
-        CheckResult("maximum visibility-limited link range",
-                    abs(max_range - 5016.0) <= 1.0, f"{max_range:.2f} km (5016 +/- 1)"),
-    ]
+    name = "maximum visibility-limited link range"
+    try:
+        max_range = max_lisl_range(spec.altitude_km, constants.occlusion_clearance_km,
+                                   constants.earth_radius_km)
+    except ValueError:
+        range_check = CheckResult(name, False, f"the shell at {spec.altitude_km:g} km lies below "
+                                  f"the {constants.occlusion_clearance_km:g} km occlusion clearance")
+    else:
+        range_check = CheckResult(name, abs(max_range - 5016.0) <= 1.0,
+                                  f"{max_range:.2f} km (5016 +/- 1)")
+    return [CheckResult("intra-plane neighbor chord",
+                        abs(chord - 659.5) <= 1.0, f"{chord:.2f} km (659.5 +/- 1)"), range_check]
 
 
 def check_station_distances(stations, earth_radius_km: float) -> list[CheckResult]:
@@ -133,10 +137,9 @@ def check_station_distances(stations, earth_radius_km: float) -> list[CheckResul
     return out
 
 
-def check_permanent_census(engine: LinkEngine,
-                           ranges_km=REFERENCE_RANGES_KM) -> list[CheckResult]:
+def check_permanent_census(engine: LinkEngine) -> list[CheckResult]:
     out = []
-    for idx, (r, expected) in enumerate(zip(ranges_km, REFERENCE_PERMANENT_DEGREES)):
+    for idx, (r, expected) in enumerate(zip(DEFAULT_RANGES_KM, REFERENCE_PERMANENT_DEGREES)):
         degs = degree_counts(engine.snapshot(0.0, r, Mode.NG))
         uniform = int(degs.min()) == int(degs.max())
         value = int(degs[0])
@@ -148,15 +151,14 @@ def check_permanent_census(engine: LinkEngine,
     return out
 
 
-def check_latitude_connectivity(engine: LinkEngine,
-                                ranges_km=REFERENCE_RANGES_KM) -> list[CheckResult]:
+def check_latitude_connectivity(engine: LinkEngine) -> list[CheckResult]:
     constellation = engine.constellation
     sat = SatelliteId(0, 0)
     slot_eq = slot_nearest_latitude(constellation, sat, 0.0)
     slot_hi = slot_nearest_latitude(constellation, sat, 47.33)
-    eq = total_degree_profile(constellation, float(slot_eq), ranges_km, sat)
-    hi = total_degree_profile(constellation, float(slot_hi), ranges_km, sat)
-    idx_1700 = list(ranges_km).index(1700.0)
+    eq = total_degree_profile(constellation, float(slot_eq), sat=sat)
+    hi = total_degree_profile(constellation, float(slot_hi), sat=sat)
+    idx_1700 = DEFAULT_RANGES_KM.index(1700.0)
     want_eq = REFERENCE_TOTAL_DEGREES_EQUATOR[idx_1700]
     want_hi = REFERENCE_TOTAL_DEGREES_AT_47_33[idx_1700]
     out = [
@@ -165,17 +167,16 @@ def check_latitude_connectivity(engine: LinkEngine,
         CheckResult("all-links degree at 1700 km, 47.33 deg",
                     abs(hi[idx_1700] - want_hi) <= 3, f"{hi[idx_1700]} (expect {want_hi} +/- 3)"),
     ]
-    monotone = all(h > e for r, e, h in zip(ranges_km, eq, hi) if r >= 1319.0)
+    monotone = all(h > e for r, e, h in zip(DEFAULT_RANGES_KM, eq, hi) if r >= 1319.0)
     out.append(CheckResult(
         "high-latitude connectivity exceeds equatorial at >= 1319 km",
         monotone, f"equator {eq} vs 47.33 deg {hi}"))
     return out
 
 
-def check_census_ratio(engine: LinkEngine, stations,
-                       ranges_km=REFERENCE_RANGES_KM) -> list[CheckResult]:
+def check_census_ratio(engine: LinkEngine, stations) -> list[CheckResult]:
     out = []
-    for r in ranges_km:
+    for r in DEFAULT_RANGES_KM:
         ng = link_census(engine.snapshot(0.0, r, Mode.NG, stations))
         nng = link_census(engine.snapshot(0.0, r, Mode.NNG, stations))
         ratio = nng.total_undirected / max(ng.total_undirected, 1)
@@ -186,19 +187,24 @@ def check_census_ratio(engine: LinkEngine, stations,
 
 
 def run_validation(spec: ConstellationSpec, constants: PhysicalConstants,
-                   stations, earth_rotation0_deg: float = 0.0,
-                   ranges_km=REFERENCE_RANGES_KM):
-    """Full quick-check battery. Returns (passed, lines, pinned_offset)."""
+                   stations, earth_rotation0_deg: float = 0.0):
+    """Full quick-check battery. Returns (passed, lines, pinned_offset); when
+    no offset can be pinned, the scan fails and the checks that need one are
+    skipped, and pinned_offset is None."""
     results = check_geometry_constants(spec, constants)
     results += check_station_distances(stations, constants.earth_radius_km)
-    pinned, _profiles = scan_phasing_offset(spec, ranges_km)
+    try:
+        pinned, _profiles = scan_phasing_offset(spec)
+    except ValidationFailure as exc:
+        results.append(CheckResult("phasing-offset scan", False, str(exc)))
+        return False, [r.line() for r in results], None
     results.append(CheckResult(
         "phasing-offset scan", True,
         f"offset {pinned} of [0, {spec.plane_count}) reproduces the permanent census"))
     pinned_spec = dataclasses.replace(spec, phasing_offset=pinned)
     engine = LinkEngine(build_constellation(pinned_spec), constants, earth_rotation0_deg)
-    results += check_permanent_census(engine, ranges_km)
-    results += check_latitude_connectivity(engine, ranges_km)
-    results += check_census_ratio(engine, stations, ranges_km)
+    results += check_permanent_census(engine)
+    results += check_latitude_connectivity(engine)
+    results += check_census_ratio(engine, stations)
     passed = all(r.passed for r in results)
     return passed, [r.line() for r in results], pinned

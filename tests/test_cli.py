@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import os
+import re
 
 import pytest
 
-from fsosim.cli import main, parse_config
+from fsosim import ConstellationSpec, GroundStation, PhysicalConstants
+from fsosim.cli import ScenarioSpec, main, parse_config
 from fsosim.errors import ConfigurationError
 from fsosim.links import Mode
 
@@ -123,6 +127,18 @@ def test_sweep_command_structure(tmp_path):
     assert lines[2].split(",")[1] == "1700.000000"
 
 
+def test_sweep_rows_ascending(tmp_path):
+    """A sweep writes its rows by ascending range, whatever the flag order."""
+    out = tmp_path / "out"
+    assert main(["sweep", "--src", "Sydney", "--dst", "Sao Paulo", "--range", "1700",
+                 "--range", "1319", "--range", "5016", "--slots", "2",
+                 "--output-dir", str(out)]) == 0
+    rows = (out / "sweep_sydney_sao_paulo.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["1319.000000", "1700.000000", "5016.000000"]
+    payload = json.loads((out / "sweep_sydney_sao_paulo.json").read_text())
+    assert [row["range_km"] for row in payload] == [1319.0, 1700.0, 5016.0]
+
+
 def test_compare_command(tmp_path):
     out = tmp_path / "out"
     code = main(["compare", "--src", "Madrid", "--dst", "Tokyo",
@@ -164,9 +180,56 @@ def test_help_documents_config_keys(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    for key in ("plane_count", "altitude_km", "node_delay_ms", "phasing_offset",
-                "occlusion_clearance_km", "parallelism", "output_dir"):
+    for cls in (ConstellationSpec, PhysicalConstants, GroundStation, ScenarioSpec):
+        for field in dataclasses.fields(cls):
+            assert field.name in out, f"{cls.__name__}.{field.name}"
+    for key in ("earth_rotation0_deg", "stations", "scenarios", "parallelism", "output_dir"):
         assert key in out
+
+
+@pytest.mark.parametrize("given, resolved", [(0, os.cpu_count() or 1), (-1, os.cpu_count() or 1),
+                                             (3, 3)], ids=["zero", "negative", "three"])
+def test_parallelism_resolved_once(tmp_path, given, resolved):
+    f = tmp_path / "cfg.yaml"
+    f.write_text(f"parallelism: {given}\n")
+    assert parse_config(f).parallelism == resolved
+
+
+@pytest.mark.parametrize("yaml_text, message", [
+    ("scenarios: [{src: Sydney, dst: Tokyo, ranges_km: 1700}]",
+     r"scenarios\[0\]\.ranges_km: expected a list"),
+    ("scenarios: [{src: Sydney, dst: Tokyo, ranges_km: [abc]}]",
+     r"scenarios\[0\]\.ranges_km\[0\]: expected float"),
+    ("scenarios: [{src: Sydney, dst: Tokyo, ranges_km: []}]",
+     r"scenarios\[0\]\.ranges_km: ranges must be positive"),
+    ("scenarios: [{src: Sydney, dst: Tokyo, slot_count: abc}]",
+     r"scenarios\[0\]\.slot_count: expected int"),
+    ("scenarios: [{src: Sydney, dst: Tokyo, slot_duration_s: soon}]",
+     r"scenarios\[0\]\.slot_duration_s: expected float"),
+    ("scenarios: [{src: Sydney, dst: Tokyo, modes: NG}]",
+     r"scenarios\[0\]\.modes: expected a list"),
+    ("stations: [{name: A, latitude_deg: north}]", r"stations\[0\]\.latitude_deg: expected float"),
+    ("stations: [{name: A, longitude_deg: [1]}]", r"stations\[0\]\.longitude_deg: expected float"),
+    ("stations: [{name: A, range_km: far}]", r"stations\[0\]\.range_km: expected float"),
+], ids=["ranges-scalar", "ranges-item", "ranges-empty", "slot-count", "slot-duration",
+        "modes-scalar", "latitude", "longitude", "station-range"])
+def test_unparsable_config_value_exit_code(tmp_path, capsys, yaml_text, message):
+    """A value that does not parse is a configuration error naming its key."""
+    f = tmp_path / "bad.yaml"
+    f.write_text(yaml_text + "\n")
+    assert main(["--config", str(f), "run", "--output-dir", str(tmp_path / "out")]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_shell_below_occlusion_clearance_fails(tmp_path, capsys):
+    """A shell below the clearance has no maximum link range: a failed check, not a crash."""
+    f = tmp_path / "low.yaml"
+    f.write_text("constellation: {altitude_km: 50}\n")
+    assert main(["--config", str(f), "validate"]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] maximum visibility-limited link range" in out
+    assert "[FAIL] phasing-offset scan" in out
 
 
 def test_station_named_like_a_satellite_rejected(tmp_path):

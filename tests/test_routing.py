@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import math
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from fsosim import BUNDLED_STATIONS, GraphSnapshot, Mode, PathResult
+from fsosim import (BUNDLED_STATIONS, GraphSnapshot, LinkEngine, Mode, PathResult,
+                    PhysicalConstants)
 from fsosim.routing import RouteGraph, _directed_arcs, shortest_path
 
 LIGHT_MS_KM = 299.792458  # one light-millisecond
@@ -46,11 +48,11 @@ def random_graph(rng):
 
 # -- reference routers, on the full arc list ---------------------------
 
-def full_arc_reference(graph, src, dst, node_delay_per_hop_ms):
+def full_arc_reference(graph, src, dst):
     """Every edge in both directions, node delay on entering a satellite,
     then every arc through a station other than src or dst dropped."""
     prop = graph.edge_length_km * (1e6 / graph.c_mps)
-    enter = np.where(graph.is_satellite, node_delay_per_hop_ms, 0.0)
+    enter = np.where(graph.is_satellite, graph.node_delay_ms, 0.0)
     tails = np.concatenate([graph.edge_u, graph.edge_v])
     heads = np.concatenate([graph.edge_v, graph.edge_u])
     weights = np.concatenate([prop, prop]) + enter[heads]
@@ -60,7 +62,7 @@ def full_arc_reference(graph, src, dst, node_delay_per_hop_ms):
 
 
 def node_of(graph, raw, node):
-    """Index of a node given by index or name (or by SatelliteId in a snapshot)."""
+    """Index of a node given by name, or by index in a RouteGraph."""
     if isinstance(graph, GraphSnapshot):
         return graph.node_index(node)
     if isinstance(node, (int, np.integer)):
@@ -68,16 +70,16 @@ def node_of(graph, raw, node):
     return [raw.name_of(k) for k in range(raw.node_count)].index(node)
 
 
-def reference_arcs(graph, src, dst, node_delay_per_hop_ms):
+def reference_arcs(graph, src, dst):
     """The RouteGraph of graph (a GraphSnapshot or a RouteGraph), the node
     indices of src and dst, and the full reference arcs between them."""
     raw = RouteGraph.from_snapshot(graph) if isinstance(graph, GraphSnapshot) else graph
     s, d = node_of(graph, raw, src), node_of(graph, raw, dst)
     assert s != d
-    return raw, s, d, full_arc_reference(raw, s, d, node_delay_per_hop_ms)
+    return raw, s, d, full_arc_reference(raw, s, d)
 
 
-def path_result(graph, nodes, node_delay_per_hop_ms):
+def path_result(graph, nodes):
     """The PathResult of a node path, its propagation delay summed link by
     link from the source, as shortest_path sums it."""
     length_of = {}
@@ -89,17 +91,17 @@ def path_result(graph, nodes, node_delay_per_hop_ms):
     for u, v in zip(nodes, nodes[1:]):
         prop_ms += length_of[(u, v)] * per_km
     hops = int(sum(1 for k in nodes if graph.is_satellite[k]))
-    node_ms = node_delay_per_hop_ms * hops
+    node_ms = graph.node_delay_ms * hops
     return PathResult(node_sequence=tuple(graph.name_of(k) for k in nodes), hop_count=hops,
                       propagation_delay_ms=prop_ms, node_delay_ms=node_ms,
                       latency_ms=prop_ms + node_ms)
 
 
-def shortest_path_exact(graph, src, dst, node_delay_per_hop_ms=10.0):
+def shortest_path_exact(graph, src, dst):
     """Reference heap Dijkstra with a total tie order: paths are ranked by
     (latency, hop count, node-index sequence), and the unique minimum under
     that order is returned, or None if dst is unreachable."""
-    raw, s, d, (tails, heads, weights) = reference_arcs(graph, src, dst, node_delay_per_hop_ms)
+    raw, s, d, (tails, heads, weights) = reference_arcs(graph, src, dst)
     order = np.argsort(tails, kind="stable")
     tails, heads, weights = tails[order], heads[order], weights[order]
     n = raw.node_count
@@ -135,13 +137,13 @@ def shortest_path_exact(graph, src, dst, node_delay_per_hop_ms=10.0):
                 parent[v] = u
     if dist[d][0] == math.inf:
         return None
-    return path_result(raw, path_to(d), node_delay_per_hop_ms)
+    return path_result(raw, path_to(d))
 
 
-def oracle_shortest_path(graph, src, dst, node_delay_per_hop_ms=10.0):
+def oracle_shortest_path(graph, src, dst):
     """Exhaustive enumeration of every simple path, for graphs of at most
     ORACLE_MAX_NODES nodes, ranked as shortest_path_exact ranks them."""
-    raw, s, d, arcs = reference_arcs(graph, src, dst, node_delay_per_hop_ms)
+    raw, s, d, arcs = reference_arcs(graph, src, dst)
     if raw.node_count > ORACLE_MAX_NODES:
         raise ValueError(f"oracle refuses graphs with more than {ORACLE_MAX_NODES} nodes")
     adjacency = {}
@@ -165,7 +167,7 @@ def oracle_shortest_path(graph, src, dst, node_delay_per_hop_ms=10.0):
                 trail.pop()
 
     walk(s, {s}, 0.0, 0, [s])
-    return None if best is None else path_result(raw, list(best[2]), node_delay_per_hop_ms)
+    return None if best is None else path_result(raw, list(best[2]))
 
 
 def test_direct_station_link_is_one_light_millisecond():
@@ -288,7 +290,7 @@ def test_node_delay_scales_with_hops():
     for _ in range(50):
         graph, src, dst = random_graph(rng)
         for delay in (0.0, 10.0, 25.0):
-            result = shortest_path(graph, src, dst, delay)
+            result = shortest_path(dataclasses.replace(graph, node_delay_ms=delay), src, dst)
             if result is None:
                 continue
             assert result.node_delay_ms == delay * result.hop_count
@@ -335,6 +337,18 @@ def test_snapshot_propagation_lower_bound(routed_snapshot):
     assert result.propagation_delay_ms >= chord_ms
 
 
+def test_snapshot_node_delay_comes_from_its_constants(shell):
+    """A snapshot charges its own constants' node delay per hop, not a
+    default of the router's."""
+    engine = LinkEngine(shell, PhysicalConstants(node_delay_ms=5.0))
+    snap = engine.snapshot(0.0, 1700.0, Mode.NNG, BUNDLED_STATIONS[:2])
+    result = shortest_path(snap, "Sydney", "Sao Paulo")
+    assert result.hop_count > 0
+    assert result.node_delay_ms == 5.0 * result.hop_count
+    assert result.latency_ms == result.propagation_delay_ms + result.node_delay_ms
+    assert RouteGraph.from_snapshot(snap).node_delay_ms == 5.0
+
+
 def test_snapshot_superset_latency_dominance(engine):
     for t in (0.0, 1200.0):
         ng = engine.snapshot(t, 1700.0, Mode.NG, BUNDLED_STATIONS[:2])
@@ -346,11 +360,11 @@ def test_snapshot_superset_latency_dominance(engine):
 
 # -- arc lists against the full-arc reference -----------------------------
 
-def assert_same_csr(graph, src, dst, node_delay_per_hop_ms=10.0):
+def assert_same_csr(graph, src, dst):
     n = graph.node_count
     matrices = [csr_matrix((w, (t, h)), shape=(n, n))
-                for t, h, w in (full_arc_reference(graph, src, dst, node_delay_per_hop_ms),
-                                _directed_arcs(graph, src, dst, node_delay_per_hop_ms))]
+                for t, h, w in (full_arc_reference(graph, src, dst),
+                                _directed_arcs(graph, src, dst))]
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(matrices[0], name), getattr(matrices[1], name)), name
 
@@ -375,4 +389,4 @@ def test_hand_built_arcs_build_the_reference_csr(edges):
     graph = make_graph([True, True, False, False, False], edges)
     for src, dst in itertools.permutations([2, 3, 4], 2):
         for delay in (0.0, 10.0):
-            assert_same_csr(graph, src, dst, delay)
+            assert_same_csr(dataclasses.replace(graph, node_delay_ms=delay), src, dst)

@@ -2,9 +2,9 @@ import dataclasses
 
 import pytest
 
-from fsosim import (BUNDLED_STATIONS, ConstellationSpec, GroundStation, LinkEngine,
-                    Mode, PhysicalConstants, ScenarioConfig, build_constellation, compare,
-                    range_sweep, run_scenario)
+from fsosim import (BUNDLED_STATIONS, ComparisonResult, ConstellationSpec, GroundStation,
+                    LinkEngine, Mode, PhysicalConstants, ScenarioConfig, build_constellation,
+                    run_scenario)
 from fsosim.errors import ConfigurationError
 from fsosim.scenario import (SlotRecord, compare_many, run_scenarios, summarize,
                              write_comparison_csv, write_slots_csv, write_summary_csv)
@@ -111,8 +111,7 @@ def test_parallel_run_matches_serial(engine):
 
 
 def test_compare_improvement_nonnegative_per_slot(engine):
-    cfg = short_cfg(1700.0, slots=20)
-    result = compare(engine, cfg)
+    (result,) = compare_many(engine, [short_cfg(1700.0, slots=20)])
     assert result.ng_summary.slots_with_path == 20
     assert result.latency_improvement_ms is not None
     assert result.latency_improvement_ms > 0.0
@@ -124,7 +123,7 @@ def test_compare_improvement_nonnegative_per_slot(engine):
 
 
 def test_compare_improvement_unavailable_when_ng_pathless(engine):
-    result = compare(engine, short_cfg(659.5, slots=3))
+    (result,) = compare_many(engine, [short_cfg(659.5, slots=3)])
     assert result.ng_summary.slots_with_path == 0
     assert result.latency_improvement_ms is None
     assert result.hop_improvement is None
@@ -135,26 +134,18 @@ def test_identical_policies_give_zero_improvement(ring_engine):
     over = GroundStation("over", 0.0, 0.4)
     off = GroundStation("off", 2.0, 8.0)
     cfg = ScenarioConfig(src=over, dst=off, lisl_range_km=1200.0, slot_count=8)
-    result = compare(ring_engine, cfg)
+    (result,) = compare_many(ring_engine, [cfg])
     assert result.ng_records == result.nng_records
     if result.ng_summary.slots_with_path:
         assert result.latency_improvement_ms == 0.0
         assert result.hop_improvement == 0.0
 
 
-def test_range_sweep_rows_ascending(engine):
-    ranges = (1700.0, 1319.0, 5016.0)
-    rows = range_sweep(engine, short_cfg(1319.0, slots=4), ranges)
-    assert [row.lisl_range_km for row in rows] == [1319.0, 1700.0, 5016.0]
-    with pytest.raises(ConfigurationError):
-        range_sweep(engine, short_cfg(1319.0, slots=4), ())
-
-
 def test_tiny_station_range_never_routes(engine):
     src = dataclasses.replace(SYDNEY, range_km=1e-3)
     dst = dataclasses.replace(SAO_PAULO, range_km=1e-3)
-    rows = range_sweep(engine, short_cfg(1700.0, slots=3, src=src, dst=dst),
-                       (1319.0, 1700.0))
+    rows = compare_many(engine, [short_cfg(r, slots=3, src=src, dst=dst)
+                                 for r in (1319.0, 1700.0)])
     for row in rows:
         assert row.ng_summary.slots_with_path == 0
         assert row.nng_summary.slots_with_path == 0
@@ -178,7 +169,7 @@ def test_csv_emission(tmp_path, engine):
     assert row.startswith("Sydney-Sao Paulo,NNG,1700.000000,")
 
     comp_file = tmp_path / "compare.csv"
-    write_comparison_csv(comp_file, cfg.name, [compare(engine, short_cfg(659.5, slots=2))])
+    write_comparison_csv(comp_file, cfg.name, compare_many(engine, [short_cfg(659.5, slots=2)]))
     header, row = comp_file.read_text().splitlines()
     assert "latency_improvement_ms" in header
     assert ",," in row  # NG averages unavailable -> empty fields
@@ -207,10 +198,17 @@ def test_batch_matches_one_run_per_query(engine):
         assert (records, summary) == run_scenario(engine, cfg)
 
 
-def test_compare_many_matches_compare(engine):
+def test_compare_many_matches_one_run_per_policy(engine):
+    """Each comparison holds the NG and NNG runs of its base config, in order."""
     bases = [short_cfg(1319.0, slots=3), short_cfg(5016.0, slots=3, src=BUNDLED_STATIONS[4],
                                                    dst=BUNDLED_STATIONS[5])]
-    assert compare_many(engine, bases) == [compare(engine, base) for base in bases]
+    expected = []
+    for base in bases:
+        (ng, ng_summary), (nng, nng_summary) = (
+            run_scenario(engine, dataclasses.replace(base, mode=mode)) for mode in Mode)
+        expected.append(ComparisonResult(base.lisl_range_km, ng_summary, nng_summary,
+                                         tuple(ng), tuple(nng)))
+    assert compare_many(engine, bases) == expected
 
 
 def test_workers_use_the_callers_engine(engine, monkeypatch):
