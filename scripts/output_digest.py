@@ -8,8 +8,10 @@ Runs, in a temporary directory and at parallelism 1 and 2:
   fsosim validate                  its stdout
   scripts/run_full_study.py        --slots 12, its outputs and stdout
 
-and once more, on one worker, `fsosim run --slots 6` with a 5 ms node
-delay (constants: {node_delay_ms: 5.0}),
+and on one worker, `fsosim run --slots 6` with a 5 ms node delay
+(constants: {node_delay_ms: 5.0}) and a 120-slot Sydney-Sao Paulo NNG run
+at 5,016 km, the heaviest graph, where equal-latency ties are likeliest
+to show,
 
 then prints one "sha256  relative-path" line per file, sorted by path, and
 last the sha256 of that list. No golden digest is stored: to compare two
@@ -36,8 +38,8 @@ def sha256(data: bytes) -> str:
 
 
 def produce(root: Path, env: dict) -> None:
-    """Write every output under root: one subdirectory per parallelism, and
-    delay5 for the run with a 5 ms node delay."""
+    """Write every output under root: one subdirectory per parallelism,
+    delay5 for the run with a 5 ms node delay and nng5016 for the long run."""
     for workers in (1, 2):
         base = root / "out" / f"p{workers}"
         base.mkdir(parents=True)
@@ -60,6 +62,12 @@ def produce(root: Path, env: dict) -> None:
     config.write_text("parallelism: 1\nconstants: {node_delay_ms: 5.0}\n")
     subprocess.run([sys.executable, "-m", "fsosim.cli", "--config", str(config), "run",
                     "--slots", "6", "--output-dir", str(root / "out" / "delay5" / "run")],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    config = root / "config_serial.yaml"
+    config.write_text("parallelism: 1\n")
+    subprocess.run([sys.executable, "-m", "fsosim.cli", "--config", str(config), "run",
+                    "--src", "Sydney", "--dst", "Sao Paulo", "--range", "5016", "--mode", "NNG",
+                    "--slots", "120", "--output-dir", str(root / "out" / "nng5016" / "run")],
                    env=env, check=True, stdout=subprocess.DEVNULL)
 
 

@@ -107,9 +107,13 @@ def _require_mapping(value, path: str, keys_of) -> dict:
 
 
 def _coerce(value, kind, path: str):
+    """value as kind; a float with a fractional part is no int."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        coerced = kind(value)
+        if kind is int and isinstance(value, float) and coerced != value:
+            raise ValueError(value)
+        return coerced
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"{path}: expected {kind.__name__}, got {value!r}") from None
 
 
@@ -180,6 +184,8 @@ def _parse_scenarios(raw, stations, path: str) -> tuple[ScenarioSpec, ...]:
                                       dst=str(item["dst"]), **lists))
         if not spec.ranges_km or any(r <= 0 for r in spec.ranges_km):
             raise ConfigurationError(f"{where}.ranges_km: ranges must be positive")
+        if not spec.modes:
+            raise ConfigurationError(f"{where}.modes: at least one mode is required")
         if spec.slot_count < 1:
             raise ConfigurationError(f"{where}.slot_count must be at least 1")
         if spec.slot_duration_s <= 0:
@@ -280,20 +286,24 @@ def _cmd_census(config: RunConfig, args) -> int:
 
 
 def _scenario_configs(config: RunConfig, args):
-    """Scenario configs selected by flags, or everything in the config file."""
+    """The scenario named by --src/--dst, or else every scenario of the config
+    file, with --range, --mode, --slots and --slot-duration applied to each."""
     if args.src or args.dst:
         if not (args.src and args.dst):
             raise ConfigurationError("--src and --dst must be given together")
-        given = {"slot_duration_s": args.slot_duration}
-        if args.range:
-            given["ranges_km"] = tuple(args.range)
-        if getattr(args, "mode", None):
-            given["modes"] = (Mode(args.mode),)
-        specs = [ScenarioSpec(src=args.src, dst=args.dst, **given)]
+        specs = [ScenarioSpec(src=args.src, dst=args.dst)]
     else:
         specs = list(config.scenarios)
+    given = {}
+    if args.range:
+        given["ranges_km"] = tuple(args.range)
+    if getattr(args, "mode", None):
+        given["modes"] = (Mode(args.mode),)
     if args.slots is not None:
-        specs = [dataclasses.replace(s, slot_count=args.slots) for s in specs]
+        given["slot_count"] = args.slots
+    if args.slot_duration is not None:
+        given["slot_duration_s"] = args.slot_duration
+    specs = [dataclasses.replace(s, **given) for s in specs]
     out = []
     for spec in specs:
         base = ScenarioConfig(
@@ -393,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--range", type=float, action="append",
                            help="laser link range in km (repeatable)")
             p.add_argument("--slots", type=int, help="number of time slots")
-            p.add_argument("--slot-duration", type=float, default=ScenarioSpec.slot_duration_s,
-                           help="slot duration in seconds (default 1)")
+            p.add_argument("--slot-duration", type=float,
+                           help="slot duration in seconds (default from config, else 1)")
 
     p_census = sub.add_parser("census", help="link counts by type and permanence")
     p_census.add_argument("--range", type=float, action="append",

@@ -22,10 +22,14 @@ cos g = (A+B)/2 cos(delta) - C sin(delta) + (A-B)/2 cos(2u + delta) at
 argument of latitude u, where A = cos W, B = A cos^2 i + sin^2 i and
 C = cos i sin W; their separation r sqrt(2 (1 - cos g)) peaks and dips where
 cos(2u + delta) = +/-1. Intra-plane classes get the chord 2 r sin(delta/2).
+
+Candidate pairs, and so a snapshot's satellite links, come sorted by
+endpoints; plane-relation types and permanence are computed when first read.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -78,13 +82,13 @@ class GraphSnapshot:
 
     Satellite nodes use flat indices 0..N-1; ground stations follow in the
     order given, at indices N..N+K-1. Link data is held in parallel arrays,
-    one set for satellite links (sat_a < sat_b) and one for ground links,
-    which are all temporary.
+    one set for satellite links (sat_a < sat_b, sorted) and one for ground
+    links, which are all temporary. The satellite links are the rows index
+    of a slot geometry's pairs; their types and permanence are read lazily.
     """
 
     def __init__(self, *, time_s, lisl_range_km, mode, constellation, constants,
-                 stations, sat_positions, gs_positions,
-                 sat_a, sat_b, sat_length_km, sat_type_code, sat_permanent,
+                 stations, geometry, index, gs_positions,
                  gs_station_index, gs_sat_index, gs_length_km):
         self.time_s = time_s
         self.lisl_range_km = lisl_range_km
@@ -92,16 +96,25 @@ class GraphSnapshot:
         self.constellation = constellation
         self.constants = constants
         self.stations = tuple(stations)
-        self.sat_positions = sat_positions
+        self._geometry = geometry
+        self._index = index
+        self.sat_positions = geometry.positions
         self.gs_positions = gs_positions
-        self.sat_a = sat_a
-        self.sat_b = sat_b
-        self.sat_length_km = sat_length_km
-        self.sat_type_code = sat_type_code
-        self.sat_permanent = sat_permanent
+        self.sat_a = geometry.pairs.a[index]
+        self.sat_b = geometry.pairs.b[index]
+        self.sat_length_km = geometry.length_km[index]
         self.gs_station_index = gs_station_index
         self.gs_sat_index = gs_sat_index
         self.gs_length_km = gs_length_km
+
+    @functools.cached_property
+    def sat_type_code(self) -> np.ndarray:
+        return self._geometry.type_code[self._index]
+
+    @functools.cached_property
+    def sat_permanent(self) -> np.ndarray:
+        permanent = self._geometry.engine.pair_max_table_km <= self.lisl_range_km
+        return permanent.ravel()[self._geometry.pairs.cls[self._index]]
 
     @property
     def satellite_count(self) -> int:
@@ -190,7 +203,8 @@ class LinkEngine:
         return self.pair_min_table_km <= lisl_range_km + 1e-3
 
     def _candidate_pairs(self, class_mask: np.ndarray) -> _PairRows:
-        """Unordered satellite pairs whose class lies in class_mask, cached per mask."""
+        """Satellite pairs a < b whose class lies in class_mask, sorted by (a, b)
+        and cached per mask."""
         key = class_mask.tobytes()
         cached = self._candidate_cache.get(key)
         if cached is not None:
@@ -199,14 +213,19 @@ class LinkEngine:
         # A class (dp, ds) reaches the partner dp planes above the base, so
         # enumerating qualifying classes from every base satellite generates
         # each cross-plane pair once (from its lower-plane endpoint) and each
-        # intra-plane pair twice; a < b dedupes the latter. Pairs come out
-        # base-major, then in (dp, ds) order, so the pairs of a smaller mask
-        # are an order-preserving subsequence of those of a larger one.
+        # intra-plane pair twice; a < b dedupes the latter. The partner of
+        # base (plane p, slot s) is (p + dp) * S + (s + ds) mod S, so ordering
+        # each base slot's classes by (dp, (s + ds) mod S) once, and tiling
+        # that table over the planes, yields the pairs sorted by (a, b) with
+        # no sort of the whole list. Sorted lists make the pairs of a smaller
+        # mask an order-preserving subsequence of those of a larger one.
         cls_dp, cls_ds = np.nonzero(class_mask)
-        n = spec.satellite_count
+        slots, n = spec.sats_per_plane, spec.satellite_count
+        partner_slot = (np.arange(slots)[:, None] + cls_ds) % slots
+        order = np.argsort(cls_dp * slots + partner_slot, axis=1)
         a = np.repeat(np.arange(n, dtype=np.int32), len(cls_dp))
-        dp = np.tile(cls_dp.astype(np.int32), n)
-        ds = np.tile(cls_ds.astype(np.int32), n)
+        dp = np.tile(cls_dp[order].astype(np.int32).ravel(), spec.plane_count)
+        ds = np.tile(cls_ds[order].astype(np.int32).ravel(), spec.plane_count)
         plane_b = self.constellation.plane_of[a] + dp
         slot_b = (self.constellation.slot_of[a] + ds) % spec.sats_per_plane
         keep = plane_b < spec.plane_count
@@ -216,7 +235,7 @@ class LinkEngine:
         a, b, dp, ds = a[keep], b[keep], dp[keep], ds[keep]
         plane_offset = np.abs(self.constellation.plane_of[a] - self.constellation.plane_of[b])
         plane_offset = np.minimum(plane_offset, spec.plane_count - plane_offset)
-        result = _PairRows(a=a, b=b, cls=(dp * spec.sats_per_plane + ds).astype(np.int16),
+        result = _PairRows(a=a, b=b, cls=(dp * slots + ds).astype(np.int16),
                            plane_offset=plane_offset.astype(np.int8))
         self._candidate_cache[key] = result
         return result
@@ -224,11 +243,10 @@ class LinkEngine:
     def slot_geometry(self, t: float, requests) -> SlotGeometry:
         """The state at time t that snapshots for any of the requests share.
 
-        requests is an iterable of (lisl_range_km, Mode). Positions and
-        velocities are propagated once, and the candidate pairs of all
-        requests are measured once as one superset; pairs longer than the
-        largest requested range are dropped, and the plane relation of the
-        rest is classified here, since it does not depend on the request.
+        requests is an iterable of (lisl_range_km, Mode). Positions are
+        propagated once, and the candidate pairs of all requests are measured
+        once as one superset; pairs longer than the largest requested range
+        are dropped.
         """
         requests = frozenset((float(r), Mode(mode)) for r, mode in requests)
         if not requests:
@@ -238,16 +256,8 @@ class LinkEngine:
         pos = self.constellation.positions_at(t)
         length = pairs.per_pair(pos, _distance, float)
         near = np.flatnonzero(length <= max(r for r, _ in requests))
-        pairs = pairs.take(near)
-
-        vel = self.constellation.velocities_at(t)
-        co_moving = pairs.per_pair(vel, lambda v, w: np.einsum("ij,ij->i", v, w) > 0.0, bool)
-        type_code = np.full(len(near), 3, dtype=np.int8)  # crossing unless shown otherwise
-        type_code[(pairs.plane_offset == 1) & co_moving] = 1
-        type_code[(pairs.plane_offset >= 2) & co_moving] = 2
-        type_code[pairs.plane_offset == 0] = 0
         return SlotGeometry(engine=self, time_s=t, requests=requests, positions=pos,
-                            pairs=pairs, length_km=length[near], type_code=type_code)
+                            pairs=pairs.take(near), length_km=length[near])
 
     def snapshot(self, t: float, lisl_range_km: float, mode: Mode,
                  ground_stations: list[GroundStation] | tuple[GroundStation, ...] = (),
@@ -292,11 +302,7 @@ class LinkEngine:
         return GraphSnapshot(
             time_s=t, lisl_range_km=lisl_range_km, mode=mode,
             constellation=self.constellation, constants=self.constants,
-            stations=stations, sat_positions=geometry.positions, gs_positions=gs_positions,
-            sat_a=pairs.a[index], sat_b=pairs.b[index],
-            sat_length_km=geometry.length_km[index],
-            sat_type_code=geometry.type_code[index],
-            sat_permanent=(self.pair_max_table_km <= lisl_range_km).ravel()[pairs.cls[index]],
+            stations=stations, geometry=geometry, index=index, gs_positions=gs_positions,
             gs_station_index=_concat(gs_station_index),
             gs_sat_index=_concat(gs_sat_index),
             gs_length_km=_concat(gs_length, dtype=float))
@@ -336,9 +342,9 @@ class SlotGeometry:
 
     Made by LinkEngine.slot_geometry. pairs holds every pair of the
     requests' candidate classes that lies within the largest requested
-    range, with its length and plane-relation type code. Line of
-    sight and the ground links of each station are computed on first use
-    and then kept.
+    range, with its length. The plane-relation type codes, line of sight
+    and the ground links of each station are computed on first use and
+    then kept.
     """
 
     engine: LinkEngine
@@ -347,9 +353,22 @@ class SlotGeometry:
     positions: np.ndarray
     pairs: _PairRows
     length_km: np.ndarray
-    type_code: np.ndarray
     _clear: np.ndarray | None = field(default=None, init=False, repr=False)
     _ground: dict = field(default_factory=dict, init=False, repr=False)
+
+    @functools.cached_property
+    def type_code(self) -> np.ndarray:
+        """Per pair, the index of its LinkType: intra-plane (0), and otherwise
+        adjacent-plane (1) or nearby-plane (2) if the two satellites move the
+        same way, crossing-plane (3) if not."""
+        vel = self.engine.constellation.velocities_at(self.time_s)
+        pairs = self.pairs
+        co_moving = pairs.per_pair(vel, lambda v, w: np.einsum("ij,ij->i", v, w) > 0.0, bool)
+        type_code = np.full(len(pairs.a), 3, dtype=np.int8)
+        type_code[(pairs.plane_offset == 1) & co_moving] = 1
+        type_code[(pairs.plane_offset >= 2) & co_moving] = 2
+        type_code[pairs.plane_offset == 0] = 0
+        return type_code
 
     def clear_of_earth(self) -> np.ndarray:
         """Per pair, True iff the segment between the two satellites clears the

@@ -10,7 +10,10 @@ dropped, so ground stations can only ever terminate a path.
 
 ``shortest_path`` builds that digraph as a CSR matrix, from a
 GraphSnapshot or a hand-built RouteGraph, and runs scipy's compiled
-Dijkstra on it; the reported latency is summed again along the found path,
+Dijkstra on it. A snapshot's arcs arrive in canonical CSR order (heads
+ascending within each tail), so scipy's compressed build never sorts
+them; a hand-built graph's arcs may come in any order, and scipy sorts
+those. The reported latency is summed again along the found path,
 link by link from the source. tests/test_routing.py checks it against an
 exhaustive oracle and a reference Dijkstra with a total tie order.
 """
@@ -96,9 +99,12 @@ def _endpoints(graph, src, dst) -> tuple[RouteGraph, int, int]:
 def _directed_arcs(graph: RouteGraph, src: int, dst: int):
     """Directed arcs (tail, head, weight) with node delay charged on
     satellite entry; arcs through interior stations are dropped. Only edges
-    at a station need that filter: the rest enter a satellite both ways."""
+    at a station need that filter: the rest enter a satellite both ways.
+    Reverse arcs come first, so that for a snapshot, whose edges u < v are
+    sorted and whose stations list their satellites ascending, each row's
+    heads ascend: reverse heads, forward heads, then the destination."""
     per_km, sat = 1e6 / graph.c_mps, graph.is_satellite
-    inner = sat[graph.edge_u] & sat[graph.edge_v]
+    inner = np.take(sat, graph.edge_u) & np.take(sat, graph.edge_v)
     u, v = graph.edge_u[inner], graph.edge_v[inner]
     w = graph.edge_length_km[inner] * per_km + graph.node_delay_ms
     tails = np.concatenate([graph.edge_u[~inner], graph.edge_v[~inner]])
@@ -106,7 +112,7 @@ def _directed_arcs(graph: RouteGraph, src: int, dst: int):
     weights = (np.tile(graph.edge_length_km[~inner] * per_km, 2)
                + np.where(sat[heads], graph.node_delay_ms, 0.0))
     keep = (sat[heads] | (heads == dst)) & (sat[tails] | (tails == src))
-    return (np.concatenate([u, v, tails[keep]]), np.concatenate([v, u, heads[keep]]),
+    return (np.concatenate([v, u, tails[keep]]), np.concatenate([u, v, heads[keep]]),
             np.concatenate([w, w, weights[keep]]))
 
 
@@ -127,7 +133,12 @@ def _result_from_nodes(graph: RouteGraph, nodes: list[int],
 
 
 def _length_lookup(graph: RouteGraph, nodes: list[int]) -> dict[tuple[int, int], float]:
-    on_path = np.isin(graph.edge_u, nodes) & np.isin(graph.edge_v, nodes)
+    """Length of every edge between two nodes of the path, both ways round."""
+    is_on_path = np.zeros(graph.node_count, dtype=bool)
+    is_on_path[nodes] = True
+    # edge_v is tested only where edge_u is on the path.
+    on_path = np.flatnonzero(np.take(is_on_path, graph.edge_u))
+    on_path = on_path[np.take(is_on_path, graph.edge_v[on_path])]
     found: dict[tuple[int, int], float] = {}
     for u, v, length in zip(graph.edge_u[on_path], graph.edge_v[on_path],
                             graph.edge_length_km[on_path]):

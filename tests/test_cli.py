@@ -6,7 +6,9 @@ import re
 import pytest
 
 from fsosim import ConstellationSpec, GroundStation, PhysicalConstants
+from fsosim import cli
 from fsosim.cli import ScenarioSpec, main, parse_config
+from fsosim.scenario import run_scenarios
 from fsosim.errors import ConfigurationError
 from fsosim.links import Mode
 
@@ -114,6 +116,27 @@ def test_run_command_single_slot(tmp_path):
     assert payload[0]["slots_with_path"] == 1
 
 
+def test_flags_apply_to_config_scenarios(tmp_path, monkeypatch):
+    """Without --src/--dst, --range, --mode, --slots and --slot-duration all
+    apply to the config's scenarios."""
+    batches = []
+
+    def recording(engine, configs, parallelism):
+        batches.append(list(configs))
+        return run_scenarios(engine, configs, parallelism)
+
+    monkeypatch.setattr(cli, "run_scenarios", recording)
+    out = tmp_path / "out"
+    assert main(["run", "--range", "1700", "--mode", "NNG", "--slot-duration", "5",
+                 "--slots", "3", "--output-dir", str(out)]) == 0
+    (slots,) = out.glob("slots_*.csv")
+    assert slots.name == "slots_sydney_sao_paulo_nng_1700km.csv"
+    assert len(slots.read_text().splitlines()) == 1 + 3
+    ((cfg,),) = batches
+    assert (cfg.lisl_range_km, cfg.mode, cfg.slot_duration_s, cfg.slot_count) == (
+        1700.0, Mode.NNG, 5.0, 3)
+
+
 def test_sweep_command_structure(tmp_path):
     out = tmp_path / "out"
     code = main(["sweep", "--src", "Toronto", "--dst", "Istanbul",
@@ -208,11 +231,17 @@ def test_parallelism_resolved_once(tmp_path, given, resolved):
      r"scenarios\[0\]\.slot_duration_s: expected float"),
     ("scenarios: [{src: Sydney, dst: Tokyo, modes: NG}]",
      r"scenarios\[0\]\.modes: expected a list"),
+    ("scenarios: [{src: Sydney, dst: Tokyo, modes: []}]", r"scenarios\[0\]\.modes"),
+    ("scenarios: [{src: Sydney, dst: Tokyo, slot_count: 2.7}]",
+     r"scenarios\[0\]\.slot_count: expected int, got 2\.7"),
+    ("constellation: {plane_count: 24.9}", r"constellation\.plane_count: expected int"),
+    ("parallelism: 1.5", r"config\.parallelism: expected int"),
     ("stations: [{name: A, latitude_deg: north}]", r"stations\[0\]\.latitude_deg: expected float"),
     ("stations: [{name: A, longitude_deg: [1]}]", r"stations\[0\]\.longitude_deg: expected float"),
     ("stations: [{name: A, range_km: far}]", r"stations\[0\]\.range_km: expected float"),
 ], ids=["ranges-scalar", "ranges-item", "ranges-empty", "slot-count", "slot-duration",
-        "modes-scalar", "latitude", "longitude", "station-range"])
+        "modes-scalar", "modes-empty", "slot-count-fraction", "plane-count-fraction",
+        "parallelism-fraction", "latitude", "longitude", "station-range"])
 def test_unparsable_config_value_exit_code(tmp_path, capsys, yaml_text, message):
     """A value that does not parse is a configuration error naming its key."""
     f = tmp_path / "bad.yaml"
@@ -220,6 +249,16 @@ def test_unparsable_config_value_exit_code(tmp_path, capsys, yaml_text, message)
     assert main(["--config", str(f), "run", "--output-dir", str(tmp_path / "out")]) == 2
     assert re.search(message, capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["24", "'24'", "24.0"], ids=["int", "int-string", "integral-float"])
+def test_integer_keys_accept_integral_values(tmp_path, value):
+    f = tmp_path / "cfg.yaml"
+    f.write_text(f"constellation: {{plane_count: {value}}}\n"
+                 f"scenarios: [{{src: Sydney, dst: Tokyo, slot_count: {value}}}]\n")
+    config = parse_config(f)
+    assert config.constellation.plane_count == 24
+    assert config.scenarios[0].slot_count == 24
 
 
 def test_validate_shell_below_occlusion_clearance_fails(tmp_path, capsys):

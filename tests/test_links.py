@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fsosim import ConstellationSpec, GroundStation, LinkEngine, Mode, build_constellation
+from fsosim import (BUNDLED_STATIONS, ConstellationSpec, GroundStation, LinkEngine, Mode,
+                    ScenarioConfig, build_constellation, run_scenario)
 from fsosim import links
 from fsosim.links import LinkType, Permanence, degree_counts, link_census
-from fsosim.orbital import SatelliteId
+from fsosim.orbital import Constellation, SatelliteId
 from fsosim.validation import permanent_degree_profile, scan_phasing_offset
 
 STANDARD_RANGES = (659.5, 1319.0, 1500.0, 1700.0, 2500.0, 3500.0, 5016.0)
@@ -489,3 +490,82 @@ def test_blockwise_geometry_equals_one_pass(count, shell):
     assert np.array_equal(geometry.type_code, type_code)
     assert geometry.clear_of_earth().dtype == bool
     assert np.array_equal(geometry.clear_of_earth(), clear)
+
+
+# -- candidate order and lazy typing ---------------------------------------
+
+def generated_candidate_pairs(engine, class_mask):
+    """The candidate pairs of class_mask as (a, b, flat class, plane offset),
+    generated base-major and then in (dp, ds) order from every base
+    satellite, with no ordering of the result: the reference for the
+    engine's sorted lists."""
+    shell = engine.constellation
+    spec = shell.spec
+    planes, slots, n = spec.plane_count, spec.sats_per_plane, spec.satellite_count
+    cls_dp, cls_ds = np.nonzero(class_mask)
+    a = np.repeat(np.arange(n), len(cls_dp))
+    dp, ds = np.tile(cls_dp, n), np.tile(cls_ds, n)
+    plane_b = shell.plane_of[a] + dp
+    b = plane_b * slots + (shell.slot_of[a] + ds) % slots
+    keep = (plane_b < planes) & (a < b)
+    offset = np.abs(shell.plane_of[a] - plane_b)
+    offset = np.minimum(offset, planes - offset)
+    return set(zip(a[keep].tolist(), b[keep].tolist(), (dp * slots + ds)[keep].tolist(),
+                   offset[keep].tolist()))
+
+
+def grazing_chord_km(engine):
+    """The longest link that can clear the occlusion sphere."""
+    r_orbit = engine.constellation.spec.orbit_radius_km
+    return 2.0 * math.sqrt(r_orbit**2 - engine.constants.occlusion_radius_km**2)
+
+
+@settings(deadline=None)
+@given(planes=st.integers(1, 8), slots=st.integers(3, 30), data=st.data(),
+       raan_spread_deg=st.sampled_from([180.0, 360.0]), mode=st.sampled_from(list(Mode)),
+       chord_fraction=st.floats(0.1, 1.3))
+def test_candidate_pairs_come_sorted(planes, slots, data, raan_spread_deg, mode, chord_fraction):
+    """Candidate lists are strictly increasing in a * N + b, and hold the
+    pairs, classes and plane offsets that unsorted generation gives."""
+    spec = ConstellationSpec(plane_count=planes, sats_per_plane=slots,
+                             phasing_offset=data.draw(st.integers(0, planes - 1)),
+                             raan_spread_deg=raan_spread_deg)
+    engine = LinkEngine(build_constellation(spec))
+    mask = engine._class_mask(chord_fraction * grazing_chord_km(engine), mode)
+    pairs = engine._candidate_pairs(mask)
+    assert np.all(np.diff(pairs.a.astype(np.int64) * spec.satellite_count + pairs.b) > 0)
+    found = set(zip(pairs.a.tolist(), pairs.b.tolist(), pairs.cls.tolist(),
+                    pairs.plane_offset.tolist()))
+    assert len(found) == len(pairs.a)
+    assert found == generated_candidate_pairs(engine, mask)
+
+
+def test_routing_needs_no_velocities(monkeypatch):
+    """Plane-relation types are computed only when read, and routing reads none."""
+    def refuse(self, t):
+        raise AssertionError("velocities propagated for routing")
+
+    monkeypatch.setattr(Constellation, "velocities_at", refuse)
+    engine = LinkEngine(build_constellation(ConstellationSpec()))
+    cfg = ScenarioConfig(src=BUNDLED_STATIONS[0], dst=BUNDLED_STATIONS[1],
+                         lisl_range_km=5016.0, mode=Mode.NNG, slot_count=3)
+    records, summary = run_scenario(engine, cfg, 1)
+    assert summary.slots_with_path == len(records) == 3
+
+
+def test_census_types_a_geometry_once(engine, monkeypatch):
+    """Two snapshots on one geometry share its plane-relation types."""
+    calls = []
+    velocities_at = Constellation.velocities_at
+
+    def counting(self, t):
+        calls.append(t)
+        return velocities_at(self, t)
+
+    monkeypatch.setattr(Constellation, "velocities_at", counting)
+    geometry = engine.slot_geometry(17.0, [(1700.0, Mode.NG), (1700.0, Mode.NNG)])
+    assert not calls
+    censuses = [link_census(engine.snapshot(17.0, 1700.0, mode, geometry=geometry))
+                for mode in Mode]
+    assert calls == [17.0]
+    assert censuses[0].total_undirected < censuses[1].total_undirected

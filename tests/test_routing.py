@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
-from fsosim import (BUNDLED_STATIONS, GraphSnapshot, LinkEngine, Mode, PathResult,
-                    PhysicalConstants)
+from fsosim import (BUNDLED_STATIONS, ConstellationSpec, GraphSnapshot, LinkEngine, Mode,
+                    PathResult, PhysicalConstants, build_constellation)
 from fsosim.routing import RouteGraph, _directed_arcs, shortest_path
 
 LIGHT_MS_KM = 299.792458  # one light-millisecond
@@ -369,15 +370,64 @@ def assert_same_csr(graph, src, dst):
         assert np.array_equal(getattr(matrices[0], name), getattr(matrices[1], name)), name
 
 
-@pytest.mark.parametrize("range_km", [1700.0, 5016.0])
-@pytest.mark.parametrize("mode", list(Mode))
-def test_snapshot_arcs_build_the_reference_csr(engine, range_km, mode):
-    snap = engine.snapshot(0.0, range_km, mode, BUNDLED_STATIONS[:3])
+def assert_canonical_arc_order(graph, src, dst):
+    """Grouping the arcs by tail, stably, as scipy's compressed build does,
+    orders them by (tail, head) with no pair repeated: the CSR it gives is
+    canonical before any sort."""
+    tails, heads, weights = _directed_arcs(graph, src, dst)
+    by_tail = np.argsort(tails, kind="stable")
+    assert np.array_equal(by_tail, np.lexsort((heads, tails)))
+    n = graph.node_count
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))])
+    assert csr_matrix((weights[by_tail], heads[by_tail], indptr),
+                      shape=(n, n)).has_canonical_format
+
+
+def assert_snapshot_arcs(snap):
+    """The snapshot's arcs come in canonical order and build the reference
+    CSR, from its first station to its second and from its third to its
+    first."""
     graph = RouteGraph.from_snapshot(snap)
     assert graph.edge_u.dtype == graph.edge_v.dtype == np.int32
     n_sat = snap.satellite_count
-    assert_same_csr(graph, n_sat, n_sat + 1)
-    assert_same_csr(graph, n_sat + 2, n_sat)
+    for src, dst in ((n_sat, n_sat + 1), (n_sat + 2, n_sat)):
+        assert_canonical_arc_order(graph, src, dst)
+        assert_same_csr(graph, src, dst)
+
+
+@pytest.mark.parametrize("range_km", [1700.0, 5016.0])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_snapshot_arcs_build_the_reference_csr(engine, range_km, mode):
+    assert_snapshot_arcs(engine.snapshot(0.0, range_km, mode, BUNDLED_STATIONS[:3]))
+
+
+# Stations that reach far enough to link to the satellites of sparse shells.
+FAR_STATIONS = tuple(dataclasses.replace(gs, range_km=6000.0) for gs in BUNDLED_STATIONS[:3])
+
+
+@settings(deadline=None, max_examples=60)
+@given(planes=st.integers(1, 8), slots=st.integers(3, 30), data=st.data(),
+       raan_spread_deg=st.sampled_from([180.0, 360.0]), mode=st.sampled_from(list(Mode)),
+       chord_fraction=st.floats(0.1, 1.3), t=st.floats(0.0, 6000.0))
+def test_small_shell_arcs_build_the_reference_csr(planes, slots, data, raan_spread_deg, mode,
+                                                  chord_fraction, t):
+    """Random Walker shells, at ranges on both sides of the grazing chord."""
+    spec = ConstellationSpec(plane_count=planes, sats_per_plane=slots,
+                             phasing_offset=data.draw(st.integers(0, planes - 1)),
+                             raan_spread_deg=raan_spread_deg)
+    engine = LinkEngine(build_constellation(spec))
+    chord = 2.0 * math.sqrt(spec.orbit_radius_km**2 - engine.constants.occlusion_radius_km**2)
+    assert_snapshot_arcs(engine.snapshot(t, chord_fraction * chord, mode, FAR_STATIONS))
+
+
+def test_snapshot_csr_is_never_sorted(engine, monkeypatch):
+    """shortest_path hands scipy a snapshot's arcs in an order that needs no sort."""
+    def refuse(self):
+        raise AssertionError("scipy sorted the arcs of a snapshot")
+
+    monkeypatch.setattr(csr_matrix, "sort_indices", refuse)
+    snap = engine.snapshot(0.0, 5016.0, Mode.NNG, BUNDLED_STATIONS[:2])
+    assert shortest_path(snap, "Sydney", "Sao Paulo") is not None
 
 
 @pytest.mark.parametrize("edges", [
