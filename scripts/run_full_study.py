@@ -6,15 +6,24 @@ Produces, under the output directory:
   sweep_sydney_sao_paulo.csv/.json  permanent-only vs all-links sweep
   compare_<pair>.csv/.json          three more city pairs at 1700/5016 km
 
-A full-fidelity run evaluates 3,600 one-second slots per scenario and
-takes about 7 minutes on two cores; use --slots for a quick look.
+The sweep and the comparisons run as one batch on one process pool. A
+full-fidelity run evaluates 3,600 one-second slots per scenario and
+takes about 2.5 minutes on two cores; use --slots for a quick look.
 """
 import argparse
 import os
 import sys
+from pathlib import Path
 
-from fsosim import DEFAULT_RANGES_KM
-from fsosim.cli import main as cli_main
+from fsosim import DEFAULT_RANGES_KM, ScenarioConfig
+from fsosim.cli import main as cli_main, parse_config, write_comparisons
+from fsosim.errors import ConfigurationError
+
+# (output kind, source, destination, ranges in km) of each comparison file.
+STUDIES = (("sweep", "Sydney", "Sao Paulo", tuple(sorted(DEFAULT_RANGES_KM))),
+           ("compare", "Toronto", "Istanbul", (1700.0, 5016.0)),
+           ("compare", "Madrid", "Tokyo", (1700.0, 5016.0)),
+           ("compare", "New York", "Jakarta", (1700.0, 5016.0)))
 
 
 def main() -> int:
@@ -26,30 +35,22 @@ def main() -> int:
                         help="parallel slot workers")
     args = parser.parse_args()
 
-    base = ["--config", write_config(args.output, args.workers)]
-    rc = cli_main(base + ["census", "--output-dir", args.output])
+    config_path = write_config(args.output, args.workers)
+    rc = cli_main(["--config", config_path, "census", "--output-dir", args.output])
     if rc:
         return rc
-    rc = cli_main(base + ["sweep", "--src", "Sydney", "--dst", "Sao Paulo",
-                          "--slots", str(args.slots), "--output-dir", args.output]
-                  + ranges_flags(DEFAULT_RANGES_KM))
-    if rc:
-        return rc
-    for src, dst in (("Toronto", "Istanbul"), ("Madrid", "Tokyo"), ("New York", "Jakarta")):
-        rc = cli_main(base + ["compare", "--src", src, "--dst", dst,
-                              "--slots", str(args.slots), "--output-dir", args.output]
-                      + ranges_flags((1700.0, 5016.0)))
-        if rc:
-            return rc
+    config = parse_config(config_path)
+    try:
+        jobs = [(kind, f"{src}-{dst}",
+                 [ScenarioConfig(config.station(src), config.station(dst), r,
+                                 slot_count=args.slots) for r in ranges])
+                for kind, src, dst, ranges in STUDIES]
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    write_comparisons(config, jobs, Path(args.output))
     print(f"study complete under {args.output}")
     return 0
-
-
-def ranges_flags(ranges) -> list[str]:
-    flags: list[str] = []
-    for r in ranges:
-        flags += ["--range", str(r)]
-    return flags
 
 
 def write_config(output_dir: str, workers: int) -> str:

@@ -338,19 +338,14 @@ def _cmd_run(config: RunConfig, args) -> int:
     return 0
 
 
-def _write_comparisons(config: RunConfig, args, kind: str, ranges_of) -> int:
-    """Compare NG and NNG at ranges_of(spec) for every scenario, in one batch,
-    and write <kind>_<pair>.csv/.json per scenario."""
-    scenarios = _scenario_configs(config, args)
-    out_dir = Path(args.output_dir or config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    engine = _make_engine(config)
-    bases = [[dataclasses.replace(base, lisl_range_km=r) for r in ranges_of(spec)]
-             for spec, base in scenarios]
-    results = compare_many(engine, [b for group in bases for b in group], config.parallelism)
-    for (spec, _base), group in zip(scenarios, bases):
-        comparisons, results = results[:len(group)], results[len(group):]
-        name = f"{spec.src}-{spec.dst}"
+def write_comparisons(config: RunConfig, jobs, out_dir: Path) -> None:
+    """Compare NG and NNG for every job in one batch, and write
+    <kind>_<pair>.csv/.json per job. jobs holds (kind, scenario name, base
+    configs) triples."""
+    results = compare_many(_make_engine(config), [b for _, _, bases in jobs for b in bases],
+                           config.parallelism)
+    for kind, name, bases in jobs:
+        comparisons, results = results[:len(bases)], results[len(bases):]
         stem = _slug(name)
         write_comparison_csv(out_dir / f"{kind}_{stem}.csv", name, comparisons)
         _write_json(out_dir / f"{kind}_{stem}.json", [
@@ -362,6 +357,17 @@ def _write_comparisons(config: RunConfig, args, kind: str, ranges_of) -> int:
                 "hop_improvement": comp.hop_improvement,
             } for comp in comparisons])
         print(f"wrote {out_dir / f'{kind}_{stem}.csv'}")
+
+
+def _write_comparisons(config: RunConfig, args, kind: str, ranges_of) -> int:
+    """Compare NG and NNG at ranges_of(spec) for every scenario, in one batch,
+    and write <kind>_<pair>.csv/.json per scenario."""
+    jobs = [(kind, f"{spec.src}-{spec.dst}",
+             [dataclasses.replace(base, lisl_range_km=r) for r in ranges_of(spec)])
+            for spec, base in _scenario_configs(config, args)]
+    out_dir = Path(args.output_dir or config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_comparisons(config, jobs, out_dir)
     return 0
 
 

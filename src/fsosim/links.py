@@ -114,7 +114,7 @@ class GraphSnapshot:
     @functools.cached_property
     def sat_permanent(self) -> np.ndarray:
         permanent = self._geometry.engine.pair_max_table_km <= self.lisl_range_km
-        return permanent.ravel()[self._geometry.pairs.cls[self._index]]
+        return np.take(permanent, self._geometry.pairs.cls[self._index])
 
     @property
     def satellite_count(self) -> int:
@@ -240,6 +240,37 @@ class LinkEngine:
         self._candidate_cache[key] = result
         return result
 
+    def line_of_sight_binds(self, lisl_range_km: float) -> bool:
+        """True iff the range exceeds the grazing chord, so that the Earth can
+        block a pair that is within range."""
+        r_orbit = self.constellation.spec.orbit_radius_km
+        occ = self.constants.occlusion_radius_km
+        return lisl_range_km > 2.0 * math.sqrt(max(r_orbit**2 - occ**2, 0.0))
+
+    def ground_reach(self, gs: GroundStation, t: float, positions: np.ndarray):
+        """The station's position at time t; per satellite at positions, whether
+        the station can link to it (within its slant range and above its
+        horizon); and the slant ranges."""
+        g = ground_station_position(gs, t, self.earth_rotation0_deg,
+                                    self.constants.earth_radius_km)
+        delta = positions - g
+        slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        return g, (slant <= gs.range_km) & (delta @ g > 0.0), slant
+
+    def chain_lengths(self, positions: np.ndarray, lisl_range_km: float,
+                      margin_km: float) -> np.ndarray | None:
+        """Lengths of the links between consecutive satellites at positions, or
+        None if one of them is not within the range, or, where line of sight
+        binds, does not clear the occlusion sphere, by at least margin_km."""
+        p, q = positions[:-1], positions[1:]
+        lengths = _distance(p, q)
+        if np.any(lengths > lisl_range_km - margin_km):
+            return None
+        occ = self.constants.occlusion_radius_km + margin_km
+        if self.line_of_sight_binds(lisl_range_km) and not _segments_clear_origin(p, q, occ).all():
+            return None
+        return lengths
+
     def slot_geometry(self, t: float, requests) -> SlotGeometry:
         """The state at time t that snapshots for any of the requests share.
 
@@ -251,17 +282,28 @@ class LinkEngine:
         requests = frozenset((float(r), Mode(mode)) for r, mode in requests)
         if not requests:
             raise ValueError("a slot geometry needs at least one (range, mode) request")
+        return self._measure(t, requests, self.constellation.positions_at(t))
+
+    def _measure(self, t: float, requests: frozenset, positions: np.ndarray,
+                 alive: np.ndarray | None = None) -> SlotGeometry:
+        """The slot geometry of the requests at positions; with alive, a mask
+        over the satellites, only the pairs of two live satellites."""
         union = np.logical_or.reduce([self._class_mask(r, mode) for r, mode in requests])
         pairs = self._candidate_pairs(union)
-        pos = self.constellation.positions_at(t)
-        length = pairs.per_pair(pos, _distance, float)
+        if alive is not None:
+            # The pairs come sorted by a, so alive[a] is alive repeated by row
+            # length, which costs less than gathering it.
+            row_ends = np.searchsorted(pairs.a, np.arange(len(alive) + 1, dtype=pairs.a.dtype))
+            live = np.repeat(alive, np.diff(row_ends)) & np.take(alive, pairs.b)
+            pairs = pairs.take(np.flatnonzero(live))
+        length = pairs.per_pair(positions, _distance, float)
         near = np.flatnonzero(length <= max(r for r, _ in requests))
-        return SlotGeometry(engine=self, time_s=t, requests=requests, positions=pos,
+        return SlotGeometry(engine=self, time_s=t, requests=requests, positions=positions,
                             pairs=pairs.take(near), length_km=length[near])
 
     def snapshot(self, t: float, lisl_range_km: float, mode: Mode,
                  ground_stations: list[GroundStation] | tuple[GroundStation, ...] = (),
-                 geometry: SlotGeometry | None = None) -> GraphSnapshot:
+                 geometry: SlotGeometry | None = None, prune=None) -> GraphSnapshot:
         """All links feasible at time t under the range and link policy.
 
         With geometry from slot_geometry at the same t and with (range, mode)
@@ -269,24 +311,38 @@ class LinkEngine:
         state; without it, the snapshot measures a geometry of its own. The
         links come out in the same order either way. A non-positive range
         yields a snapshot with no satellite links.
+
+        prune, if given, is called with the satellite positions at t and
+        returns None or a mask of the satellites that may carry links: the
+        snapshot then keeps only the satellite links between, and the ground
+        links to, those satellites, and a geometry of its own measures only
+        their pairs.
         """
         if geometry is None:
-            geometry = self.slot_geometry(t, [(lisl_range_km, mode)])
+            positions = self.constellation.positions_at(t)
+            alive = None if prune is None else prune(positions)
+            geometry = self._measure(t, frozenset({(float(lisl_range_km), Mode(mode))}),
+                                     positions, alive)
+            cut = None  # the geometry holds live pairs only
         elif (geometry.engine is not self or geometry.time_s != t
               or (float(lisl_range_km), mode) not in geometry.requests):
             raise ValueError(f"geometry does not cover {mode.value} at {lisl_range_km:g} km "
                              f"and t = {t:g} s")
+        else:
+            alive = cut = None if prune is None else prune(geometry.positions)
         pairs = geometry.pairs
-        keep = self._class_mask(lisl_range_km, mode).ravel()[pairs.cls]
+        keep = np.take(self._class_mask(lisl_range_km, mode), pairs.cls)
         keep &= geometry.length_km <= lisl_range_km
-        r_orbit = self.constellation.spec.orbit_radius_km
-        occ = self.constants.occlusion_radius_km
-        if lisl_range_km > 2.0 * math.sqrt(max(r_orbit**2 - occ**2, 0.0)):
-            # Range exceeds the grazing chord, so visibility can bind.
+        if self.line_of_sight_binds(lisl_range_km):
             keep &= geometry.clear_of_earth()
-        # Keeping every pair hands out views of the geometry's arrays, which
-        # snapshots, like their shared positions, never write to.
-        index = slice(None) if keep.all() else np.flatnonzero(keep)
+        if cut is not None:
+            # Cut after the other tests, which leave fewer pairs to look up.
+            index = np.flatnonzero(keep)
+            index = index[np.take(cut, pairs.a[index]) & np.take(cut, pairs.b[index])]
+        else:
+            # Keeping every pair hands out views of the geometry's arrays,
+            # which snapshots, like their shared positions, never write to.
+            index = slice(None) if keep.all() else np.flatnonzero(keep)
 
         stations = tuple(ground_stations)
         gs_positions = np.zeros((len(stations), 3))
@@ -295,6 +351,9 @@ class LinkEngine:
         gs_length: list[np.ndarray] = []
         for k, gs in enumerate(stations):
             gs_positions[k], feasible, slant = geometry.ground_links(gs)
+            if alive is not None:
+                live = np.take(alive, feasible)
+                feasible, slant = feasible[live], slant[live]
             gs_station_index.append(np.full(len(feasible), k, dtype=np.int32))
             gs_sat_index.append(feasible)
             gs_length.append(slant)
@@ -383,13 +442,8 @@ class SlotGeometry:
         """Station position, and the satellites it can link to with their slant ranges."""
         found = self._ground.get(gs)
         if found is None:
-            engine = self.engine
-            g = ground_station_position(gs, self.time_s, engine.earth_rotation0_deg,
-                                        engine.constants.earth_radius_km)
-            delta = self.positions - g
-            slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-            above_horizon = delta @ g > 0.0
-            feasible = np.nonzero((slant <= gs.range_km) & above_horizon)[0]
+            g, reach, slant = self.engine.ground_reach(gs, self.time_s, self.positions)
+            feasible = np.flatnonzero(reach)
             found = (g, feasible.astype(np.int32), slant[feasible])
             self._ground[gs] = found
         return found

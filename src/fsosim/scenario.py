@@ -12,6 +12,11 @@ snapshot. With parallelism > 1 one process pool serves the whole batch; its
 tasks are chunks of slots, and the workers use the caller's engine, which
 they inherit through the pool initializer rather than rebuild. Records are
 always emitted in slot order regardless of the parallelism degree.
+
+Within a chunk, each query's last path bounds its next slot (_PathBound):
+satellites that cannot lie on a path as fast as that one are dropped from
+the snapshot before it is built. The bound is exact, so records do not
+depend on where chunks start.
 """
 from __future__ import annotations
 
@@ -19,10 +24,12 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import routing
 from .errors import ConfigurationError
 from .links import LinkEngine, Mode, SlotGeometry
-from .orbital import GroundStation
+from .orbital import GroundStation, parse_id
 
 # Stations at the stock exchanges of the studied cities.
 BUNDLED_STATIONS: tuple[GroundStation, ...] = (
@@ -118,10 +125,11 @@ class ComparisonResult:
 
 
 def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
-                  geometry: SlotGeometry | None = None) -> SlotRecord:
-    """Route one slot of the scenario, optionally on a shared slot geometry."""
+                  geometry: SlotGeometry | None = None, prune=None) -> SlotRecord:
+    """Route one slot of the scenario, optionally on a shared slot geometry
+    and with the satellites that prune drops (see LinkEngine.snapshot) left out."""
     t = slot_index * cfg.slot_duration_s
-    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), geometry)
+    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), geometry, prune)
     result = routing.shortest_path(snap, cfg.src.name, cfg.dst.name)
     if result is None:
         return SlotRecord(slot_index=slot_index, path_found=False)
@@ -160,15 +168,78 @@ def _worker_init(engine: LinkEngine, configs: list[ScenarioConfig]):
     _WORKER_ENGINE, _WORKER_CONFIGS = engine, configs
 
 
+# A link of the last path this close to the range or to the occlusion
+# sphere forms no bound, whatever rounding the snapshot's own measurement
+# of it sees.
+_RECHECK_MARGIN_KM = 1e-6
+# Latency slack of the cut, far above the rounding in U and LB(x).
+_BOUND_SLACK_MS = 1e-6
+
+
+class _PathBound:
+    """Drops, from one slot of a query, the satellites that no optimal path
+    can visit, given the query's last path.
+
+    If every link of that path is still feasible in this slot, its latency
+    here, U, bounds the slot's optimum from above. From below, a satellite
+    link of length l <= R costs l/c + d >= k l with k = 1/c + d/R, where d is
+    the node delay and R the link range, and a ground link of length at most
+    the station's slant range g costs its propagation delay. By the triangle
+    inequality any path from station s to station t through satellite x then
+    costs at least LB(x) = d + leg_s(|s - x|) + leg_t(|x - t|), with
+    leg(a) = min(a, g)/c + max(a - g, 0) k. No satellite with LB(x) > U lies
+    on an optimal path (the A* bound of Hart, Nilsson and Raphael, 1968), so
+    dropping those changes neither the optimum nor, but for exact ties, the
+    path found. upper_ms holds U after a call, None if no bound formed.
+    """
+
+    def __init__(self, engine: LinkEngine, cfg: ScenarioConfig, t: float,
+                 node_sequence: tuple[str, ...]):
+        self.engine, self.cfg, self.t = engine, cfg, t
+        self.satellites = [engine.constellation.flat_index(parse_id(name))
+                           for name in node_sequence[1:-1]]
+        self.upper_ms: float | None = None
+
+    def __call__(self, positions: np.ndarray) -> np.ndarray | None:
+        engine, cfg, sats = self.engine, self.cfg, self.satellites
+        _, reach_s, slant_s = engine.ground_reach(cfg.src, self.t, positions)
+        _, reach_d, slant_d = engine.ground_reach(cfg.dst, self.t, positions)
+        if not (reach_s[sats[0]] and reach_d[sats[-1]]):
+            return None
+        range_km = cfg.lisl_range_km
+        hops = engine.chain_lengths(positions[sats], range_km, _RECHECK_MARGIN_KM)
+        if hops is None:
+            return None
+        per_km = 1e6 / engine.constants.c_mps
+        delay = engine.constants.node_delay_ms
+        self.upper_ms = ((slant_s[sats[0]] + hops.sum() + slant_d[sats[-1]]) * per_km
+                         + delay * len(sats))
+        k = per_km + delay / range_km
+
+        def leg(a, g):
+            return np.minimum(a, g) * per_km + np.maximum(a - g, 0.0) * k
+
+        lower = delay + leg(slant_s, cfg.src.range_km) + leg(slant_d, cfg.dst.range_km)
+        return lower <= self.upper_ms + _BOUND_SLACK_MS
+
+
 def _evaluate_instants(engine: LinkEngine, configs: list[ScenarioConfig],
                        instants: list[_Instant]) -> list[tuple[int, SlotRecord]]:
     requests = {(cfg.lisl_range_km, cfg.mode) for cfg in configs}
+    last: dict[int, tuple[str, ...]] = {}  # each query's last path, if it had one
     out = []
     for t, due in instants:
         # A query alone at its instant has nothing to share, so its snapshot
-        # measures its own geometry and a snapshot's cost stays whole.
+        # measures its own geometry, pruned before any pair is measured.
         geometry = engine.slot_geometry(t, requests) if len(due) > 1 else None
-        out.extend((q, evaluate_slot(engine, configs[q], i, geometry)) for q, i in due)
+        for q, i in due:
+            prune = _PathBound(engine, configs[q], t, last[q]) if q in last else None
+            record = evaluate_slot(engine, configs[q], i, geometry, prune)
+            if record.path_found:
+                last[q] = record.node_sequence
+            else:
+                last.pop(q, None)
+            out.append((q, record))
     return out
 
 

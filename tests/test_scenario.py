@@ -1,13 +1,18 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from fsosim import (BUNDLED_STATIONS, ComparisonResult, ConstellationSpec, GroundStation,
                     LinkEngine, Mode, PhysicalConstants, ScenarioConfig, build_constellation,
                     run_scenario)
 from fsosim.errors import ConfigurationError
-from fsosim.scenario import (SlotRecord, compare_many, run_scenarios, summarize,
-                             write_comparison_csv, write_slots_csv, write_summary_csv)
+from fsosim.orbital import parse_id
+from fsosim.scenario import (SlotRecord, _PathBound, compare_many, evaluate_slot,
+                             run_scenarios, summarize, write_comparison_csv, write_slots_csv,
+                             write_summary_csv)
 
 SYDNEY = BUNDLED_STATIONS[0]
 SAO_PAULO = BUNDLED_STATIONS[1]
@@ -221,3 +226,115 @@ def test_workers_use_the_callers_engine(engine, monkeypatch):
 
     monkeypatch.setattr(LinkEngine, "__init__", refuse)
     assert run_scenarios(engine, queries, parallelism=2) == serial
+
+
+# -- pruning by the last path ------------------------------------------
+
+def unpruned(engine, cfg):
+    """Every slot of cfg routed on its own, with no bound."""
+    return [evaluate_slot(engine, cfg, i) for i in range(cfg.slot_count)]
+
+
+def path_satellites(engine, record):
+    return [engine.constellation.flat_index(parse_id(name))
+            for name in record.node_sequence[1:-1]]
+
+
+@settings(deadline=None, max_examples=150)
+@given(planes=st.integers(1, 8), slots=st.integers(3, 30), data=st.data(),
+       raan_spread_deg=st.sampled_from([180.0, 360.0]), mode=st.sampled_from(list(Mode)),
+       chord_fraction=st.floats(0.1, 1.3),
+       node_delay_ms=st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 20.0)),
+       slot_duration_s=st.floats(1.0, 30.0))
+def test_pruned_runs_equal_unpruned_slots(planes, slots, data, raan_spread_deg, mode,
+                                          chord_fraction, node_delay_ms, slot_duration_s):
+    """On random small shells, station pairs, ranges up to where line of sight
+    binds, and node delays down to nearly 0, a batch's records, pruned by
+    each query's last path, equal those of unpruned slots; and whenever a
+    bound forms, it is no less than the slot's optimum and keeps every
+    satellite of the path found."""
+    spec = ConstellationSpec(plane_count=planes, sats_per_plane=slots,
+                             phasing_offset=data.draw(st.integers(0, planes - 1)),
+                             raan_spread_deg=raan_spread_deg)
+    engine = LinkEngine(build_constellation(spec), PhysicalConstants(node_delay_ms=node_delay_ms))
+    r_orbit = spec.orbit_radius_km
+    chord = 2.0 * math.sqrt(r_orbit**2 - engine.constants.occlusion_radius_km**2)
+    # The destination lies within 60 degrees of the source in latitude and
+    # longitude, so that a small shell often connects the two.
+    lat, lon = data.draw(st.floats(-90.0, 90.0)), data.draw(st.floats(-180.0, 180.0))
+    stations = [GroundStation(name, min(max(lat + dlat, -90.0), 90.0),
+                              (lon + dlon + 180.0) % 360.0 - 180.0,
+                              data.draw(st.floats(1000.0, 4000.0)))
+                for name, dlat, dlon in (("s", 0.0, 0.0),
+                                         ("d", data.draw(st.floats(-60.0, 60.0)),
+                                          data.draw(st.floats(-60.0, 60.0))))]
+    cfg = ScenarioConfig(*stations, lisl_range_km=chord_fraction * chord, mode=mode,
+                         slot_duration_s=slot_duration_s, slot_count=24)
+    expected = unpruned(engine, cfg)
+    assert run_scenarios(engine, [cfg])[0][0] == expected  # pruned before measuring
+    other = dataclasses.replace(cfg, mode=Mode.NNG if mode is Mode.NG else Mode.NG)
+    shared = run_scenarios(engine, [cfg, other])  # pruned within a shared geometry
+    assert shared[0][0] == expected
+    assert shared[1][0] == unpruned(engine, other)
+    formed = 0
+    for last, record in zip(expected, expected[1:]):
+        if not last.path_found:
+            continue
+        t = record.slot_index * cfg.slot_duration_s
+        bound = _PathBound(engine, cfg, t, last.node_sequence)
+        alive = bound(engine.constellation.positions_at(t))
+        if alive is None:
+            continue
+        formed += 1
+        assert record.path_found
+        assert bound.upper_ms >= record.latency_ms - 1e-9
+        assert alive[path_satellites(engine, record)].all()
+    event(f"bounds formed: {'none' if not formed else 'some'}")
+
+
+def test_a_broken_last_path_forms_no_bound(engine):
+    """The last path bounds a slot only while each of its links holds: with
+    a ground link or a satellite link lost, the slot routes unpruned."""
+    cfg = short_cfg(5016.0, Mode.NNG, slots=2)
+    last = evaluate_slot(engine, cfg, 0)
+    positions = engine.constellation.positions_at(1.0)
+    assert _PathBound(engine, cfg, 1.0, last.node_sequence)(positions) is not None
+    sats = path_satellites(engine, last)
+    assert len(sats) >= 2
+    longest = float(np.max(np.linalg.norm(np.diff(positions[sats], axis=0), axis=1)))
+    broken = [dataclasses.replace(cfg, src=dataclasses.replace(SYDNEY, range_km=1.0)),
+              dataclasses.replace(cfg, lisl_range_km=longest - 1e-3)]
+    for lost in broken:
+        bound = _PathBound(engine, lost, 1.0, last.node_sequence)
+        assert bound(positions) is None
+        assert bound.upper_ms is None
+        pruned = engine.snapshot(1.0, lost.lisl_range_km, Mode.NNG, (lost.src, lost.dst),
+                                 prune=bound)
+        whole = engine.snapshot(1.0, lost.lisl_range_km, Mode.NNG, (lost.src, lost.dst))
+        assert np.array_equal(pruned.sat_a, whole.sat_a)
+        assert np.array_equal(pruned.gs_sat_index, whole.gs_sat_index)
+        assert evaluate_slot(engine, lost, 1, prune=bound) == evaluate_slot(engine, lost, 1)
+
+
+def test_records_do_not_depend_on_chunk_starts(engine, monkeypatch):
+    """Serial and pooled runs start their bounds at different slots, yet give
+    the unpruned records. Serially, every slot after the first tries a bound,
+    which fails only where the last path has lost a link."""
+    cfg = short_cfg(5016.0, Mode.NNG, slots=40)
+    expected = unpruned(engine, cfg)
+    bounds = []
+    call = _PathBound.__call__
+
+    def recording(self, positions):
+        alive = call(self, positions)
+        bounds.append(None if alive is None else alive.mean())
+        return alive
+
+    monkeypatch.setattr(_PathBound, "__call__", recording)
+    serial = run_scenarios(engine, [cfg])[0][0]
+    formed = [share for share in bounds if share is not None]
+    assert len(bounds) == 39 and len(formed) >= 30
+    assert max(formed) < 0.6
+    monkeypatch.undo()
+    assert serial == expected
+    assert run_scenarios(engine, [cfg], parallelism=2)[0][0] == expected
