@@ -9,9 +9,10 @@ Runs, in a temporary directory and at parallelism 1 and 2:
   scripts/run_full_study.py        --slots 12, its outputs and stdout
 
 and on one worker, `fsosim run --slots 6` with a 5 ms node delay
-(constants: {node_delay_ms: 5.0}) and a 120-slot Sydney-Sao Paulo NNG run
-at 5,016 km, the heaviest graph, where equal-latency ties are likeliest
-to show,
+(constants: {node_delay_ms: 5.0}) and 120-slot NNG runs at 5,016 km of
+Sydney-Sao Paulo, the heaviest graph, where equal-latency ties are
+likeliest to show, and of New York-Jakarta, where the arc bound prunes
+most,
 
 then prints one "sha256  relative-path" line per file, sorted by path, and
 last the sha256 of that list. No golden digest is stored: to compare two
@@ -39,7 +40,8 @@ def sha256(data: bytes) -> str:
 
 def produce(root: Path, env: dict) -> None:
     """Write every output under root: one subdirectory per parallelism,
-    delay5 for the run with a 5 ms node delay and nng5016 for the long run."""
+    delay5 for the run with a 5 ms node delay, and nng5016 and
+    nng5016-nyc-jkt for the long runs."""
     for workers in (1, 2):
         base = root / "out" / f"p{workers}"
         base.mkdir(parents=True)
@@ -65,10 +67,12 @@ def produce(root: Path, env: dict) -> None:
                    env=env, check=True, stdout=subprocess.DEVNULL)
     config = root / "config_serial.yaml"
     config.write_text("parallelism: 1\n")
-    subprocess.run([sys.executable, "-m", "fsosim.cli", "--config", str(config), "run",
-                    "--src", "Sydney", "--dst", "Sao Paulo", "--range", "5016", "--mode", "NNG",
-                    "--slots", "120", "--output-dir", str(root / "out" / "nng5016" / "run")],
-                   env=env, check=True, stdout=subprocess.DEVNULL)
+    for src, dst, name in (("Sydney", "Sao Paulo", "nng5016"),
+                           ("New York", "Jakarta", "nng5016-nyc-jkt")):
+        subprocess.run([sys.executable, "-m", "fsosim.cli", "--config", str(config), "run",
+                        "--src", src, "--dst", dst, "--range", "5016", "--mode", "NNG",
+                        "--slots", "120", "--output-dir", str(root / "out" / name / "run")],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def main() -> int:

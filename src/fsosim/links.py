@@ -100,21 +100,21 @@ class GraphSnapshot:
         self._index = index
         self.sat_positions = geometry.positions
         self.gs_positions = gs_positions
-        self.sat_a = geometry.pairs.a[index]
-        self.sat_b = geometry.pairs.b[index]
-        self.sat_length_km = geometry.length_km[index]
+        self.sat_a = _pick(geometry.pairs.a, index)
+        self.sat_b = _pick(geometry.pairs.b, index)
+        self.sat_length_km = _pick(geometry.length_km, index)
         self.gs_station_index = gs_station_index
         self.gs_sat_index = gs_sat_index
         self.gs_length_km = gs_length_km
 
     @functools.cached_property
     def sat_type_code(self) -> np.ndarray:
-        return self._geometry.type_code[self._index]
+        return _pick(self._geometry.type_code, self._index)
 
     @functools.cached_property
     def sat_permanent(self) -> np.ndarray:
         permanent = self._geometry.engine.pair_max_table_km <= self.lisl_range_km
-        return np.take(permanent, self._geometry.pairs.cls[self._index])
+        return np.take(permanent, _pick(self._geometry.pairs.cls, self._index))
 
     @property
     def satellite_count(self) -> int:
@@ -240,6 +240,15 @@ class LinkEngine:
         self._candidate_cache[key] = result
         return result
 
+    def pair_class(self, a, b) -> np.ndarray:
+        """Flat class index of the satellite pairs (a, b), as _candidate_pairs
+        stores it: read from the endpoint of lower index, which lies in the
+        lower plane or, within a plane, trails the other."""
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        plane_of, slot_of = self.constellation.plane_of, self.constellation.slot_of
+        slots = self.constellation.spec.sats_per_plane
+        return (plane_of[hi] - plane_of[lo]) * slots + (slot_of[hi] - slot_of[lo]) % slots
+
     def line_of_sight_binds(self, lisl_range_km: float) -> bool:
         """True iff the range exceeds the grazing chord, so that the Earth can
         block a pair that is within range."""
@@ -257,12 +266,18 @@ class LinkEngine:
         slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
         return g, (slant <= gs.range_km) & (delta @ g > 0.0), slant
 
-    def chain_lengths(self, positions: np.ndarray, lisl_range_km: float,
-                      margin_km: float) -> np.ndarray | None:
-        """Lengths of the links between consecutive satellites at positions, or
-        None if one of them is not within the range, or, where line of sight
-        binds, does not clear the occlusion sphere, by at least margin_km."""
-        p, q = positions[:-1], positions[1:]
+    def chain_lengths(self, satellites, positions: np.ndarray, lisl_range_km: float,
+                      mode: Mode, margin_km: float) -> np.ndarray | None:
+        """Lengths of the links between consecutive satellites, at positions, or
+        None if one of them is not a link of (range, mode): its pair class lies
+        outside the mode's class mask, or it is not within the range or, where
+        line of sight binds, not clear of the occlusion sphere, by at least
+        margin_km."""
+        satellites = np.asarray(satellites, dtype=np.intp)
+        a, b = satellites[:-1], satellites[1:]
+        if not np.take(self._class_mask(lisl_range_km, mode), self.pair_class(a, b)).all():
+            return None
+        p, q = positions[a], positions[b]
         lengths = _distance(p, q)
         if np.any(lengths > lisl_range_km - margin_km):
             return None
@@ -330,19 +345,12 @@ class LinkEngine:
                              f"and t = {t:g} s")
         else:
             alive = cut = None if prune is None else prune(geometry.positions)
-        pairs = geometry.pairs
-        keep = np.take(self._class_mask(lisl_range_km, mode), pairs.cls)
-        keep &= geometry.length_km <= lisl_range_km
-        if self.line_of_sight_binds(lisl_range_km):
-            keep &= geometry.clear_of_earth()
+        index = geometry.selection(float(lisl_range_km), mode)
         if cut is not None:
             # Cut after the other tests, which leave fewer pairs to look up.
-            index = np.flatnonzero(keep)
-            index = index[np.take(cut, pairs.a[index]) & np.take(cut, pairs.b[index])]
-        else:
-            # Keeping every pair hands out views of the geometry's arrays,
-            # which snapshots, like their shared positions, never write to.
-            index = slice(None) if keep.all() else np.flatnonzero(keep)
+            live = (np.take(cut, _pick(geometry.pairs.a, index))
+                    & np.take(cut, _pick(geometry.pairs.b, index)))
+            index = np.flatnonzero(live) if isinstance(index, slice) else index[live]
 
         stations = tuple(ground_stations)
         gs_positions = np.zeros((len(stations), 3))
@@ -414,6 +422,7 @@ class SlotGeometry:
     length_km: np.ndarray
     _clear: np.ndarray | None = field(default=None, init=False, repr=False)
     _ground: dict = field(default_factory=dict, init=False, repr=False)
+    _selected: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def type_code(self) -> np.ndarray:
@@ -438,6 +447,22 @@ class SlotGeometry:
                 self.positions, lambda p, q: _segments_clear_origin(p, q, occ), bool)
         return self._clear
 
+    def selection(self, lisl_range_km: float, mode: Mode) -> np.ndarray | slice:
+        """Index of the pairs that are links of (range, mode), as int32, or
+        slice(None) if every pair is; selected once per (range, mode)."""
+        index = self._selected.get((lisl_range_km, mode))
+        if index is None:
+            engine = self.engine
+            keep = np.take(engine._class_mask(lisl_range_km, mode), self.pairs.cls)
+            keep &= self.length_km <= lisl_range_km
+            if engine.line_of_sight_binds(lisl_range_km):
+                keep &= self.clear_of_earth()
+            # Keeping every pair hands out views of the geometry's arrays,
+            # which snapshots, like their shared positions, never write to.
+            index = slice(None) if keep.all() else np.flatnonzero(keep).astype(np.int32)
+            self._selected[(lisl_range_km, mode)] = index
+        return index
+
     def ground_links(self, gs: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Station position, and the satellites it can link to with their slant ranges."""
         found = self._ground.get(gs)
@@ -452,6 +477,11 @@ class SlotGeometry:
 def _distance(p, q):
     diff = p - q
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _pick(values: np.ndarray, index: np.ndarray | slice) -> np.ndarray:
+    """values[index]; np.take gathers by an int32 index faster than indexing."""
+    return values[index] if isinstance(index, slice) else np.take(values, index, axis=0)
 
 
 def _concat(chunks, dtype=np.int32):

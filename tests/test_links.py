@@ -407,6 +407,38 @@ def test_shared_geometry_selection_equals_own_snapshot(shell_name, engine):
             assert_same_snapshot(alone, engine.snapshot(t, r, mode, stations, shared))
 
 
+def test_shared_geometry_selects_each_range_and_mode_once(engine, monkeypatch):
+    """The 26 study queries of one instant hold 14 (range, mode) pairs: from
+    a shared geometry they select their links 14 times, and each snapshot
+    equals the one the query measures alone."""
+    queries = [(BUNDLED_STATIONS[a], BUNDLED_STATIONS[b], r, mode)
+               for a, b, ranges in ((0, 1, STANDARD_RANGES), (2, 3, (1700.0, 5016.0)),
+                                    (4, 5, (1700.0, 5016.0)), (6, 7, (1700.0, 5016.0)))
+               for r in ranges for mode in Mode]
+    alone = [engine.snapshot(7.0, r, mode, (src, dst)) for src, dst, r, mode in queries]
+    shared = engine.slot_geometry(7.0, {(r, mode) for _, _, r, mode in queries})
+    selections = []
+    class_mask = LinkEngine._class_mask
+
+    def counting(self, lisl_range_km, mode):
+        selections.append((lisl_range_km, mode))
+        return class_mask(self, lisl_range_km, mode)
+
+    monkeypatch.setattr(LinkEngine, "_class_mask", counting)
+    for expected, (src, dst, r, mode) in zip(alone, queries):
+        assert_same_snapshot(expected, engine.snapshot(7.0, r, mode, (src, dst), shared))
+    assert len(queries) == 26 and len(selections) == 14
+
+
+def test_pair_class_is_the_candidate_class(engine):
+    """LinkEngine.pair_class reads each candidate pair's class as the
+    candidate lists store it, with its endpoints in either order."""
+    for shell_engine in (engine, small_walker_engine()):
+        pairs = shell_engine._candidate_pairs(shell_engine._class_mask(5016.0, Mode.NNG))
+        assert np.array_equal(shell_engine.pair_class(pairs.a, pairs.b), pairs.cls)
+        assert np.array_equal(shell_engine.pair_class(pairs.b, pairs.a), pairs.cls)
+
+
 def test_small_shell_snapshot_matches_brute_force():
     """All-pairs distances with an explicit line-of-sight test, independent of
     the candidate classes; NG additionally keeps only permanent pairs."""

@@ -10,9 +10,9 @@ from fsosim import (BUNDLED_STATIONS, ComparisonResult, ConstellationSpec, Groun
                     run_scenario)
 from fsosim.errors import ConfigurationError
 from fsosim.orbital import parse_id
-from fsosim.scenario import (SlotRecord, _PathBound, compare_many, evaluate_slot,
-                             run_scenarios, summarize, write_comparison_csv, write_slots_csv,
-                             write_summary_csv)
+from fsosim.scenario import (DEFAULT_RANGES_KM, SlotRecord, _chunks, _PathBound, compare_many,
+                             evaluate_slot, run_scenarios, summarize, write_comparison_csv,
+                             write_slots_csv, write_summary_csv)
 
 SYDNEY = BUNDLED_STATIONS[0]
 SAO_PAULO = BUNDLED_STATIONS[1]
@@ -228,7 +228,7 @@ def test_workers_use_the_callers_engine(engine, monkeypatch):
     assert run_scenarios(engine, queries, parallelism=2) == serial
 
 
-# -- pruning by the last path ------------------------------------------
+# -- pruning by a path ------------------------------------------------
 
 def unpruned(engine, cfg):
     """Every slot of cfg routed on its own, with no bound."""
@@ -240,56 +240,100 @@ def path_satellites(engine, record):
             for name in record.node_sequence[1:-1]]
 
 
+def grazing_chord(engine):
+    r_orbit = engine.constellation.spec.orbit_radius_km
+    return 2.0 * math.sqrt(max(r_orbit**2 - engine.constants.occlusion_radius_km**2, 0.0))
+
+
+@st.composite
+def small_shell_queries(draw):
+    """An engine on a random small shell, and a query of two stations on it:
+    the stations lie within 60 degrees of each other in latitude and
+    longitude, so that a small shell often connects them, or within 120;
+    the stations' Earth radius may differ from the shell's; the range
+    reaches beyond where line of sight binds, and the node delay down to
+    nearly 0."""
+    planes = draw(st.integers(1, 8))
+    spec = ConstellationSpec(plane_count=planes, sats_per_plane=draw(st.integers(3, 30)),
+                             phasing_offset=draw(st.integers(0, planes - 1)),
+                             raan_spread_deg=draw(st.sampled_from([180.0, 360.0])))
+    station_radius = spec.earth_radius_km + draw(st.sampled_from([0.0, -300.0, 150.0]))
+    constants = PhysicalConstants(
+        earth_radius_km=station_radius,
+        node_delay_ms=draw(st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 20.0))))
+    engine = LinkEngine(build_constellation(spec), constants)
+    lat, lon = draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0))
+    spread = draw(st.sampled_from([60.0, 120.0]))
+    dlat, dlon = (draw(st.floats(-spread, spread)) for _ in range(2))
+    stations = [GroundStation(name, min(max(lat + dl, -90.0), 90.0),
+                              (lon + dn + 180.0) % 360.0 - 180.0,
+                              draw(st.floats(1000.0, 4000.0)))
+                for name, dl, dn in (("s", 0.0, 0.0), ("d", dlat, dlon))]
+    cfg = ScenarioConfig(*stations, lisl_range_km=draw(st.floats(0.1, 1.3)) * grazing_chord(engine),
+                         mode=draw(st.sampled_from(list(Mode))),
+                         slot_duration_s=draw(st.floats(1.0, 30.0)), slot_count=24)
+    return engine, cfg
+
+
 @settings(deadline=None, max_examples=150)
-@given(planes=st.integers(1, 8), slots=st.integers(3, 30), data=st.data(),
-       raan_spread_deg=st.sampled_from([180.0, 360.0]), mode=st.sampled_from(list(Mode)),
-       chord_fraction=st.floats(0.1, 1.3),
-       node_delay_ms=st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 20.0)),
-       slot_duration_s=st.floats(1.0, 30.0))
-def test_pruned_runs_equal_unpruned_slots(planes, slots, data, raan_spread_deg, mode,
-                                          chord_fraction, node_delay_ms, slot_duration_s):
-    """On random small shells, station pairs, ranges up to where line of sight
-    binds, and node delays down to nearly 0, a batch's records, pruned by
-    each query's last path, equal those of unpruned slots; and whenever a
-    bound forms, it is no less than the slot's optimum and keeps every
-    satellite of the path found."""
-    spec = ConstellationSpec(plane_count=planes, sats_per_plane=slots,
-                             phasing_offset=data.draw(st.integers(0, planes - 1)),
-                             raan_spread_deg=raan_spread_deg)
-    engine = LinkEngine(build_constellation(spec), PhysicalConstants(node_delay_ms=node_delay_ms))
-    r_orbit = spec.orbit_radius_km
-    chord = 2.0 * math.sqrt(r_orbit**2 - engine.constants.occlusion_radius_km**2)
-    # The destination lies within 60 degrees of the source in latitude and
-    # longitude, so that a small shell often connects the two.
-    lat, lon = data.draw(st.floats(-90.0, 90.0)), data.draw(st.floats(-180.0, 180.0))
-    stations = [GroundStation(name, min(max(lat + dlat, -90.0), 90.0),
-                              (lon + dlon + 180.0) % 360.0 - 180.0,
-                              data.draw(st.floats(1000.0, 4000.0)))
-                for name, dlat, dlon in (("s", 0.0, 0.0),
-                                         ("d", data.draw(st.floats(-60.0, 60.0)),
-                                          data.draw(st.floats(-60.0, 60.0))))]
-    cfg = ScenarioConfig(*stations, lisl_range_km=chord_fraction * chord, mode=mode,
-                         slot_duration_s=slot_duration_s, slot_count=24)
-    expected = unpruned(engine, cfg)
-    assert run_scenarios(engine, [cfg])[0][0] == expected  # pruned before measuring
-    other = dataclasses.replace(cfg, mode=Mode.NNG if mode is Mode.NG else Mode.NG)
-    shared = run_scenarios(engine, [cfg, other])  # pruned within a shared geometry
-    assert shared[0][0] == expected
-    assert shared[1][0] == unpruned(engine, other)
-    formed = 0
-    for last, record in zip(expected, expected[1:]):
-        if not last.path_found:
+@given(case=small_shell_queries(), sibling_fraction=st.floats(0.3, 1.0))
+def test_pruned_runs_equal_unpruned_slots(case, sibling_fraction):
+    """On random small shells and stations, a query's records equal those of
+    unpruned slots when it runs alone, bounded by its last path or, for
+    NNG, by its NG pilot; and in a shared batch, where it and its siblings
+    (the other policy at its range, the same policy at a shorter range, and
+    the reversed station pair, which has no sibling) are bounded by last
+    paths, by each other's paths and by pilots. Whenever a bound forms from
+    any of these paths, it is no less than the slot's optimum and keeps
+    every satellite of the path found."""
+    engine, cfg = case
+    other = dataclasses.replace(cfg, mode=Mode.NNG if cfg.mode is Mode.NG else Mode.NG)
+    shorter = dataclasses.replace(cfg, lisl_range_km=sibling_fraction * cfg.lisl_range_km)
+    reverse = dataclasses.replace(cfg, src=cfg.dst, dst=cfg.src, mode=Mode.NNG)
+    batch = [cfg, other, shorter, reverse]
+    expected = [unpruned(engine, query) for query in batch]
+    assert run_scenarios(engine, [cfg])[0][0] == expected[0]  # pruned before measuring
+    shared = run_scenarios(engine, batch)  # pruned within a shared geometry
+    assert [records for records, _ in shared] == expected
+    formed = set()
+    for i, record in enumerate(expected[0]):
+        if not record.path_found:
             continue
         t = record.slot_index * cfg.slot_duration_s
-        bound = _PathBound(engine, cfg, t, last.node_sequence)
-        alive = bound(engine.constellation.positions_at(t))
-        if alive is None:
+        positions = engine.constellation.positions_at(t)
+        sources = {"last": expected[0][i - 1] if i else None, "other": expected[1][i],
+                   "shorter": expected[2][i]}
+        for source, given in sources.items():
+            if given is None or not given.path_found:
+                continue
+            bound = _PathBound(engine, cfg, t, given.node_sequence)
+            alive = bound(positions)
+            if alive is None:
+                continue
+            formed.add(source)
+            assert bound.upper_ms >= record.latency_ms - 1e-9
+            assert alive[path_satellites(engine, record)].all()
+    event(f"bounds formed from: {sorted(formed) or 'none'}")
+    event(f"slots with a path: {sum(r.path_found for r in expected[0]) > 0}")
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=small_shell_queries())
+def test_lower_bounds_never_exceed_the_optimum(case):
+    """On every slot with a path, both lower bounds of each satellite on the
+    optimal path lie at or below the optimum."""
+    engine, cfg = case
+    closest = math.inf
+    for record in unpruned(engine, cfg):
+        if not record.path_found:
             continue
-        formed += 1
-        assert record.path_found
-        assert bound.upper_ms >= record.latency_ms - 1e-9
-        assert alive[path_satellites(engine, record)].all()
-    event(f"bounds formed: {'none' if not formed else 'some'}")
+        t = record.slot_index * cfg.slot_duration_s
+        chord, arc = _PathBound(engine, cfg, t).lower_bounds(engine.constellation.positions_at(t))
+        sats = path_satellites(engine, record)
+        assert chord[sats].max() <= record.latency_ms + 1e-9
+        assert arc[sats].max() <= record.latency_ms + 1e-9
+        closest = min(closest, record.latency_ms - arc[sats].max())
+    event(f"the arc bound came within 1 ms of the optimum: {closest < 1.0}")
 
 
 def test_a_broken_last_path_forms_no_bound(engine):
@@ -316,10 +360,35 @@ def test_a_broken_last_path_forms_no_bound(engine):
         assert evaluate_slot(engine, lost, 1, prune=bound) == evaluate_slot(engine, lost, 1)
 
 
+def test_a_temporary_link_bounds_no_ng_slot(engine):
+    """A path bounds a query only if each of its links is one of the query's:
+    an NNG path that holds a temporary link, though within range and in
+    sight, forms no bound for NG at the same range and slot, and the next
+    candidate, the NG path, forms one."""
+    nng, ng = (short_cfg(1700.0, mode, slots=1) for mode in (Mode.NNG, Mode.NG))
+    nng_path, ng_path = (evaluate_slot(engine, cfg, 0) for cfg in (nng, ng))
+    snap = engine.snapshot(0.0, 1700.0, Mode.NNG, (SYDNEY, SAO_PAULO))
+    sats = path_satellites(engine, nng_path)
+    on_path = {tuple(sorted(pair)) for pair in zip(sats, sats[1:])}
+    temporary = [(a, b) in on_path for a, b, permanent
+                 in zip(snap.sat_a.tolist(), snap.sat_b.tolist(), snap.sat_permanent)
+                 if not permanent]
+    assert any(temporary)
+    positions = engine.constellation.positions_at(0.0)
+    assert engine.chain_lengths(sats, positions, 1700.0, Mode.NNG, 1e-6) is not None
+    assert engine.chain_lengths(sats, positions, 1700.0, Mode.NG, 1e-6) is None
+    bound = _PathBound(engine, ng, 0.0, nng_path.node_sequence)
+    assert bound(positions) is None and bound.upper_ms is None
+    bound = _PathBound(engine, ng, 0.0, nng_path.node_sequence, ng_path.node_sequence)
+    assert bound(positions) is not None
+    assert bound.upper_ms == pytest.approx(ng_path.latency_ms, abs=1e-9)
+
+
 def test_records_do_not_depend_on_chunk_starts(engine, monkeypatch):
     """Serial and pooled runs start their bounds at different slots, yet give
-    the unpruned records. Serially, every slot after the first tries a bound,
-    which fails only where the last path has lost a link."""
+    the unpruned records. Serially, every slot tries a bound: the first
+    from its NG pilot, the rest from the last path, or from the pilot
+    where the last path lost a link."""
     cfg = short_cfg(5016.0, Mode.NNG, slots=40)
     expected = unpruned(engine, cfg)
     bounds = []
@@ -333,8 +402,65 @@ def test_records_do_not_depend_on_chunk_starts(engine, monkeypatch):
     monkeypatch.setattr(_PathBound, "__call__", recording)
     serial = run_scenarios(engine, [cfg])[0][0]
     formed = [share for share in bounds if share is not None]
-    assert len(bounds) == 39 and len(formed) >= 30
-    assert max(formed) < 0.6
+    assert len(bounds) == 40 and len(formed) >= 38
+    assert max(formed) < 0.1
     monkeypatch.undo()
     assert serial == expected
     assert run_scenarios(engine, [cfg], parallelism=2)[0][0] == expected
+
+
+def study_queries(slots):
+    """The paper's 26 queries: Sydney-Sao Paulo at seven ranges, three more
+    city pairs at 1,700 and 5,016 km, each under NG and NNG."""
+    pairs = [(SYDNEY, SAO_PAULO, DEFAULT_RANGES_KM)]
+    pairs += [(BUNDLED_STATIONS[a], BUNDLED_STATIONS[b], (1700.0, 5016.0))
+              for a, b in ((2, 3), (4, 5), (6, 7))]
+    return [ScenarioConfig(src, dst, r, mode, slot_count=slots)
+            for src, dst, ranges in pairs for r in ranges for mode in Mode]
+
+
+def test_study_batch_bounds_slots_by_siblings(engine, monkeypatch):
+    """In a batch of the 26 study queries, queries with no last path take
+    their bounds from the paths that queries with fewer links found at the
+    same instant, or from a pilot; the records equal those of one-query
+    runs and of unpruned slots, serially and on two workers."""
+    queries = study_queries(slots=4)
+    expected = [unpruned(engine, cfg) for cfg in queries]
+    assert [run_scenario(engine, cfg)[0] for cfg in queries] == expected
+    first = []
+    call = _PathBound.__call__
+
+    def recording(self, positions):
+        alive = call(self, positions)
+        if self.t == 0.0:
+            first.append((len(self.paths), self.pilot is not None, alive is not None))
+        return alive
+
+    monkeypatch.setattr(_PathBound, "__call__", recording)
+    assert [records for records, _ in run_scenarios(engine, queries)] == expected
+    # At the first instant, 19 queries find a sibling path, and each forms a
+    # bound. The other 7 are the smallest NG query of each city pair, the
+    # Sydney-Sao Paulo NG queries at 1,319 and 1,500 km, whose subsets found
+    # no path, and NNG at 659.5 km, whose NG sibling found none, so it needs
+    # no pilot either.
+    assert len(first) == 19
+    assert all(paths == 1 and not pilot and formed for paths, pilot, formed in first)
+    monkeypatch.undo()
+    assert [records for records, _ in run_scenarios(engine, queries, parallelism=2)] == expected
+
+
+def test_short_runs_get_one_chunk_a_worker():
+    """Pool chunks hold at least eight instants, or as many as give each
+    worker one chunk, so a short run's last paths bound most of its slots;
+    a long run keeps four chunks a worker. Chunks cover the instants in order."""
+    def sizes(count, parallelism):
+        instants = [(float(i), [(0, i)]) for i in range(count)]
+        chunks = _chunks(instants, parallelism)
+        assert [instant for chunk in chunks for instant in chunk] == instants
+        return [len(chunk) for chunk in chunks]
+
+    assert sizes(10, 2) == [5, 5]
+    assert sizes(3600, 2) == [450] * 8
+    assert sizes(40, 2) == [8] * 5
+    assert sizes(4, 2) == [2, 2]
+    assert sizes(10, 4) == [3, 3, 3, 1]
