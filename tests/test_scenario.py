@@ -284,8 +284,8 @@ def test_pruned_runs_equal_unpruned_slots(case, sibling_fraction):
     (the other policy at its range, the same policy at a shorter range, and
     the reversed station pair, which has no sibling) are bounded by last
     paths, by each other's paths and by pilots. Whenever a bound forms from
-    any of these paths, it is no less than the slot's optimum and keeps
-    every satellite of the path found."""
+    any of these paths, the slot has a path, and the bound is no less than
+    the slot's optimum and keeps every satellite of the path found."""
     engine, cfg = case
     other = dataclasses.replace(cfg, mode=Mode.NNG if cfg.mode is Mode.NG else Mode.NG)
     shorter = dataclasses.replace(cfg, lisl_range_km=sibling_fraction * cfg.lisl_range_km)
@@ -297,8 +297,6 @@ def test_pruned_runs_equal_unpruned_slots(case, sibling_fraction):
     assert [records for records, _ in shared] == expected
     formed = set()
     for i, record in enumerate(expected[0]):
-        if not record.path_found:
-            continue
         t = record.slot_index * cfg.slot_duration_s
         positions = engine.constellation.positions_at(t)
         sources = {"last": expected[0][i - 1] if i else None, "other": expected[1][i],
@@ -311,6 +309,7 @@ def test_pruned_runs_equal_unpruned_slots(case, sibling_fraction):
             if alive is None:
                 continue
             formed.add(source)
+            assert record.path_found
             assert bound.upper_ms >= record.latency_ms - 1e-9
             assert alive[path_satellites(engine, record)].all()
     event(f"bounds formed from: {sorted(formed) or 'none'}")
@@ -450,9 +449,10 @@ def test_study_batch_bounds_slots_by_siblings(engine, monkeypatch):
 
 
 def test_short_runs_get_one_chunk_a_worker():
-    """Pool chunks hold at least eight instants, or as many as give each
+    """Pool chunks hold at least five instants, or as many as give each
     worker one chunk, so a short run's last paths bound most of its slots;
-    a long run keeps four chunks a worker. Chunks cover the instants in order."""
+    a run whose four chunks a worker hold five instants or more keeps them.
+    Chunks cover the instants in order."""
     def sizes(count, parallelism):
         instants = [(float(i), [(0, i)]) for i in range(count)]
         chunks = _chunks(instants, parallelism)
@@ -461,6 +461,7 @@ def test_short_runs_get_one_chunk_a_worker():
 
     assert sizes(10, 2) == [5, 5]
     assert sizes(3600, 2) == [450] * 8
-    assert sizes(40, 2) == [8] * 5
+    assert sizes(40, 2) == [5] * 8
+    assert sizes(20, 2) == [5] * 4
     assert sizes(4, 2) == [2, 2]
     assert sizes(10, 4) == [3, 3, 3, 1]
