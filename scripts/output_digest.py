@@ -9,10 +9,12 @@ Runs, in a temporary directory and at parallelism 1 and 2:
   scripts/run_full_study.py        --slots 12, its outputs and stdout
 
 and on one worker, `fsosim run --slots 6` with a 5 ms node delay
-(constants: {node_delay_ms: 5.0}) and 120-slot NNG runs at 5,016 km of
+(constants: {node_delay_ms: 5.0}), 120-slot NNG runs at 5,016 km of
 Sydney-Sao Paulo, the heaviest graph, where equal-latency ties are
 likeliest to show, and of New York-Jakarta, where the arc bound prunes
-most,
+most, and a 40-slot New York-Jakarta NNG run at 1,700 km on 30 s slots,
+whose latency moves enough from slot to slot that a guess from the last
+latency misses and a second pass runs,
 
 then prints one "sha256  relative-path" line per file, sorted by path, and
 last the sha256 of that list. No golden digest is stored: to compare two
@@ -40,8 +42,8 @@ def sha256(data: bytes) -> str:
 
 def produce(root: Path, env: dict) -> None:
     """Write every output under root: one subdirectory per parallelism,
-    delay5 for the run with a 5 ms node delay, and nng5016 and
-    nng5016-nyc-jkt for the long runs."""
+    delay5 for the run with a 5 ms node delay, nng5016 and nng5016-nyc-jkt
+    for the long runs, and nng1700-nyc-jkt-30s for the run on 30 s slots."""
     for workers in (1, 2):
         base = root / "out" / f"p{workers}"
         base.mkdir(parents=True)
@@ -67,11 +69,14 @@ def produce(root: Path, env: dict) -> None:
                    env=env, check=True, stdout=subprocess.DEVNULL)
     config = root / "config_serial.yaml"
     config.write_text("parallelism: 1\n")
-    for src, dst, name in (("Sydney", "Sao Paulo", "nng5016"),
-                           ("New York", "Jakarta", "nng5016-nyc-jkt")):
+    for src, dst, name, extra in (
+            ("Sydney", "Sao Paulo", "nng5016", ["--range", "5016", "--slots", "120"]),
+            ("New York", "Jakarta", "nng5016-nyc-jkt", ["--range", "5016", "--slots", "120"]),
+            ("New York", "Jakarta", "nng1700-nyc-jkt-30s",
+             ["--range", "1700", "--slots", "40", "--slot-duration", "30"])):
         subprocess.run([sys.executable, "-m", "fsosim.cli", "--config", str(config), "run",
-                        "--src", src, "--dst", dst, "--range", "5016", "--mode", "NNG",
-                        "--slots", "120", "--output-dir", str(root / "out" / name / "run")],
+                        "--src", src, "--dst", dst, "--mode", "NNG", *extra,
+                        "--output-dir", str(root / "out" / name / "run")],
                        env=env, check=True, stdout=subprocess.DEVNULL)
 
 

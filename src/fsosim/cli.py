@@ -107,10 +107,11 @@ def _require_mapping(value, path: str, keys_of) -> dict:
 
 
 def _coerce(value, kind, path: str):
-    """value as kind; a float with a fractional part is no int."""
+    """value as kind; a float with a fractional part is no int, and a null
+    is no value of any kind."""
     try:
         coerced = kind(value)
-        if kind is int and isinstance(value, float) and coerced != value:
+        if value is None or (kind is int and isinstance(value, float) and coerced != value):
             raise ValueError(value)
         return coerced
     except (TypeError, ValueError, OverflowError):
@@ -148,9 +149,10 @@ def _parse_stations(raw, path: str) -> tuple[GroundStation, ...]:
         item = _require_mapping(item, where, GroundStation)
         if "name" not in item:
             raise ConfigurationError(f"{where}.name is required")
-        if SATELLITE_ID_PATTERN.fullmatch(str(item["name"])):
-            raise ConfigurationError(f"{where}.name: {item['name']!r} has the form of a satellite id")
-        values = _values(GroundStation, item, where, name=str(item["name"]), **{
+        name = _coerce(item["name"], str, f"{where}.name")
+        if SATELLITE_ID_PATTERN.fullmatch(name):
+            raise ConfigurationError(f"{where}.name: {name!r} has the form of a satellite id")
+        values = _values(GroundStation, item, where, name=name, **{
             key: _coerce(item.get(key, 0.0), float, f"{where}.{key}")
             for key in ("latitude_deg", "longitude_deg")})
         try:
@@ -221,7 +223,7 @@ def parse_config(path: str | Path | None) -> RunConfig:
         earth_rotation0_deg=rotation,
         stations=stations,
         scenarios=scenarios,
-        output_dir=str(raw.get("output_dir", "out")),
+        output_dir=_coerce(raw.get("output_dir", "out"), str, "config.output_dir"),
         parallelism=parallelism if parallelism > 0 else os.cpu_count() or 1)
 
 

@@ -240,15 +240,6 @@ class LinkEngine:
         self._candidate_cache[key] = result
         return result
 
-    def pair_class(self, a, b) -> np.ndarray:
-        """Flat class index of the satellite pairs (a, b), as _candidate_pairs
-        stores it: read from the endpoint of lower index, which lies in the
-        lower plane or, within a plane, trails the other."""
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        plane_of, slot_of = self.constellation.plane_of, self.constellation.slot_of
-        slots = self.constellation.spec.sats_per_plane
-        return (plane_of[hi] - plane_of[lo]) * slots + (slot_of[hi] - slot_of[lo]) % slots
-
     def line_of_sight_binds(self, lisl_range_km: float) -> bool:
         """True iff the range exceeds the grazing chord, so that the Earth can
         block a pair that is within range."""
@@ -265,26 +256,6 @@ class LinkEngine:
         delta = positions - g
         slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
         return g, (slant <= gs.range_km) & (delta @ g > 0.0), slant
-
-    def chain_lengths(self, satellites, positions: np.ndarray, lisl_range_km: float,
-                      mode: Mode, margin_km: float) -> np.ndarray | None:
-        """Lengths of the links between consecutive satellites, at positions, or
-        None if one of them is not a link of (range, mode): its pair class lies
-        outside the mode's class mask, or it is not within the range or, where
-        line of sight binds, not clear of the occlusion sphere, by at least
-        margin_km."""
-        satellites = np.asarray(satellites, dtype=np.intp)
-        a, b = satellites[:-1], satellites[1:]
-        if not np.take(self._class_mask(lisl_range_km, mode), self.pair_class(a, b)).all():
-            return None
-        p, q = positions[a], positions[b]
-        lengths = _distance(p, q)
-        if np.any(lengths > lisl_range_km - margin_km):
-            return None
-        occ = self.constants.occlusion_radius_km + margin_km
-        if self.line_of_sight_binds(lisl_range_km) and not _segments_clear_origin(p, q, occ).all():
-            return None
-        return lengths
 
     def slot_geometry(self, t: float, requests) -> SlotGeometry:
         """The state at time t that snapshots for any of the requests share.
@@ -318,7 +289,8 @@ class LinkEngine:
 
     def snapshot(self, t: float, lisl_range_km: float, mode: Mode,
                  ground_stations: list[GroundStation] | tuple[GroundStation, ...] = (),
-                 geometry: SlotGeometry | None = None, prune=None) -> GraphSnapshot:
+                 geometry: SlotGeometry | None = None,
+                 alive: np.ndarray | None = None) -> GraphSnapshot:
         """All links feasible at time t under the range and link policy.
 
         With geometry from slot_geometry at the same t and with (range, mode)
@@ -327,24 +299,20 @@ class LinkEngine:
         links come out in the same order either way. A non-positive range
         yields a snapshot with no satellite links.
 
-        prune, if given, is called with the satellite positions at t and
-        returns None or a mask of the satellites that may carry links: the
-        snapshot then keeps only the satellite links between, and the ground
-        links to, those satellites, and a geometry of its own measures only
-        their pairs.
+        alive, if given, is a mask of the satellites that may carry links:
+        the snapshot then keeps only the satellite links between, and the
+        ground links to, those satellites, and a geometry of its own
+        measures only their pairs.
         """
+        cut = alive
         if geometry is None:
-            positions = self.constellation.positions_at(t)
-            alive = None if prune is None else prune(positions)
             geometry = self._measure(t, frozenset({(float(lisl_range_km), Mode(mode))}),
-                                     positions, alive)
+                                     self.constellation.positions_at(t), alive)
             cut = None  # the geometry holds live pairs only
         elif (geometry.engine is not self or geometry.time_s != t
               or (float(lisl_range_km), mode) not in geometry.requests):
             raise ValueError(f"geometry does not cover {mode.value} at {lisl_range_km:g} km "
                              f"and t = {t:g} s")
-        else:
-            alive = cut = None if prune is None else prune(geometry.positions)
         index = geometry.selection(float(lisl_range_km), mode)
         if cut is not None:
             # Cut after the other tests, which leave fewer pairs to look up.

@@ -13,19 +13,17 @@ tasks are chunks of slots, and the workers use the caller's engine, which
 they inherit through the pool initializer rather than rebuild. Records are
 always emitted in slot order regardless of the parallelism degree.
 
-Every slot is bounded by a path when one is at hand (_PathBound):
-satellites that cannot lie on a path as fast as that one are dropped from
-the snapshot before it is built. The path is the query's last one, within
-a chunk; failing that, the best path found at the same instant for a
-query of the same stations whose links are among its own (queries are
-routed by range, NG first); failing that, for NNG, the path of NG at the
-same range, routed first as a pilot. The bound is exact, so records do not
-depend on where chunks start or on what else a batch holds.
+Each slot guesses an upper bound U on its optimum and drops, before the
+snapshot is built, every satellite whose lower bound exceeds U; the route
+found then checks the guess (evaluate_slot). The guess is 1 % above the
+query's last latency within a chunk or, with none, 10 % above the smallest
+lower bound. A guess that misses costs another pass, never a wrong record,
+so records do not depend on where chunks start or on what else a batch
+holds.
 """
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -35,7 +33,7 @@ import numpy as np
 from . import routing
 from .errors import ConfigurationError
 from .links import LinkEngine, Mode, SlotGeometry
-from .orbital import GroundStation, parse_id
+from .orbital import GroundStation
 
 # Stations at the stock exchanges of the studied cities.
 BUNDLED_STATIONS: tuple[GroundStation, ...] = (
@@ -131,18 +129,47 @@ class ComparisonResult:
 
 
 def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
-                  geometry: SlotGeometry | None = None, prune=None) -> SlotRecord:
-    """Route one slot of the scenario, optionally on a shared slot geometry
-    and with the satellites that prune drops (see LinkEngine.snapshot) left out."""
-    return _route_slot(engine, cfg, slot_index, geometry, prune)
+                  geometry: SlotGeometry | None = None,
+                  last_ms: float | None = None) -> SlotRecord:
+    """Route one slot of the scenario, optionally on a shared slot geometry,
+    with the satellites that no optimal path can visit left out.
+
+    last_ms is the query's latency in the slot before: inf if that slot had
+    no path, and then this one routes unpruned; None if it is not known.
+    Each pass guesses an upper bound U on the optimum and drops every
+    satellite whose lower bound (see lower_bounds) exceeds U: the A* bound
+    of Hart, Nilsson and Raphael (1968). A path no slower than U is the
+    optimum, since every satellite of an optimal path has a bound of at
+    most U and was kept, and so is, but for exact ties, the path found. A
+    slower path's latency is a proven U for one more pass; no path at all
+    widens the guess, until no satellite is dropped.
+    """
+    if last_ms == math.inf:
+        return _route_slot(engine, cfg, slot_index, geometry)
+    t = slot_index * cfg.slot_duration_s
+    positions = engine.constellation.positions_at(t) if geometry is None else geometry.positions
+    bounds = np.maximum(*lower_bounds(engine, cfg, t, positions))
+    base, margin = (bounds.min(), _FIRST_MARGIN) if last_ms is None else (last_ms, _LAST_MARGIN)
+    upper = base * (1.0 + margin)
+    while True:
+        alive = bounds <= upper + _BOUND_SLACK_MS
+        pruned = not alive.all()
+        record = _route_slot(engine, cfg, slot_index, geometry, alive if pruned else None)
+        if not pruned or (record.path_found and record.latency_ms <= upper):
+            return record
+        if record.path_found:
+            upper = record.latency_ms
+        else:
+            margin *= 2.0
+            upper = base * (1.0 + margin)
 
 
 def _route_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
-                geometry: SlotGeometry | None, prune) -> SlotRecord:
-    # evaluate_slot's body. A pilot calls it, so that evaluate_slot runs
-    # once per slot-query, whatever bounds the query.
+                geometry: SlotGeometry | None = None,
+                alive: np.ndarray | None = None) -> SlotRecord:
+    # One pass of evaluate_slot, over the satellites alive marks (all if None).
     t = slot_index * cfg.slot_duration_s
-    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), geometry, prune)
+    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), geometry, alive)
     result = routing.shortest_path(snap, cfg.src.name, cfg.dst.name)
     if result is None:
         return SlotRecord(slot_index=slot_index, path_found=False)
@@ -153,6 +180,77 @@ def _route_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
         node_delay_ms=result.node_delay_ms,
         hop_count=result.hop_count,
         node_sequence=result.node_sequence)
+
+
+# The first guess at U. A slot's optimum moves little from the last slot's,
+# so 1 % above the last latency mostly holds. With no last latency, the
+# optimum of the study's queries lies near the smallest lower bound, and
+# 10 % above it keeps few satellites. A guess that finds no path doubles
+# its margin.
+_LAST_MARGIN = 0.01
+_FIRST_MARGIN = 0.1
+# Latency slack of the cut, far above the rounding in U and the lower bounds.
+_BOUND_SLACK_MS = 1e-6
+
+
+def lower_bounds(engine: LinkEngine, cfg: ScenarioConfig, time_s: float,
+                 positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per satellite x at positions, those at time_s, two lower bounds on the
+    latency of any path of the query from station s to station t through
+    x: LB_chord(x) and LB_arc(x).
+
+    Each satellite adds the node delay d, so a satellite link of length
+    l <= R, the link range, costs l/c + d, one more d aside. In straight
+    lines that is at least k l with k = 1/c + d/R, and a ground link of
+    length at most the station's slant range g costs its propagation
+    delay; by the triangle inequality, LB_chord(x) = d + leg_s(|s - x|)
+    + leg_t(|x - t|), with leg(a) = min(a, g)/c + max(a - g, 0) k.
+
+    On the orbit sphere, of radius r, a link spans a central angle of at
+    most theta_R = 2 asin(R'/2r), where R' = min(R, 2r). So links
+    spanning a central angle A number at least ceil(A/theta_R) and,
+    since a chord is concave in its angle, measure at least
+    n R' + 2r sin((A - n theta_R)/2), n = floor(A/theta_R); they cost
+    at least hops(A), the sum of the two, never less than
+    A (R'/c + d)/theta_R. A station at radius R_E reaches satellites up
+    to the central angle theta_g from it, with sin^2(theta_g/2) =
+    (g^2 - (r - R_E)^2)/(4 r R_E), over a ground link at least
+    |r - R_E| long, and central angles obey the triangle inequality, so
+    LB_arc(x) = d + 2|r - R_E|/c + hops(max(theta(s, x) - theta_g(s), 0))
+    + hops(max(theta(x, t) - theta_g(t), 0)). The angles come from
+    atan2, and whole links are counted 1e-9 of a link short, so
+    rounding stays far below the cut's slack.
+    """
+    (g_s, _, slant_s), (g_d, _, slant_d) = (engine.ground_reach(gs, time_s, positions)
+                                            for gs in (cfg.src, cfg.dst))
+    per_km = 1e6 / engine.constants.c_mps
+    delay = engine.constants.node_delay_ms
+    range_km = cfg.lisl_range_km
+    k = per_km + delay / range_km
+
+    def leg(a, g):
+        return np.minimum(a, g) * per_km + np.maximum(a - g, 0.0) * k
+
+    chord = delay + leg(slant_s, cfg.src.range_km) + leg(slant_d, cfg.dst.range_km)
+    r = engine.constellation.spec.orbit_radius_km
+    r_e = engine.constants.earth_radius_km
+    longest = min(range_km, 2.0 * r)
+    theta_r = 2.0 * math.asin(longest / (2.0 * r))
+
+    def hops(g_pos, g):
+        cross = np.cross(positions, g_pos)
+        theta = np.arctan2(np.sqrt(np.einsum("ij,ij->i", cross, cross)), positions @ g_pos)
+        reach = 2.0 * math.asin(math.sqrt(
+            min(max((g - abs(r - r_e)) * (g + abs(r - r_e)) / (4.0 * r * r_e), 0.0), 1.0)))
+        span = np.maximum(theta - reach, 0.0) / theta_r
+        whole = np.floor(span)
+        return (np.ceil(span - 1e-9) * delay
+                + (whole * longest + 2.0 * r * np.sin((span - whole) * (theta_r / 2.0)))
+                * per_km)
+
+    arc = (delay + 2.0 * abs(r - r_e) * per_km
+           + hops(g_s, cfg.src.range_km) + hops(g_d, cfg.dst.range_km))
+    return chord, arc
 
 
 def summarize(records: list[SlotRecord] | tuple[SlotRecord, ...]) -> MetricsSummary:
@@ -183,196 +281,29 @@ def _worker_init(engine: LinkEngine, configs: list[ScenarioConfig]):
     _WORKER_ENGINE, _WORKER_CONFIGS = engine, configs
 
 
-# A link of a bounding path this close to the range or to the occlusion
-# sphere forms no bound, whatever rounding the snapshot's own measurement
-# of it sees.
-_RECHECK_MARGIN_KM = 1e-6
-# Latency slack of the cut, far above the rounding in U and the lower bounds.
-_BOUND_SLACK_MS = 1e-6
-
-
-class _PathBound:
-    """Drops, from one slot of a query, the satellites that no optimal path
-    can visit, given candidate paths from elsewhere: the query's last path,
-    a path found at the same instant for a query with fewer links, or that
-    of a pilot.
-
-    The first candidate whose every link is a link of the query in this
-    slot (in the query's pair classes, within range and, where line of
-    sight binds, in sight; both ground links within slant range and above
-    the horizon) gives U, its latency here, which bounds the slot's optimum
-    from above. pilot, if given, is called for one more candidate path (or
-    None) when no other holds. From below, any path from station s to
-    station t through satellite x costs at least max(LB_chord(x), LB_arc(x))
-    (see lower_bounds). No satellite with a lower bound above U lies on an
-    optimal path (the A* bound of Hart, Nilsson and Raphael, 1968), so
-    dropping those changes neither the optimum nor, but for exact ties, the
-    path found. upper_ms holds U after a call, None if no bound formed.
-    """
-
-    def __init__(self, engine: LinkEngine, cfg: ScenarioConfig, t: float,
-                 *paths: tuple[str, ...], pilot=None):
-        self.engine, self.cfg, self.t = engine, cfg, t
-        self.paths, self.pilot = paths, pilot
-        self.upper_ms: float | None = None
-
-    def __call__(self, positions: np.ndarray) -> np.ndarray | None:
-        ends = self._ends(positions)
-        for path in self._candidates():
-            self.upper_ms = self._latency(path, positions, ends)
-            if self.upper_ms is not None:
-                chord, arc = self.lower_bounds(positions, ends)
-                return np.maximum(chord, arc) <= self.upper_ms + _BOUND_SLACK_MS
-        return None
-
-    def _candidates(self):
-        yield from self.paths
-        if self.pilot is not None:
-            path = self.pilot()
-            if path is not None:
-                yield path
-
-    def _ends(self, positions):
-        return [self.engine.ground_reach(gs, self.t, positions)
-                for gs in (self.cfg.src, self.cfg.dst)]
-
-    def _latency(self, path, positions, ends) -> float | None:
-        """The path's latency at positions, or None if it is not a path of the
-        query there."""
-        engine, cfg = self.engine, self.cfg
-        sats = [engine.constellation.flat_index(parse_id(name)) for name in path[1:-1]]
-        (_, reach_s, slant_s), (_, reach_d, slant_d) = ends
-        if not (reach_s[sats[0]] and reach_d[sats[-1]]):
-            return None
-        lengths = engine.chain_lengths(sats, positions, cfg.lisl_range_km, cfg.mode,
-                                       _RECHECK_MARGIN_KM)
-        if lengths is None:
-            return None
-        per_km = 1e6 / engine.constants.c_mps
-        return ((slant_s[sats[0]] + lengths.sum() + slant_d[sats[-1]]) * per_km
-                + engine.constants.node_delay_ms * len(sats))
-
-    def lower_bounds(self, positions: np.ndarray, ends=None) -> tuple[np.ndarray, np.ndarray]:
-        """Per satellite x, two lower bounds on the latency of any path from
-        station s to station t through x: LB_chord(x) and LB_arc(x).
-
-        Each satellite adds the node delay d, so a satellite link of length
-        l <= R, the link range, costs l/c + d, one more d aside. In straight
-        lines that is at least k l with k = 1/c + d/R, and a ground link of
-        length at most the station's slant range g costs its propagation
-        delay; by the triangle inequality, LB_chord(x) = d + leg_s(|s - x|)
-        + leg_t(|x - t|), with leg(a) = min(a, g)/c + max(a - g, 0) k.
-
-        On the orbit sphere, of radius r, a link spans a central angle of at
-        most theta_R = 2 asin(R'/2r), where R' = min(R, 2r). So links
-        spanning a central angle A number at least ceil(A/theta_R) and,
-        since a chord is concave in its angle, measure at least
-        n R' + 2r sin((A - n theta_R)/2), n = floor(A/theta_R); they cost
-        at least hops(A), the sum of the two, never less than
-        A (R'/c + d)/theta_R. A station at radius R_E reaches satellites up
-        to the central angle theta_g from it, with sin^2(theta_g/2) =
-        (g^2 - (r - R_E)^2)/(4 r R_E), over a ground link at least
-        |r - R_E| long, and central angles obey the triangle inequality, so
-        LB_arc(x) = d + 2|r - R_E|/c + hops(max(theta(s, x) - theta_g(s), 0))
-        + hops(max(theta(x, t) - theta_g(t), 0)). The angles come from
-        atan2, and whole links are counted 1e-9 of a link short, so
-        rounding stays far below the cut's slack.
-        """
-        engine, cfg = self.engine, self.cfg
-        (g_s, _, slant_s), (g_d, _, slant_d) = ends if ends is not None else self._ends(positions)
-        per_km = 1e6 / engine.constants.c_mps
-        delay = engine.constants.node_delay_ms
-        range_km = cfg.lisl_range_km
-        k = per_km + delay / range_km
-
-        def leg(a, g):
-            return np.minimum(a, g) * per_km + np.maximum(a - g, 0.0) * k
-
-        chord = delay + leg(slant_s, cfg.src.range_km) + leg(slant_d, cfg.dst.range_km)
-        r = engine.constellation.spec.orbit_radius_km
-        r_e = engine.constants.earth_radius_km
-        longest = min(range_km, 2.0 * r)
-        theta_r = 2.0 * math.asin(longest / (2.0 * r))
-
-        def hops(g_pos, g):
-            cross = np.cross(positions, g_pos)
-            theta = np.arctan2(np.sqrt(np.einsum("ij,ij->i", cross, cross)), positions @ g_pos)
-            reach = 2.0 * math.asin(math.sqrt(
-                min(max((g - abs(r - r_e)) * (g + abs(r - r_e)) / (4.0 * r * r_e), 0.0), 1.0)))
-            span = np.maximum(theta - reach, 0.0) / theta_r
-            whole = np.floor(span)
-            return (np.ceil(span - 1e-9) * delay
-                    + (whole * longest + 2.0 * r * np.sin((span - whole) * (theta_r / 2.0)))
-                    * per_km)
-
-        arc = (delay + 2.0 * abs(r - r_e) * per_km
-               + hops(g_s, cfg.src.range_km) + hops(g_d, cfg.dst.range_km))
-        return chord, arc
-
-
-def _links_within(sub: ScenarioConfig, cfg: ScenarioConfig) -> bool:
-    """True iff sub's links are among cfg's at every instant: link sets nest
-    as NG(R') within NG(R) within NNG(R), and NNG(R') within NNG(R), for R' <= R."""
-    return ((sub.src, sub.dst) == (cfg.src, cfg.dst) and sub.lisl_range_km <= cfg.lisl_range_km
-            and (sub.mode is Mode.NG or cfg.mode is Mode.NNG))
-
-
-def _pilot_path(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
-                geometry: SlotGeometry | None) -> tuple[str, ...] | None:
-    """The path, if any, of NG at the query's range and slot."""
-    return _route_slot(engine, replace(cfg, mode=Mode.NG), slot_index, geometry,
-                       None).node_sequence
-
-
 def _evaluate_instants(engine: LinkEngine, configs: list[ScenarioConfig],
                        instants: list[_Instant]) -> list[tuple[int, SlotRecord]]:
-    # An NNG query's pilot selects NG at its range from a shared geometry.
-    # NG's pair classes lie within NNG's, so this adds no pair to measure.
-    requests = {(cfg.lisl_range_km, mode) for cfg in configs
-                for mode in (Mode.NG, cfg.mode)}
-    last: dict[int, tuple[str, ...]] = {}  # each query's last path, if it had one
+    requests = {(cfg.lisl_range_km, cfg.mode) for cfg in configs}
+    last: dict[int, float] = {}  # each query's last latency, inf if it found no path
     out = []
     for t, due in instants:
         # A query alone at its instant has nothing to share, so its snapshot
         # measures its own geometry, pruned before any pair is measured.
         geometry = engine.slot_geometry(t, requests) if len(due) > 1 else None
-        # By range, NG first, so that a query routes after those whose links
-        # are among its own, and can take its bound from their paths when it
-        # has no last path or its last path broke.
-        routed: list[tuple[ScenarioConfig, SlotRecord]] = []
-        for q, i in sorted(due, key=lambda d: (configs[d[0]].lisl_range_km,
-                                               configs[d[0]].mode is Mode.NNG)):
-            cfg = configs[q]
-            subsets = [(sub, r) for sub, r in routed if _links_within(sub, cfg)]
-            paths = [last[q]] if q in last else []
-            found = [r for _, r in subsets if r.path_found]
-            if found:
-                paths.append(min(found, key=lambda r: r.latency_ms).node_sequence)
-            pilot = None
-            if cfg.mode is Mode.NNG and not any(sub.mode is Mode.NG
-                                                and sub.lisl_range_km == cfg.lisl_range_km
-                                                for sub, _ in subsets):
-                # Unless NG at the same range routed here already, its path
-                # bounds an NNG query that no other path bounds.
-                pilot = functools.partial(_pilot_path, engine, cfg, i, geometry)
-            prune = _PathBound(engine, cfg, t, *paths, pilot=pilot) if paths or pilot else None
-            record = evaluate_slot(engine, cfg, i, geometry, prune)
-            if record.path_found:
-                last[q] = record.node_sequence
-            else:
-                last.pop(q, None)
-            routed.append((cfg, record))
+        for q, i in due:
+            record = evaluate_slot(engine, configs[q], i, geometry, last.get(q))
+            last[q] = record.latency_ms if record.path_found else math.inf
             out.append((q, record))
     return out
 
 
 def _chunks(instants: list[_Instant], parallelism: int) -> list[list[_Instant]]:
     """Consecutive runs of the instants, one pool task each. Four chunks a
-    worker balance the load, but no last path bounds a chunk's first
-    instant, so a chunk holds at least _MIN_CHUNK instants, or as many as
-    give each worker one chunk. 5 is the least that gives 10 instants on 2
-    workers one chunk each; a minimum of 8 or 12 ran pooled 20- to
-    60-instant runs no faster on 2 vCPU."""
+    worker balance the load, but a chunk's first instant has no last
+    latency to guess U from, so a chunk holds at least _MIN_CHUNK
+    instants, or as many as give each worker one chunk. 5 is the least
+    that gives 10 instants on 2 workers one chunk each; a minimum of 8 or
+    12 ran pooled 20- to 60-instant runs no faster on 2 vCPU."""
     size = max(len(instants) // (parallelism * 4),
                min(_MIN_CHUNK, -(-len(instants) // parallelism)))
     return [instants[k:k + size] for k in range(0, len(instants), size)]

@@ -239,9 +239,12 @@ def test_parallelism_resolved_once(tmp_path, given, resolved):
     ("stations: [{name: A, latitude_deg: north}]", r"stations\[0\]\.latitude_deg: expected float"),
     ("stations: [{name: A, longitude_deg: [1]}]", r"stations\[0\]\.longitude_deg: expected float"),
     ("stations: [{name: A, range_km: far}]", r"stations\[0\]\.range_km: expected float"),
+    ("output_dir:", r"config\.output_dir: expected str, got None"),
+    ("stations: [{name: , latitude_deg: 0.0}]", r"stations\[0\]\.name: expected str, got None"),
 ], ids=["ranges-scalar", "ranges-item", "ranges-empty", "slot-count", "slot-duration",
         "modes-scalar", "modes-empty", "slot-count-fraction", "plane-count-fraction",
-        "parallelism-fraction", "latitude", "longitude", "station-range"])
+        "parallelism-fraction", "latitude", "longitude", "station-range", "output-dir-null",
+        "station-name-null"])
 def test_unparsable_config_value_exit_code(tmp_path, capsys, yaml_text, message):
     """A value that does not parse is a configuration error naming its key."""
     f = tmp_path / "bad.yaml"

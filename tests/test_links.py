@@ -430,15 +430,6 @@ def test_shared_geometry_selects_each_range_and_mode_once(engine, monkeypatch):
     assert len(queries) == 26 and len(selections) == 14
 
 
-def test_pair_class_is_the_candidate_class(engine):
-    """LinkEngine.pair_class reads each candidate pair's class as the
-    candidate lists store it, with its endpoints in either order."""
-    for shell_engine in (engine, small_walker_engine()):
-        pairs = shell_engine._candidate_pairs(shell_engine._class_mask(5016.0, Mode.NNG))
-        assert np.array_equal(shell_engine.pair_class(pairs.a, pairs.b), pairs.cls)
-        assert np.array_equal(shell_engine.pair_class(pairs.b, pairs.a), pairs.cls)
-
-
 def test_small_shell_snapshot_matches_brute_force():
     """All-pairs distances with an explicit line-of-sight test, independent of
     the candidate classes; NG additionally keeps only permanent pairs."""

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -8,11 +9,12 @@ from hypothesis import event, given, settings, strategies as st
 from fsosim import (BUNDLED_STATIONS, ComparisonResult, ConstellationSpec, GroundStation,
                     LinkEngine, Mode, PhysicalConstants, ScenarioConfig, build_constellation,
                     run_scenario)
+from fsosim import scenario
 from fsosim.errors import ConfigurationError
 from fsosim.orbital import parse_id
-from fsosim.scenario import (DEFAULT_RANGES_KM, SlotRecord, _chunks, _PathBound, compare_many,
-                             evaluate_slot, run_scenarios, summarize, write_comparison_csv,
-                             write_slots_csv, write_summary_csv)
+from fsosim.scenario import (DEFAULT_RANGES_KM, SlotRecord, _chunks, _route_slot, compare_many,
+                             evaluate_slot, lower_bounds, run_scenarios, summarize,
+                             write_comparison_csv, write_slots_csv, write_summary_csv)
 
 SYDNEY = BUNDLED_STATIONS[0]
 SAO_PAULO = BUNDLED_STATIONS[1]
@@ -228,11 +230,45 @@ def test_workers_use_the_callers_engine(engine, monkeypatch):
     assert run_scenarios(engine, queries, parallelism=2) == serial
 
 
-# -- pruning by a path ------------------------------------------------
+# -- pruning by a guessed bound -----------------------------------------
 
 def unpruned(engine, cfg):
-    """Every slot of cfg routed on its own, with no bound."""
-    return [evaluate_slot(engine, cfg, i) for i in range(cfg.slot_count)]
+    """Every slot of cfg routed in one pass, with no satellite dropped."""
+    return [_route_slot(engine, cfg, i) for i in range(cfg.slot_count)]
+
+
+@contextlib.contextmanager
+def recorded_passes():
+    """Every routing pass of evaluate_slot within the block, in order, as
+    (query, slot index, alive mask or None, record)."""
+    seen = []
+    route = scenario._route_slot
+
+    def recording(engine, cfg, slot_index, geometry=None, alive=None):
+        record = route(engine, cfg, slot_index, geometry, alive)
+        seen.append((cfg, slot_index, alive, record))
+        return record
+
+    scenario._route_slot = recording
+    try:
+        yield seen
+    finally:
+        scenario._route_slot = route
+
+
+def accepted_passes(seen):
+    """Per (query, slot index), the last pass, whose record evaluate_slot
+    returned, and the number of passes."""
+    last, count = {}, {}
+    for cfg, i, alive, record in seen:
+        last[(cfg, i)] = (alive, record)
+        count[(cfg, i)] = count.get((cfg, i), 0) + 1
+    return last, count
+
+
+def bounds_at(engine, cfg, slot_index):
+    t = slot_index * cfg.slot_duration_s
+    return np.maximum(*lower_bounds(engine, cfg, t, engine.constellation.positions_at(t)))
 
 
 def path_satellites(engine, record):
@@ -279,40 +315,36 @@ def small_shell_queries(draw):
 @given(case=small_shell_queries(), sibling_fraction=st.floats(0.3, 1.0))
 def test_pruned_runs_equal_unpruned_slots(case, sibling_fraction):
     """On random small shells and stations, a query's records equal those of
-    unpruned slots when it runs alone, bounded by its last path or, for
-    NNG, by its NG pilot; and in a shared batch, where it and its siblings
-    (the other policy at its range, the same policy at a shorter range, and
-    the reversed station pair, which has no sibling) are bounded by last
-    paths, by each other's paths and by pilots. Whenever a bound forms from
-    any of these paths, the slot has a path, and the bound is no less than
-    the slot's optimum and keeps every satellite of the path found."""
+    unpruned slots when it runs alone, and in a shared batch with the other
+    policy at its range, the same policy at a shorter range and the
+    reversed station pair. In each run, the pass whose record a slot keeps
+    is unpruned if the slot has no path; otherwise its mask keeps every
+    satellite of the unpruned path and every satellite whose lower bound is
+    at most the optimum, so its U was no less than the optimum."""
     engine, cfg = case
     other = dataclasses.replace(cfg, mode=Mode.NNG if cfg.mode is Mode.NG else Mode.NG)
     shorter = dataclasses.replace(cfg, lisl_range_km=sibling_fraction * cfg.lisl_range_km)
     reverse = dataclasses.replace(cfg, src=cfg.dst, dst=cfg.src, mode=Mode.NNG)
     batch = [cfg, other, shorter, reverse]
     expected = [unpruned(engine, query) for query in batch]
-    assert run_scenarios(engine, [cfg])[0][0] == expected[0]  # pruned before measuring
-    shared = run_scenarios(engine, batch)  # pruned within a shared geometry
-    assert [records for records, _ in shared] == expected
-    formed = set()
-    for i, record in enumerate(expected[0]):
-        t = record.slot_index * cfg.slot_duration_s
-        positions = engine.constellation.positions_at(t)
-        sources = {"last": expected[0][i - 1] if i else None, "other": expected[1][i],
-                   "shorter": expected[2][i]}
-        for source, given in sources.items():
-            if given is None or not given.path_found:
-                continue
-            bound = _PathBound(engine, cfg, t, given.node_sequence)
-            alive = bound(positions)
+    with recorded_passes() as lone:
+        assert run_scenarios(engine, [cfg])[0][0] == expected[0]  # pruned before measuring
+    with recorded_passes() as shared:
+        # pruned within a shared geometry
+        assert [records for records, _ in run_scenarios(engine, batch)] == expected
+    by_query = {query: records for query, records in zip(batch, expected)}
+    most = 0
+    for seen in (lone, shared):
+        accepted, count = accepted_passes(seen)
+        most = max(most, *count.values())
+        for (query, i), (alive, record) in accepted.items():
+            assert record == by_query[query][i]
             if alive is None:
                 continue
-            formed.add(source)
             assert record.path_found
-            assert bound.upper_ms >= record.latency_ms - 1e-9
             assert alive[path_satellites(engine, record)].all()
-    event(f"bounds formed from: {sorted(formed) or 'none'}")
+            assert alive[bounds_at(engine, query, i) <= record.latency_ms].all()
+    event(f"most passes in a slot: {min(most, 4)}{'+' if most > 4 else ''}")
     event(f"slots with a path: {sum(r.path_found for r in expected[0]) > 0}")
 
 
@@ -327,7 +359,7 @@ def test_lower_bounds_never_exceed_the_optimum(case):
         if not record.path_found:
             continue
         t = record.slot_index * cfg.slot_duration_s
-        chord, arc = _PathBound(engine, cfg, t).lower_bounds(engine.constellation.positions_at(t))
+        chord, arc = lower_bounds(engine, cfg, t, engine.constellation.positions_at(t))
         sats = path_satellites(engine, record)
         assert chord[sats].max() <= record.latency_ms + 1e-9
         assert arc[sats].max() <= record.latency_ms + 1e-9
@@ -335,76 +367,36 @@ def test_lower_bounds_never_exceed_the_optimum(case):
     event(f"the arc bound came within 1 ms of the optimum: {closest < 1.0}")
 
 
-def test_a_broken_last_path_forms_no_bound(engine):
-    """The last path bounds a slot only while each of its links holds: with
-    a ground link or a satellite link lost, the slot routes unpruned."""
+def test_any_last_latency_gives_the_unpruned_record(engine):
+    """A last latency below the optimum, far above it or inf, or none at
+    all, only changes the passes a slot takes, never its record. A guess
+    below the optimum cannot be confirmed, so it takes a second pass; inf
+    routes once, unpruned."""
     cfg = short_cfg(5016.0, Mode.NNG, slots=2)
-    last = evaluate_slot(engine, cfg, 0)
-    positions = engine.constellation.positions_at(1.0)
-    assert _PathBound(engine, cfg, 1.0, last.node_sequence)(positions) is not None
-    sats = path_satellites(engine, last)
-    assert len(sats) >= 2
-    longest = float(np.max(np.linalg.norm(np.diff(positions[sats], axis=0), axis=1)))
-    broken = [dataclasses.replace(cfg, src=dataclasses.replace(SYDNEY, range_km=1.0)),
-              dataclasses.replace(cfg, lisl_range_km=longest - 1e-3)]
-    for lost in broken:
-        bound = _PathBound(engine, lost, 1.0, last.node_sequence)
-        assert bound(positions) is None
-        assert bound.upper_ms is None
-        pruned = engine.snapshot(1.0, lost.lisl_range_km, Mode.NNG, (lost.src, lost.dst),
-                                 prune=bound)
-        whole = engine.snapshot(1.0, lost.lisl_range_km, Mode.NNG, (lost.src, lost.dst))
-        assert np.array_equal(pruned.sat_a, whole.sat_a)
-        assert np.array_equal(pruned.gs_sat_index, whole.gs_sat_index)
-        assert evaluate_slot(engine, lost, 1, prune=bound) == evaluate_slot(engine, lost, 1)
+    expected = _route_slot(engine, cfg, 1)
+    low, high = 0.9 * expected.latency_ms, 3.0 * expected.latency_ms
+    unpruned_passes = {}
+    for last_ms in (low, high, math.inf, None):
+        with recorded_passes() as seen:
+            assert evaluate_slot(engine, cfg, 1, last_ms=last_ms) == expected
+        unpruned_passes[last_ms] = [alive is None for _, _, alive, _ in seen]
+    assert len(unpruned_passes[low]) >= 2
+    assert len(unpruned_passes[high]) == 1
+    assert unpruned_passes[math.inf] == [True]
+    assert unpruned_passes[None] == [False]  # 10 % above the smallest bound holds here
 
 
-def test_a_temporary_link_bounds_no_ng_slot(engine):
-    """A path bounds a query only if each of its links is one of the query's:
-    an NNG path that holds a temporary link, though within range and in
-    sight, forms no bound for NG at the same range and slot, and the next
-    candidate, the NG path, forms one."""
-    nng, ng = (short_cfg(1700.0, mode, slots=1) for mode in (Mode.NNG, Mode.NG))
-    nng_path, ng_path = (evaluate_slot(engine, cfg, 0) for cfg in (nng, ng))
-    snap = engine.snapshot(0.0, 1700.0, Mode.NNG, (SYDNEY, SAO_PAULO))
-    sats = path_satellites(engine, nng_path)
-    on_path = {tuple(sorted(pair)) for pair in zip(sats, sats[1:])}
-    temporary = [(a, b) in on_path for a, b, permanent
-                 in zip(snap.sat_a.tolist(), snap.sat_b.tolist(), snap.sat_permanent)
-                 if not permanent]
-    assert any(temporary)
-    positions = engine.constellation.positions_at(0.0)
-    assert engine.chain_lengths(sats, positions, 1700.0, Mode.NNG, 1e-6) is not None
-    assert engine.chain_lengths(sats, positions, 1700.0, Mode.NG, 1e-6) is None
-    bound = _PathBound(engine, ng, 0.0, nng_path.node_sequence)
-    assert bound(positions) is None and bound.upper_ms is None
-    bound = _PathBound(engine, ng, 0.0, nng_path.node_sequence, ng_path.node_sequence)
-    assert bound(positions) is not None
-    assert bound.upper_ms == pytest.approx(ng_path.latency_ms, abs=1e-9)
-
-
-def test_records_do_not_depend_on_chunk_starts(engine, monkeypatch):
-    """Serial and pooled runs start their bounds at different slots, yet give
-    the unpruned records. Serially, every slot tries a bound: the first
-    from its NG pilot, the rest from the last path, or from the pilot
-    where the last path lost a link."""
+def test_records_do_not_depend_on_chunk_starts(engine):
+    """Serial and pooled runs guess from a last latency at different slots,
+    yet give the unpruned records. Serially, every slot after the first
+    takes at most two passes, and keeps under 10 % of the satellites."""
     cfg = short_cfg(5016.0, Mode.NNG, slots=40)
     expected = unpruned(engine, cfg)
-    bounds = []
-    call = _PathBound.__call__
-
-    def recording(self, positions):
-        alive = call(self, positions)
-        bounds.append(None if alive is None else alive.mean())
-        return alive
-
-    monkeypatch.setattr(_PathBound, "__call__", recording)
-    serial = run_scenarios(engine, [cfg])[0][0]
-    formed = [share for share in bounds if share is not None]
-    assert len(bounds) == 40 and len(formed) >= 38
-    assert max(formed) < 0.1
-    monkeypatch.undo()
-    assert serial == expected
+    with recorded_passes() as seen:
+        assert run_scenarios(engine, [cfg])[0][0] == expected
+    accepted, count = accepted_passes(seen)
+    assert all(count[(cfg, i)] <= 2 for i in range(1, 40))
+    assert all(alive is not None and alive.mean() < 0.1 for alive, _ in accepted.values())
     assert run_scenarios(engine, [cfg], parallelism=2)[0][0] == expected
 
 
@@ -418,39 +410,20 @@ def study_queries(slots):
             for src, dst, ranges in pairs for r in ranges for mode in Mode]
 
 
-def test_study_batch_bounds_slots_by_siblings(engine, monkeypatch):
-    """In a batch of the 26 study queries, queries with no last path take
-    their bounds from the paths that queries with fewer links found at the
-    same instant, or from a pilot; the records equal those of one-query
-    runs and of unpruned slots, serially and on two workers."""
+def test_study_batch_equals_unpruned_slots(engine):
+    """The 26 study queries give the records of unpruned slots run one query
+    at a time, as one batch, and as one batch on two workers."""
     queries = study_queries(slots=4)
     expected = [unpruned(engine, cfg) for cfg in queries]
     assert [run_scenario(engine, cfg)[0] for cfg in queries] == expected
-    first = []
-    call = _PathBound.__call__
-
-    def recording(self, positions):
-        alive = call(self, positions)
-        if self.t == 0.0:
-            first.append((len(self.paths), self.pilot is not None, alive is not None))
-        return alive
-
-    monkeypatch.setattr(_PathBound, "__call__", recording)
     assert [records for records, _ in run_scenarios(engine, queries)] == expected
-    # At the first instant, 19 queries find a sibling path, and each forms a
-    # bound. The other 7 are the smallest NG query of each city pair, the
-    # Sydney-Sao Paulo NG queries at 1,319 and 1,500 km, whose subsets found
-    # no path, and NNG at 659.5 km, whose NG sibling found none, so it needs
-    # no pilot either.
-    assert len(first) == 19
-    assert all(paths == 1 and not pilot and formed for paths, pilot, formed in first)
-    monkeypatch.undo()
     assert [records for records, _ in run_scenarios(engine, queries, parallelism=2)] == expected
 
 
 def test_short_runs_get_one_chunk_a_worker():
     """Pool chunks hold at least five instants, or as many as give each
-    worker one chunk, so a short run's last paths bound most of its slots;
+    worker one chunk, so most slots of a short run guess from a last
+    latency;
     a run whose four chunks a worker hold five instants or more keeps them.
     Chunks cover the instants in order."""
     def sizes(count, parallelism):
