@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -107,11 +108,12 @@ def _require_mapping(value, path: str, keys_of) -> dict:
 
 
 def _coerce(value, kind, path: str):
-    """value as kind; a float with a fractional part is no int, and a null
-    is no value of any kind."""
+    """value as kind; a float with a fractional part is no int, NaN and
+    infinities are no float, and a null is no value of any kind."""
     try:
         coerced = kind(value)
-        if value is None or (kind is int and isinstance(value, float) and coerced != value):
+        if (value is None or (kind is int and isinstance(value, float) and coerced != value)
+                or (kind is float and not math.isfinite(coerced))):
             raise ValueError(value)
         return coerced
     except (TypeError, ValueError, OverflowError):
@@ -175,15 +177,16 @@ def _parse_scenarios(raw, stations, path: str) -> tuple[ScenarioSpec, ...]:
     for k, item in enumerate(raw):
         where = f"{path}[{k}]"
         item = _require_mapping(item, where, ScenarioSpec)
+        names = {}
         for endpoint in ("src", "dst"):
             if endpoint not in item:
                 raise ConfigurationError(f"{where}.{endpoint} is required")
-            if item[endpoint] not in known:
-                raise ConfigurationError(f"{where}.{endpoint}: unknown station {item[endpoint]!r}")
+            names[endpoint] = _coerce(item[endpoint], str, f"{where}.{endpoint}")
+            if names[endpoint] not in known:
+                raise ConfigurationError(f"{where}.{endpoint}: unknown station {names[endpoint]!r}")
         lists = {key: _coerce_list(item[key], kind, f"{where}.{key}")
                  for key, kind in (("ranges_km", float), ("modes", Mode)) if key in item}
-        spec = ScenarioSpec(**_values(ScenarioSpec, item, where, src=str(item["src"]),
-                                      dst=str(item["dst"]), **lists))
+        spec = ScenarioSpec(**_values(ScenarioSpec, item, where, **names, **lists))
         if not spec.ranges_km or any(r <= 0 for r in spec.ranges_km):
             raise ConfigurationError(f"{where}.ranges_km: ranges must be positive")
         if not spec.modes:
@@ -394,6 +397,11 @@ def _cmd_validate(config: RunConfig, args) -> int:
     return 0
 
 
+def finite(text: str) -> float:
+    """A float flag's value; argparse exits 2, naming the flag, on NaN or inf."""
+    return _coerce(text, float, "flag")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsosim",
@@ -408,18 +416,18 @@ def build_parser() -> argparse.ArgumentParser:
         if with_scenario:
             p.add_argument("--src", help="source station name")
             p.add_argument("--dst", help="destination station name")
-            p.add_argument("--range", type=float, action="append",
+            p.add_argument("--range", type=finite, action="append",
                            help="laser link range in km (repeatable)")
             p.add_argument("--slots", type=int, help="number of time slots")
-            p.add_argument("--slot-duration", type=float,
+            p.add_argument("--slot-duration", type=finite,
                            help="slot duration in seconds (default from config, else 1)")
 
     p_census = sub.add_parser("census", help="link counts by type and permanence")
-    p_census.add_argument("--range", type=float, action="append",
+    p_census.add_argument("--range", type=finite, action="append",
                           help="laser link range in km (repeatable; default: standard seven)")
     p_census.add_argument("--mode", choices=[m.value for m in Mode],
                           help="link policy (default: both)")
-    p_census.add_argument("--time", type=float, default=0.0, help="snapshot time in seconds")
+    p_census.add_argument("--time", type=finite, default=0.0, help="snapshot time in seconds")
     p_census.add_argument("--output-dir", help="output directory (default from config)")
     p_census.set_defaults(func=_cmd_census)
 

@@ -227,16 +227,11 @@ class LinkEngine:
         dp = np.tile(cls_dp[order].astype(np.int32).ravel(), spec.plane_count)
         ds = np.tile(cls_ds[order].astype(np.int32).ravel(), spec.plane_count)
         plane_b = self.constellation.plane_of[a] + dp
-        slot_b = (self.constellation.slot_of[a] + ds) % spec.sats_per_plane
         keep = plane_b < spec.plane_count
-        a, dp, ds, plane_b, slot_b = a[keep], dp[keep], ds[keep], plane_b[keep], slot_b[keep]
-        b = (plane_b * spec.sats_per_plane + slot_b).astype(np.int32)
+        a, dp, ds, plane_b = a[keep], dp[keep], ds[keep], plane_b[keep]
+        b = (plane_b * slots + (self.constellation.slot_of[a] + ds) % slots).astype(np.int32)
         keep = a < b
-        a, b, dp, ds = a[keep], b[keep], dp[keep], ds[keep]
-        plane_offset = np.abs(self.constellation.plane_of[a] - self.constellation.plane_of[b])
-        plane_offset = np.minimum(plane_offset, spec.plane_count - plane_offset)
-        result = _PairRows(a=a, b=b, cls=(dp * slots + ds).astype(np.int16),
-                           plane_offset=plane_offset.astype(np.int8))
+        result = _PairRows(a=a[keep], b=b[keep], cls=(dp * slots + ds)[keep].astype(np.int16))
         self._candidate_cache[key] = result
         return result
 
@@ -246,16 +241,6 @@ class LinkEngine:
         r_orbit = self.constellation.spec.orbit_radius_km
         occ = self.constants.occlusion_radius_km
         return lisl_range_km > 2.0 * math.sqrt(max(r_orbit**2 - occ**2, 0.0))
-
-    def ground_reach(self, gs: GroundStation, t: float, positions: np.ndarray):
-        """The station's position at time t; per satellite at positions, whether
-        the station can link to it (within its slant range and above its
-        horizon); and the slant ranges."""
-        g = ground_station_position(gs, t, self.earth_rotation0_deg,
-                                    self.constants.earth_radius_km)
-        delta = positions - g
-        slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-        return g, (slant <= gs.range_km) & (delta @ g > 0.0), slant
 
     def slot_geometry(self, t: float, requests) -> SlotGeometry:
         """The state at time t that snapshots for any of the requests share.
@@ -345,18 +330,16 @@ class LinkEngine:
 
 @dataclass(frozen=True, eq=False)
 class _PairRows:
-    """Parallel per-pair arrays: endpoints (a < b), flat pair class
-    dp * sats_per_plane + ds (int16 holds it for shells of up to 99 x 99),
-    and wrapped plane offset."""
+    """Parallel per-pair arrays: endpoints (a < b) and flat pair class
+    dp * sats_per_plane + ds, where b lies dp planes above a (int16 holds it
+    for shells of up to 99 x 99)."""
 
     a: np.ndarray
     b: np.ndarray
     cls: np.ndarray
-    plane_offset: np.ndarray
 
     def take(self, index) -> "_PairRows":
-        return _PairRows(a=self.a[index], b=self.b[index], cls=self.cls[index],
-                         plane_offset=self.plane_offset[index])
+        return _PairRows(a=self.a[index], b=self.b[index], cls=self.cls[index])
 
     def per_pair(self, table: np.ndarray, rows, dtype) -> np.ndarray:
         """rows(table[a], table[b]) into one array, over blocks of pairs small
@@ -396,14 +379,18 @@ class SlotGeometry:
     def type_code(self) -> np.ndarray:
         """Per pair, the index of its LinkType: intra-plane (0), and otherwise
         adjacent-plane (1) or nearby-plane (2) if the two satellites move the
-        same way, crossing-plane (3) if not."""
-        vel = self.engine.constellation.velocities_at(self.time_s)
+        same way, crossing-plane (3) if not. The plane offset dp of a pair's
+        class is wrapped around the shell to min(dp, plane_count - dp)."""
+        shell = self.engine.constellation
+        vel = shell.velocities_at(self.time_s)
         pairs = self.pairs
         co_moving = pairs.per_pair(vel, lambda v, w: np.einsum("ij,ij->i", v, w) > 0.0, bool)
+        dp = pairs.cls // shell.spec.sats_per_plane
+        offset = np.minimum(dp, shell.spec.plane_count - dp)
         type_code = np.full(len(pairs.a), 3, dtype=np.int8)
-        type_code[(pairs.plane_offset == 1) & co_moving] = 1
-        type_code[(pairs.plane_offset >= 2) & co_moving] = 2
-        type_code[pairs.plane_offset == 0] = 0
+        type_code[(offset == 1) & co_moving] = 1
+        type_code[(offset >= 2) & co_moving] = 2
+        type_code[offset == 0] = 0
         return type_code
 
     def clear_of_earth(self) -> np.ndarray:
@@ -432,11 +419,16 @@ class SlotGeometry:
         return index
 
     def ground_links(self, gs: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Station position, and the satellites it can link to with their slant ranges."""
+        """Station position, and the satellites it can link to with their slant
+        ranges: those within the station's slant range and above its horizon."""
         found = self._ground.get(gs)
         if found is None:
-            g, reach, slant = self.engine.ground_reach(gs, self.time_s, self.positions)
-            feasible = np.flatnonzero(reach)
+            engine = self.engine
+            g = ground_station_position(gs, self.time_s, engine.earth_rotation0_deg,
+                                        engine.constants.earth_radius_km)
+            delta = self.positions - g
+            slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+            feasible = np.flatnonzero((slant <= gs.range_km) & (delta @ g > 0.0))
             found = (g, feasible.astype(np.int32), slant[feasible])
             self._ground[gs] = found
         return found

@@ -33,7 +33,7 @@ import numpy as np
 from . import routing
 from .errors import ConfigurationError
 from .links import LinkEngine, Mode, SlotGeometry
-from .orbital import GroundStation
+from .orbital import GroundStation, ground_station_position
 
 # Stations at the stock exchanges of the studied cities.
 BUNDLED_STATIONS: tuple[GroundStation, ...] = (
@@ -66,10 +66,10 @@ class ScenarioConfig:
         if self.src.name == self.dst.name:
             raise ConfigurationError(
                 f"scenario source and destination are both {self.src.name!r}")
-        if self.lisl_range_km <= 0:
-            raise ConfigurationError("scenario lisl_range_km must be positive")
-        if self.slot_duration_s <= 0:
-            raise ConfigurationError("scenario slot_duration_s must be positive")
+        if not 0 < self.lisl_range_km < math.inf:
+            raise ConfigurationError("scenario lisl_range_km must be positive and finite")
+        if not 0 < self.slot_duration_s < math.inf:
+            raise ConfigurationError("scenario slot_duration_s must be positive and finite")
         if self.slot_count < 1:
             raise ConfigurationError("scenario slot_count must be at least 1")
 
@@ -148,7 +148,7 @@ def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
         return _route_slot(engine, cfg, slot_index, geometry)
     t = slot_index * cfg.slot_duration_s
     positions = engine.constellation.positions_at(t) if geometry is None else geometry.positions
-    bounds = np.maximum(*lower_bounds(engine, cfg, t, positions))
+    bounds = lower_bounds(engine, cfg, t, positions)
     base, margin = (bounds.min(), _FIRST_MARGIN) if last_ms is None else (last_ms, _LAST_MARGIN)
     upper = base * (1.0 + margin)
     while True:
@@ -194,52 +194,39 @@ _BOUND_SLACK_MS = 1e-6
 
 
 def lower_bounds(engine: LinkEngine, cfg: ScenarioConfig, time_s: float,
-                 positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per satellite x at positions, those at time_s, two lower bounds on the
-    latency of any path of the query from station s to station t through
-    x: LB_chord(x) and LB_arc(x).
+                 positions: np.ndarray) -> np.ndarray:
+    """Per satellite x at positions, those at time_s, a lower bound LB_arc(x)
+    on the latency of any path of the query from station s to station t
+    through x.
 
     Each satellite adds the node delay d, so a satellite link of length
-    l <= R, the link range, costs l/c + d, one more d aside. In straight
-    lines that is at least k l with k = 1/c + d/R, and a ground link of
-    length at most the station's slant range g costs its propagation
-    delay; by the triangle inequality, LB_chord(x) = d + leg_s(|s - x|)
-    + leg_t(|x - t|), with leg(a) = min(a, g)/c + max(a - g, 0) k.
-
-    On the orbit sphere, of radius r, a link spans a central angle of at
-    most theta_R = 2 asin(R'/2r), where R' = min(R, 2r). So links
-    spanning a central angle A number at least ceil(A/theta_R) and,
-    since a chord is concave in its angle, measure at least
-    n R' + 2r sin((A - n theta_R)/2), n = floor(A/theta_R); they cost
-    at least hops(A), the sum of the two, never less than
-    A (R'/c + d)/theta_R. A station at radius R_E reaches satellites up
-    to the central angle theta_g from it, with sin^2(theta_g/2) =
-    (g^2 - (r - R_E)^2)/(4 r R_E), over a ground link at least
-    |r - R_E| long, and central angles obey the triangle inequality, so
-    LB_arc(x) = d + 2|r - R_E|/c + hops(max(theta(s, x) - theta_g(s), 0))
-    + hops(max(theta(x, t) - theta_g(t), 0)). The angles come from
-    atan2, and whole links are counted 1e-9 of a link short, so
+    l <= R, the link range, costs l/c + d, one more d aside. On the orbit
+    sphere, of radius r, a link spans a central angle of at most
+    theta_R = 2 asin(R'/2r), where R' = min(R, 2r). So links spanning a
+    central angle A number at least ceil(A/theta_R) and, since a chord is
+    concave in its angle, measure at least n R' + 2r sin((A - n theta_R)/2),
+    n = floor(A/theta_R); they cost at least hops(A), the sum of the two,
+    never less than A (R'/c + d)/theta_R. A station at radius R_E with
+    slant range g reaches satellites up to the central angle theta_g from
+    it, sin^2(theta_g/2) = (g^2 - (r - R_E)^2)/(4 r R_E), over a ground link
+    at least |r - R_E| long, and central angles obey the triangle
+    inequality, so LB_arc(x) = d + 2|r - R_E|/c + hops(max(theta(s, x) -
+    theta_g(s), 0)) + hops(max(theta(x, t) - theta_g(t), 0)). The angles
+    come from atan2, and whole links are counted 1e-9 of a link short, so
     rounding stays far below the cut's slack.
     """
-    (g_s, _, slant_s), (g_d, _, slant_d) = (engine.ground_reach(gs, time_s, positions)
-                                            for gs in (cfg.src, cfg.dst))
     per_km = 1e6 / engine.constants.c_mps
     delay = engine.constants.node_delay_ms
-    range_km = cfg.lisl_range_km
-    k = per_km + delay / range_km
-
-    def leg(a, g):
-        return np.minimum(a, g) * per_km + np.maximum(a - g, 0.0) * k
-
-    chord = delay + leg(slant_s, cfg.src.range_km) + leg(slant_d, cfg.dst.range_km)
     r = engine.constellation.spec.orbit_radius_km
     r_e = engine.constants.earth_radius_km
-    longest = min(range_km, 2.0 * r)
+    longest = min(cfg.lisl_range_km, 2.0 * r)
     theta_r = 2.0 * math.asin(longest / (2.0 * r))
 
-    def hops(g_pos, g):
+    def hops(gs):
+        g_pos = ground_station_position(gs, time_s, engine.earth_rotation0_deg, r_e)
         cross = np.cross(positions, g_pos)
         theta = np.arctan2(np.sqrt(np.einsum("ij,ij->i", cross, cross)), positions @ g_pos)
+        g = gs.range_km
         reach = 2.0 * math.asin(math.sqrt(
             min(max((g - abs(r - r_e)) * (g + abs(r - r_e)) / (4.0 * r * r_e), 0.0), 1.0)))
         span = np.maximum(theta - reach, 0.0) / theta_r
@@ -248,9 +235,7 @@ def lower_bounds(engine: LinkEngine, cfg: ScenarioConfig, time_s: float,
                 + (whole * longest + 2.0 * r * np.sin((span - whole) * (theta_r / 2.0)))
                 * per_km)
 
-    arc = (delay + 2.0 * abs(r - r_e) * per_km
-           + hops(g_s, cfg.src.range_km) + hops(g_d, cfg.dst.range_km))
-    return chord, arc
+    return delay + 2.0 * abs(r - r_e) * per_km + hops(cfg.src) + hops(cfg.dst)
 
 
 def summarize(records: list[SlotRecord] | tuple[SlotRecord, ...]) -> MetricsSummary:

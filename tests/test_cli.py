@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -241,16 +243,55 @@ def test_parallelism_resolved_once(tmp_path, given, resolved):
     ("stations: [{name: A, range_km: far}]", r"stations\[0\]\.range_km: expected float"),
     ("output_dir:", r"config\.output_dir: expected str, got None"),
     ("stations: [{name: , latitude_deg: 0.0}]", r"stations\[0\]\.name: expected str, got None"),
+    ("scenarios: [{src: [Sydney], dst: Tokyo}]",
+     r"scenarios\[0\]\.src: unknown station \"\['Sydney'\]\""),
 ], ids=["ranges-scalar", "ranges-item", "ranges-empty", "slot-count", "slot-duration",
         "modes-scalar", "modes-empty", "slot-count-fraction", "plane-count-fraction",
         "parallelism-fraction", "latitude", "longitude", "station-range", "output-dir-null",
-        "station-name-null"])
+        "station-name-null", "endpoint-list"])
 def test_unparsable_config_value_exit_code(tmp_path, capsys, yaml_text, message):
     """A value that does not parse is a configuration error naming its key."""
     f = tmp_path / "bad.yaml"
     f.write_text(yaml_text + "\n")
     assert main(["--config", str(f), "run", "--output-dir", str(tmp_path / "out")]) == 2
     assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("yaml_text, key", [
+    ("scenarios: [{{src: Sydney, dst: Tokyo, slot_duration_s: {}}}]",
+     r"scenarios\[0\]\.slot_duration_s"),
+    ("scenarios: [{{src: Sydney, dst: Tokyo, ranges_km: [1700, {}]}}]",
+     r"scenarios\[0\]\.ranges_km\[1\]"),
+    ("earth_rotation0_deg: {}", r"config\.earth_rotation0_deg"),
+    ("constellation: {{altitude_km: {}}}", r"constellation\.altitude_km"),
+], ids=["slot-duration", "ranges", "earth-rotation", "altitude"])
+def test_non_finite_config_values_rejected(tmp_path, yaml_text, key, value):
+    """NaN and infinities are configuration errors naming their key, not
+    values a run would spin on."""
+    f = tmp_path / "cfg.yaml"
+    f.write_text(yaml_text.format(value) + "\n")
+    with pytest.raises(ConfigurationError, match=key + ": expected float"):
+        parse_config(f)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--src", "Sydney", "--dst", "Sao Paulo", "--mode", "NNG", "--slots", "2",
+     "--range", "nan"],
+    ["run", "--src", "Sydney", "--dst", "Sao Paulo", "--mode", "NNG", "--slots", "2",
+     "--range", "1700", "--slot-duration", "inf"],
+    ["census", "--time", "nan"],
+], ids=["range", "slot-duration", "time"])
+def test_non_finite_flags_exit_code(tmp_path, argv):
+    """A non-finite float flag exits 2 naming the flag; run in a subprocess
+    with a timeout, so that a regression fails instead of hanging."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "fsosim.cli", *argv,
+                           "--output-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 2
+    assert f"argument {argv[-2]}" in done.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -482,6 +482,16 @@ def test_node_index_inverts_satellite_ids(engine):
             snap.node_index(missing)
 
 
+def reference_type_codes(shell, a, b, t):
+    """Type codes of the pairs (a, b) at time t, from their plane indices,
+    the offset wrapped around the shell, and their velocities."""
+    vel = shell.velocities_at(t)
+    co_moving = np.einsum("ij,ij->i", vel[a], vel[b]) > 0.0
+    offset = np.abs(shell.plane_of[a] - shell.plane_of[b])
+    offset = np.minimum(offset, shell.spec.plane_count - offset)
+    return np.where(offset == 0, 0, np.where(co_moving, np.where(offset == 1, 1, 2), 3))
+
+
 @pytest.mark.parametrize("count", [0, 1, links._PAIR_BLOCK - 1, links._PAIR_BLOCK,
                                    links._PAIR_BLOCK + 1])
 def test_blockwise_geometry_equals_one_pass(count, shell):
@@ -494,12 +504,11 @@ def test_blockwise_geometry_equals_one_pass(count, shell):
     engine._candidate_pairs = lambda _mask: candidates
     geometry = engine.slot_geometry(t, [(r, Mode.NNG)])
 
-    pos, vel = shell.positions_at(t), shell.velocities_at(t)
+    pos = shell.positions_at(t)
     diff = pos[candidates.a] - pos[candidates.b]
     length = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     near = length <= r
     a, b = candidates.a[near], candidates.b[near]
-    co_moving = np.einsum("ij,ij->i", vel[a], vel[b]) > 0.0
     p, chord = pos[a], pos[b] - pos[a]
     s = np.clip(-np.einsum("ij,ij->i", p, chord)
                 / np.maximum(np.einsum("ij,ij->i", chord, chord), 1e-300), 0.0, 1.0)
@@ -508,9 +517,7 @@ def test_blockwise_geometry_equals_one_pass(count, shell):
 
     assert np.array_equal(geometry.pairs.a, a) and np.array_equal(geometry.pairs.b, b)
     assert np.array_equal(geometry.length_km, length[near])
-    offset = candidates.plane_offset[near]
-    type_code = np.where(offset == 0, 0, np.where(co_moving, np.where(offset == 1, 1, 2), 3))
-    assert np.array_equal(geometry.type_code, type_code)
+    assert np.array_equal(geometry.type_code, reference_type_codes(shell, a, b, t))
     assert geometry.clear_of_earth().dtype == bool
     assert np.array_equal(geometry.clear_of_earth(), clear)
 
@@ -518,10 +525,10 @@ def test_blockwise_geometry_equals_one_pass(count, shell):
 # -- candidate order and lazy typing ---------------------------------------
 
 def generated_candidate_pairs(engine, class_mask):
-    """The candidate pairs of class_mask as (a, b, flat class, plane offset),
-    generated base-major and then in (dp, ds) order from every base
-    satellite, with no ordering of the result: the reference for the
-    engine's sorted lists."""
+    """The candidate pairs of class_mask as (a, b, flat class), generated
+    base-major and then in (dp, ds) order from every base satellite, with
+    no ordering of the result: the reference for the engine's sorted
+    lists."""
     shell = engine.constellation
     spec = shell.spec
     planes, slots, n = spec.plane_count, spec.sats_per_plane, spec.satellite_count
@@ -531,10 +538,7 @@ def generated_candidate_pairs(engine, class_mask):
     plane_b = shell.plane_of[a] + dp
     b = plane_b * slots + (shell.slot_of[a] + ds) % slots
     keep = (plane_b < planes) & (a < b)
-    offset = np.abs(shell.plane_of[a] - plane_b)
-    offset = np.minimum(offset, planes - offset)
-    return set(zip(a[keep].tolist(), b[keep].tolist(), (dp * slots + ds)[keep].tolist(),
-                   offset[keep].tolist()))
+    return set(zip(a[keep].tolist(), b[keep].tolist(), (dp * slots + ds)[keep].tolist()))
 
 
 def grazing_chord_km(engine):
@@ -543,24 +547,78 @@ def grazing_chord_km(engine):
     return 2.0 * math.sqrt(r_orbit**2 - engine.constants.occlusion_radius_km**2)
 
 
+@st.composite
+def small_shells(draw, raan_spreads_deg=(180.0, 360.0)):
+    """A Walker shell of 1-8 planes of 3-30 satellites, any phasing offset
+    and one of the RAAN spreads."""
+    planes = draw(st.integers(1, 8))
+    return build_constellation(ConstellationSpec(
+        plane_count=planes, sats_per_plane=draw(st.integers(3, 30)),
+        phasing_offset=draw(st.integers(0, planes - 1)),
+        raan_spread_deg=draw(st.sampled_from(raan_spreads_deg))))
+
+
 @settings(deadline=None)
-@given(planes=st.integers(1, 8), slots=st.integers(3, 30), data=st.data(),
-       raan_spread_deg=st.sampled_from([180.0, 360.0]), mode=st.sampled_from(list(Mode)),
+@given(shell=small_shells(), mode=st.sampled_from(list(Mode)),
        chord_fraction=st.floats(0.1, 1.3))
-def test_candidate_pairs_come_sorted(planes, slots, data, raan_spread_deg, mode, chord_fraction):
+def test_candidate_pairs_come_sorted(shell, mode, chord_fraction):
     """Candidate lists are strictly increasing in a * N + b, and hold the
-    pairs, classes and plane offsets that unsorted generation gives."""
-    spec = ConstellationSpec(plane_count=planes, sats_per_plane=slots,
-                             phasing_offset=data.draw(st.integers(0, planes - 1)),
-                             raan_spread_deg=raan_spread_deg)
-    engine = LinkEngine(build_constellation(spec))
+    pairs and classes that unsorted generation gives."""
+    engine = LinkEngine(shell)
     mask = engine._class_mask(chord_fraction * grazing_chord_km(engine), mode)
     pairs = engine._candidate_pairs(mask)
-    assert np.all(np.diff(pairs.a.astype(np.int64) * spec.satellite_count + pairs.b) > 0)
-    found = set(zip(pairs.a.tolist(), pairs.b.tolist(), pairs.cls.tolist(),
-                    pairs.plane_offset.tolist()))
+    assert np.all(np.diff(pairs.a.astype(np.int64) * len(shell) + pairs.b) > 0)
+    found = set(zip(pairs.a.tolist(), pairs.b.tolist(), pairs.cls.tolist()))
     assert len(found) == len(pairs.a)
     assert found == generated_candidate_pairs(engine, mask)
+
+
+@settings(deadline=None)
+@given(shell=small_shells(), mode=st.sampled_from(list(Mode)),
+       chord_fraction=st.floats(0.1, 1.3), t=st.floats(0.0, 6000.0))
+def test_plane_relation_types_on_random_shells(shell, mode, chord_fraction, t):
+    """The type codes a geometry derives from its pair classes equal those
+    from plane indices and velocities, on shells with few or an odd number
+    of planes and with half or full RAAN spreads."""
+    engine = LinkEngine(shell)
+    geometry = engine.slot_geometry(t, [(chord_fraction * grazing_chord_km(engine), mode)])
+    pairs = geometry.pairs
+    assert np.array_equal(geometry.type_code, reference_type_codes(shell, pairs.a, pairs.b, t))
+
+
+def walker_period_s(spec):
+    """The time gcd(P, f) T / N after which a Walker-delta shell of P planes,
+    N satellites, phasing offset f and period T, with a 360 degree RAAN
+    spread, repeats up to a rotation about the pole and a relabelling."""
+    return (math.gcd(spec.plane_count, spec.phasing_offset) * spec.orbital_period_s
+            / spec.satellite_count)
+
+
+def assert_repeats_every_walker_period(shell):
+    """Snapshots at t and one Walker period later hold as many links, of the
+    same types and permanence, and of the same lengths."""
+    engine = LinkEngine(shell)
+    tau = walker_period_s(shell.spec)
+    requests = [(r, mode) for r in (659.5, 1700.0, 5016.0, 5100.0) for mode in Mode]
+    for t in (0.0, 17.3, 1234.5):
+        geometries = [engine.slot_geometry(s, requests) for s in (t, t + tau)]
+        for r, mode in requests:
+            now, later = (engine.snapshot(g.time_s, r, mode, geometry=g) for g in geometries)
+            assert now.link_count == later.link_count, (t, r, mode)
+            assert link_census(now).counts == link_census(later).counts, (t, r, mode)
+            assert np.allclose(np.sort(now.sat_length_km), np.sort(later.sat_length_km),
+                               rtol=0.0, atol=1e-6), (t, r, mode)
+
+
+def test_starlink_shell_repeats_every_walker_period(shell):
+    assert walker_period_s(shell.spec) == pytest.approx(10.869, abs=1e-3)
+    assert_repeats_every_walker_period(shell)
+
+
+@settings(deadline=None)
+@given(shell=small_shells(raan_spreads_deg=(360.0,)))
+def test_small_shells_repeat_every_walker_period(shell):
+    assert_repeats_every_walker_period(shell)
 
 
 def test_routing_needs_no_velocities(monkeypatch):
