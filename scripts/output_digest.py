@@ -12,9 +12,11 @@ and on one worker, `fsosim run --slots 6` with a 5 ms node delay
 (constants: {node_delay_ms: 5.0}), 120-slot NNG runs at 5,016 km of
 Sydney-Sao Paulo, the heaviest graph, where equal-latency ties are
 likeliest to show, and of New York-Jakarta, where the arc bound prunes
-most, and a 40-slot New York-Jakarta NNG run at 1,700 km on 30 s slots,
+most, a 40-slot New York-Jakarta NNG run at 1,700 km on 30 s slots,
 whose latency moves enough from slot to slot that a guess from the last
-latency misses and a second pass runs,
+latency misses and a second pass runs, and a 40-slot New York-Jakarta NG
+run at 1,700 km, whose passes keep about 60 % of the satellites, the
+densest mask of a query routed alone,
 
 then prints one "sha256  relative-path" line per file, sorted by path, and
 last the sha256 of that list. No golden digest is stored: to compare two
@@ -43,7 +45,8 @@ def sha256(data: bytes) -> str:
 def produce(root: Path, env: dict) -> None:
     """Write every output under root: one subdirectory per parallelism,
     delay5 for the run with a 5 ms node delay, nng5016 and nng5016-nyc-jkt
-    for the long runs, and nng1700-nyc-jkt-30s for the run on 30 s slots."""
+    for the long runs, nng1700-nyc-jkt-30s for the run on 30 s slots and
+    ng1700-nyc-jkt for the densest lone mask."""
     for workers in (1, 2):
         base = root / "out" / f"p{workers}"
         base.mkdir(parents=True)
@@ -70,12 +73,14 @@ def produce(root: Path, env: dict) -> None:
     config = root / "config_serial.yaml"
     config.write_text("parallelism: 1\n")
     for src, dst, name, extra in (
-            ("Sydney", "Sao Paulo", "nng5016", ["--range", "5016", "--slots", "120"]),
-            ("New York", "Jakarta", "nng5016-nyc-jkt", ["--range", "5016", "--slots", "120"]),
+            ("Sydney", "Sao Paulo", "nng5016", ["NNG", "--range", "5016", "--slots", "120"]),
+            ("New York", "Jakarta", "nng5016-nyc-jkt",
+             ["NNG", "--range", "5016", "--slots", "120"]),
             ("New York", "Jakarta", "nng1700-nyc-jkt-30s",
-             ["--range", "1700", "--slots", "40", "--slot-duration", "30"])):
+             ["NNG", "--range", "1700", "--slots", "40", "--slot-duration", "30"]),
+            ("New York", "Jakarta", "ng1700-nyc-jkt", ["NG", "--range", "1700", "--slots", "40"])):
         subprocess.run([sys.executable, "-m", "fsosim.cli", "--config", str(config), "run",
-                        "--src", src, "--dst", dst, "--mode", "NNG", *extra,
+                        "--src", src, "--dst", dst, "--mode", *extra,
                         "--output-dir", str(root / "out" / name / "run")],
                        env=env, check=True, stdout=subprocess.DEVNULL)
 

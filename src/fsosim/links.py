@@ -257,16 +257,14 @@ class LinkEngine:
 
     def _measure(self, t: float, requests: frozenset, positions: np.ndarray,
                  alive: np.ndarray | None = None) -> SlotGeometry:
-        """The slot geometry of the requests at positions; with alive, a mask
-        over the satellites, only the pairs of two live satellites."""
+        """The slot geometry of the requests at positions, those at t; with
+        alive, a mask over the satellites, only the pairs of two live
+        satellites, found from the live satellites' rows (_PairRows.live), so
+        that a pass over few satellites reads few of the candidate pairs."""
         union = np.logical_or.reduce([self._class_mask(r, mode) for r, mode in requests])
         pairs = self._candidate_pairs(union)
         if alive is not None:
-            # The pairs come sorted by a, so alive[a] is alive repeated by row
-            # length, which costs less than gathering it.
-            row_ends = np.searchsorted(pairs.a, np.arange(len(alive) + 1, dtype=pairs.a.dtype))
-            live = np.repeat(alive, np.diff(row_ends)) & np.take(alive, pairs.b)
-            pairs = pairs.take(np.flatnonzero(live))
+            pairs = pairs.take(pairs.live(alive))
         length = pairs.per_pair(positions, _distance, float)
         near = np.flatnonzero(length <= max(r for r, _ in requests))
         return SlotGeometry(engine=self, time_s=t, requests=requests, positions=positions,
@@ -275,24 +273,29 @@ class LinkEngine:
     def snapshot(self, t: float, lisl_range_km: float, mode: Mode,
                  ground_stations: list[GroundStation] | tuple[GroundStation, ...] = (),
                  geometry: SlotGeometry | None = None,
-                 alive: np.ndarray | None = None) -> GraphSnapshot:
+                 alive: np.ndarray | None = None,
+                 positions: np.ndarray | None = None) -> GraphSnapshot:
         """All links feasible at time t under the range and link policy.
 
         With geometry from slot_geometry at the same t and with (range, mode)
         among its requests, the snapshot selects its links from that shared
-        state; without it, the snapshot measures a geometry of its own. The
-        links come out in the same order either way. A non-positive range
-        yields a snapshot with no satellite links.
+        state; without it, the snapshot measures a geometry of its own, at
+        positions if given (the shell's positions at t, which it would
+        otherwise propagate). The links come out in the same order either
+        way. A non-positive range yields a snapshot with no satellite links.
 
         alive, if given, is a mask of the satellites that may carry links:
         the snapshot then keeps only the satellite links between, and the
         ground links to, those satellites, and a geometry of its own
-        measures only their pairs.
+        measures only their pairs, reading only the live satellites' rows
+        of the candidate list.
         """
         cut = alive
         if geometry is None:
+            if positions is None:
+                positions = self.constellation.positions_at(t)
             geometry = self._measure(t, frozenset({(float(lisl_range_km), Mode(mode))}),
-                                     self.constellation.positions_at(t), alive)
+                                     positions, alive)
             cut = None  # the geometry holds live pairs only
         elif (geometry.engine is not self or geometry.time_s != t
               or (float(lisl_range_km), mode) not in geometry.requests):
@@ -341,6 +344,18 @@ class _PairRows:
     def take(self, index) -> "_PairRows":
         return _PairRows(a=self.a[index], b=self.b[index], cls=self.cls[index])
 
+    def live(self, alive: np.ndarray) -> np.ndarray:
+        """Ascending index of the pairs whose two satellites alive marks.
+
+        The pairs come sorted by a, so the rows of each run of consecutive
+        live satellites are one slice, found by searchsorted; only those
+        rows are read, and of them the pairs whose b is alive are kept."""
+        edges = np.flatnonzero(np.diff(alive, prepend=False, append=False))
+        bounds = np.searchsorted(self.a, edges.astype(self.a.dtype))
+        lo, size = bounds[0::2], bounds[1::2] - bounds[0::2]
+        rows = np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
+        return rows[np.take(alive, np.take(self.b, rows))]
+
     def per_pair(self, table: np.ndarray, rows, dtype) -> np.ndarray:
         """rows(table[a], table[b]) into one array, over blocks of pairs small
         enough that the allocator reuses their temporaries from slot to slot;
@@ -360,9 +375,9 @@ class SlotGeometry:
 
     Made by LinkEngine.slot_geometry. pairs holds every pair of the
     requests' candidate classes that lies within the largest requested
-    range, with its length. The plane-relation type codes, line of sight
-    and the ground links of each station are computed on first use and
-    then kept.
+    range, with its length. The plane-relation type codes, line of sight,
+    and each station's ground links and central angles to the satellites
+    are computed on first use and then kept.
     """
 
     engine: LinkEngine
@@ -373,6 +388,7 @@ class SlotGeometry:
     length_km: np.ndarray
     _clear: np.ndarray | None = field(default=None, init=False, repr=False)
     _ground: dict = field(default_factory=dict, init=False, repr=False)
+    _beyond: dict = field(default_factory=dict, init=False, repr=False)
     _selected: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
@@ -432,6 +448,41 @@ class SlotGeometry:
             found = (g, feasible.astype(np.int32), slant[feasible])
             self._ground[gs] = found
         return found
+
+    def angle_beyond_reach(self, gs: GroundStation) -> np.ndarray:
+        """angle_beyond_reach of the station at this instant, computed once
+        per station."""
+        found = self._beyond.get(gs)
+        if found is None:
+            found = angle_beyond_reach(self.engine, gs, self.time_s, self.positions)
+            self._beyond[gs] = found
+        return found
+
+
+def angle_beyond_reach(engine: LinkEngine, gs: GroundStation, time_s: float,
+                       positions: np.ndarray) -> np.ndarray:
+    """Per satellite at positions, those at time_s, by how much the central
+    angle between it and the station exceeds theta_g, the largest at which
+    the station reaches the orbit sphere; 0 within theta_g.
+
+    A station at radius R_E with slant range g reaches satellites of the
+    shell, of orbit radius r, up to the central angle theta_g from it,
+    sin^2(theta_g/2) = (g^2 - (r - R_E)^2)/(4 r R_E). The angles come from
+    atan2(|u x v|, u.v), the cross product written out per component as
+    np.cross computes it, which spares np.cross's set-up."""
+    r = engine.constellation.spec.orbit_radius_km
+    r_e = engine.constants.earth_radius_km
+    g_pos = ground_station_position(gs, time_s, engine.earth_rotation0_deg, r_e)
+    x, y, z = positions.T
+    cross = np.empty((len(positions), 3))
+    np.subtract(y * g_pos[2], z * g_pos[1], out=cross[:, 0])
+    np.subtract(z * g_pos[0], x * g_pos[2], out=cross[:, 1])
+    np.subtract(x * g_pos[1], y * g_pos[0], out=cross[:, 2])
+    theta = np.arctan2(np.sqrt(np.einsum("ij,ij->i", cross, cross)), positions @ g_pos)
+    g = gs.range_km
+    reach = 2.0 * math.asin(math.sqrt(
+        min(max((g - abs(r - r_e)) * (g + abs(r - r_e)) / (4.0 * r * r_e), 0.0), 1.0)))
+    return np.maximum(theta - reach, 0.0)
 
 
 def _distance(p, q):

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import routing
 from .errors import ConfigurationError
-from .links import LinkEngine, Mode, SlotGeometry
-from .orbital import GroundStation, ground_station_position
+from .links import LinkEngine, Mode, SlotGeometry, angle_beyond_reach
+from .orbital import GroundStation
 
 # Stations at the stock exchanges of the studied cities.
 BUNDLED_STATIONS: tuple[GroundStation, ...] = (
@@ -147,14 +147,22 @@ def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
     if last_ms == math.inf:
         return _route_slot(engine, cfg, slot_index, geometry)
     t = slot_index * cfg.slot_duration_s
-    positions = engine.constellation.positions_at(t) if geometry is None else geometry.positions
-    bounds = lower_bounds(engine, cfg, t, positions)
+    stations = (cfg.src, cfg.dst)
+    if geometry is None:
+        # The shell is propagated once a slot: every pass measures at these.
+        positions = engine.constellation.positions_at(t)
+        angles = [angle_beyond_reach(engine, gs, t, positions) for gs in stations]
+    else:
+        positions = None
+        angles = [geometry.angle_beyond_reach(gs) for gs in stations]
+    bounds = lower_bounds(engine, cfg, *angles)
     base, margin = (bounds.min(), _FIRST_MARGIN) if last_ms is None else (last_ms, _LAST_MARGIN)
     upper = base * (1.0 + margin)
     while True:
         alive = bounds <= upper + _BOUND_SLACK_MS
         pruned = not alive.all()
-        record = _route_slot(engine, cfg, slot_index, geometry, alive if pruned else None)
+        record = _route_slot(engine, cfg, slot_index, geometry, alive if pruned else None,
+                             positions)
         if not pruned or (record.path_found and record.latency_ms <= upper):
             return record
         if record.path_found:
@@ -166,10 +174,13 @@ def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
 
 def _route_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
                 geometry: SlotGeometry | None = None,
-                alive: np.ndarray | None = None) -> SlotRecord:
-    # One pass of evaluate_slot, over the satellites alive marks (all if None).
+                alive: np.ndarray | None = None,
+                positions: np.ndarray | None = None) -> SlotRecord:
+    # One pass of evaluate_slot, over the satellites alive marks (all if
+    # None), at the shell's positions if given.
     t = slot_index * cfg.slot_duration_s
-    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), geometry, alive)
+    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), geometry, alive,
+                           positions)
     result = routing.shortest_path(snap, cfg.src.name, cfg.dst.name)
     if result is None:
         return SlotRecord(slot_index=slot_index, path_found=False)
@@ -193,11 +204,13 @@ _FIRST_MARGIN = 0.1
 _BOUND_SLACK_MS = 1e-6
 
 
-def lower_bounds(engine: LinkEngine, cfg: ScenarioConfig, time_s: float,
-                 positions: np.ndarray) -> np.ndarray:
-    """Per satellite x at positions, those at time_s, a lower bound LB_arc(x)
-    on the latency of any path of the query from station s to station t
-    through x.
+def lower_bounds(engine: LinkEngine, cfg: ScenarioConfig, src_angle: np.ndarray,
+                 dst_angle: np.ndarray) -> np.ndarray:
+    """Per satellite x, a lower bound LB_arc(x) on the latency of any path
+    of the query from station s to station t through x, given the central
+    angles from x to s and to t beyond the stations' reach
+    (links.angle_beyond_reach), which depend on the instant but not on the
+    query's range.
 
     Each satellite adds the node delay d, so a satellite link of length
     l <= R, the link range, costs l/c + d, one more d aside. On the orbit
@@ -206,14 +219,13 @@ def lower_bounds(engine: LinkEngine, cfg: ScenarioConfig, time_s: float,
     central angle A number at least ceil(A/theta_R) and, since a chord is
     concave in its angle, measure at least n R' + 2r sin((A - n theta_R)/2),
     n = floor(A/theta_R); they cost at least hops(A), the sum of the two,
-    never less than A (R'/c + d)/theta_R. A station at radius R_E with
-    slant range g reaches satellites up to the central angle theta_g from
-    it, sin^2(theta_g/2) = (g^2 - (r - R_E)^2)/(4 r R_E), over a ground link
+    never less than A (R'/c + d)/theta_R. A station at radius R_E reaches
+    satellites up to the central angle theta_g from it, over a ground link
     at least |r - R_E| long, and central angles obey the triangle
     inequality, so LB_arc(x) = d + 2|r - R_E|/c + hops(max(theta(s, x) -
-    theta_g(s), 0)) + hops(max(theta(x, t) - theta_g(t), 0)). The angles
-    come from atan2, and whole links are counted 1e-9 of a link short, so
-    rounding stays far below the cut's slack.
+    theta_g(s), 0)) + hops(max(theta(x, t) - theta_g(t), 0)). Whole links
+    are counted 1e-9 of a link short, so rounding stays far below the
+    cut's slack.
     """
     per_km = 1e6 / engine.constants.c_mps
     delay = engine.constants.node_delay_ms
@@ -222,20 +234,14 @@ def lower_bounds(engine: LinkEngine, cfg: ScenarioConfig, time_s: float,
     longest = min(cfg.lisl_range_km, 2.0 * r)
     theta_r = 2.0 * math.asin(longest / (2.0 * r))
 
-    def hops(gs):
-        g_pos = ground_station_position(gs, time_s, engine.earth_rotation0_deg, r_e)
-        cross = np.cross(positions, g_pos)
-        theta = np.arctan2(np.sqrt(np.einsum("ij,ij->i", cross, cross)), positions @ g_pos)
-        g = gs.range_km
-        reach = 2.0 * math.asin(math.sqrt(
-            min(max((g - abs(r - r_e)) * (g + abs(r - r_e)) / (4.0 * r * r_e), 0.0), 1.0)))
-        span = np.maximum(theta - reach, 0.0) / theta_r
+    def hops(angle):
+        span = angle / theta_r
         whole = np.floor(span)
         return (np.ceil(span - 1e-9) * delay
                 + (whole * longest + 2.0 * r * np.sin((span - whole) * (theta_r / 2.0)))
                 * per_km)
 
-    return delay + 2.0 * abs(r - r_e) * per_km + hops(cfg.src) + hops(cfg.dst)
+    return delay + 2.0 * abs(r - r_e) * per_km + hops(src_angle) + hops(dst_angle)
 
 
 def summarize(records: list[SlotRecord] | tuple[SlotRecord, ...]) -> MetricsSummary:

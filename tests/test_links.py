@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fsosim import (BUNDLED_STATIONS, ConstellationSpec, GroundStation, LinkEngine, Mode,
                     ScenarioConfig, build_constellation, run_scenario)
 from fsosim import links
 from fsosim.links import LinkType, Permanence, degree_counts, link_census
-from fsosim.orbital import Constellation, SatelliteId
+from fsosim.orbital import Constellation, SatelliteId, ground_station_position
+from fsosim.scenario import lower_bounds
 from fsosim.validation import permanent_degree_profile, scan_phasing_offset
 
 STANDARD_RANGES = (659.5, 1319.0, 1500.0, 1700.0, 2500.0, 3500.0, 5016.0)
@@ -430,34 +431,6 @@ def test_shared_geometry_selects_each_range_and_mode_once(engine, monkeypatch):
     assert len(queries) == 26 and len(selections) == 14
 
 
-def test_small_shell_snapshot_matches_brute_force():
-    """All-pairs distances with an explicit line-of-sight test, independent of
-    the candidate classes; NG additionally keeps only permanent pairs."""
-    engine = small_walker_engine()
-    shell = engine.constellation
-    occ = engine.constants.occlusion_radius_km
-    for t in SHARED_PASS_TIMES:
-        pos = shell.positions_at(t)
-        for r in STANDARD_RANGES + (5100.0,):
-            expected = {mode: set() for mode in Mode}
-            for i in range(len(shell)):
-                for j in range(i + 1, len(shell)):
-                    p, q = pos[i], pos[j]
-                    if np.linalg.norm(p - q) > r:
-                        continue
-                    s = np.clip(-(p @ (q - p)) / ((q - p) @ (q - p)), 0.0, 1.0)
-                    if np.linalg.norm(p + s * (q - p)) < occ:
-                        continue
-                    expected[Mode.NNG].add((i, j))
-                    if is_permanent(engine, shell.satellite_id(i), shell.satellite_id(j), r):
-                        expected[Mode.NG].add((i, j))
-            shared = engine.slot_geometry(t, [(r, mode) for mode in Mode])
-            for mode in Mode:
-                snap = engine.snapshot(t, r, mode, geometry=shared)
-                found = set(zip(snap.sat_a.tolist(), snap.sat_b.tolist()))
-                assert found == expected[mode], (t, r, mode)
-
-
 def test_snapshot_rejects_geometry_that_does_not_cover_it(engine):
     shared = engine.slot_geometry(5.0, [(1700.0, Mode.NG)])
     with pytest.raises(ValueError):
@@ -650,3 +623,154 @@ def test_census_types_a_geometry_once(engine, monkeypatch):
                 for mode in Mode]
     assert calls == [17.0]
     assert censuses[0].total_undirected < censuses[1].total_undirected
+
+
+# -- pruned snapshots: live rows and the brute force -----------------------
+
+def bound_mask(engine, t, r, src, dst, quantile):
+    """The satellites whose lower bound (scenario.lower_bounds) on a path
+    from src to dst at range r lies within the given quantile of the
+    bounds: a mask clustered about the great circle between the stations,
+    as evaluate_slot cuts."""
+    positions = engine.constellation.positions_at(t)
+    cfg = ScenarioConfig(src, dst, lisl_range_km=r)
+    bounds = lower_bounds(engine, cfg, *(links.angle_beyond_reach(engine, gs, t, positions)
+                                         for gs in (src, dst)))
+    return bounds <= np.quantile(bounds, quantile)
+
+
+MASK_KINDS = ("empty", "one", "last plane", "all but one", "random", "bounds")
+
+
+@st.composite
+def masked_shells(draw):
+    """An engine on a random small shell, a range on either side of the
+    grazing chord, and a mask of live satellites: none, one, one of the
+    last plane, whose row may be empty, all but one, a random mask, or one
+    cut by lower bounds."""
+    engine = LinkEngine(draw(small_shells()))
+    r = draw(st.floats(0.1, 1.3)) * grazing_chord_km(engine)
+    n = len(engine.constellation)
+    alive = np.zeros(n, dtype=bool)
+    kind = draw(st.sampled_from(MASK_KINDS))
+    if kind == "one":
+        alive[draw(st.integers(0, n - 1))] = True
+    elif kind == "last plane":
+        alive[draw(st.integers(n - engine.constellation.spec.sats_per_plane, n - 1))] = True
+    elif kind == "all but one":
+        alive[:] = True
+        alive[draw(st.integers(0, n - 1))] = False
+    elif kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        alive = rng.random(n) < draw(st.floats(0.0, 1.0))
+    elif kind == "bounds":
+        src, dst = (GroundStation(name, draw(st.floats(-90.0, 90.0)),
+                                  draw(st.floats(-180.0, 180.0)), draw(st.floats(1000.0, 4000.0)))
+                    for name in ("s", "d"))
+        alive = bound_mask(engine, draw(st.floats(0.0, 6000.0)), r, src, dst,
+                           draw(st.floats(0.0, 1.0)))
+    return engine, r, alive
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=masked_shells(), mode=st.sampled_from(list(Mode)))
+def test_live_rows_are_the_scan(case, mode):
+    """The pairs of two live satellites, read from the rows of runs of live
+    satellites, are exactly those a scan of every candidate pair finds, in
+    the same ascending order."""
+    engine, r, alive = case
+    pairs = engine._candidate_pairs(engine._class_mask(r, mode))
+    scan = np.flatnonzero(alive[pairs.a] & alive[pairs.b])
+    live = pairs.live(alive)
+    assert live.dtype == scan.dtype
+    assert np.array_equal(live, scan)
+
+
+def test_lone_pruned_snapshots_equal_cuts_of_a_shared_geometry(engine):
+    """On the Starlink shell, a snapshot that measures only the pairs of live
+    satellites equals, array by array, the one a shared geometry cuts by
+    the same mask, at each of the 14 (range, mode) pairs, for masks cut by
+    the lower bounds of Sydney-Sao Paulo and New York-Jakarta and a random
+    mask."""
+    t = 7.0
+    stations = BUNDLED_STATIONS[:2]
+    requests = [(r, mode) for r in STANDARD_RANGES for mode in Mode]
+    shared = engine.slot_geometry(t, requests)
+    rng = np.random.default_rng(15)
+    for r, mode in requests:
+        masks = [bound_mask(engine, t, r, BUNDLED_STATIONS[a], BUNDLED_STATIONS[b], 0.1)
+                 for a, b in ((0, 1), (6, 7))]
+        for alive in masks + [rng.random(len(engine.constellation)) < 0.6]:
+            assert_same_snapshot(engine.snapshot(t, r, mode, stations, shared, alive),
+                                 engine.snapshot(t, r, mode, stations, None, alive))
+
+
+def brute_force_links(engine, t, r, stations, alive):
+    """Per mode, the satellite links (a, b, length, type code, permanent) and
+    the ground links (station, satellite, length) among the live
+    satellites at time t and range r, from all pairs, with an explicit
+    line-of-sight test, independent of the candidate classes; NG keeps
+    only the pairs whose largest separation over an orbit, read from the
+    class tables by their lower-plane endpoint, lies within range."""
+    shell = engine.constellation
+    slots = shell.spec.sats_per_plane
+    pos = shell.positions_at(t)
+    a, b = np.triu_indices(len(shell), 1)
+    p, q = pos[a], pos[b]
+    chord = q - p
+    length = np.linalg.norm(chord, axis=1)
+    s = np.clip(-np.sum(p * chord, axis=1) / np.sum(chord * chord, axis=1), 0.0, 1.0)
+    clear = np.linalg.norm(p + s[:, None] * chord, axis=1) >= engine.constants.occlusion_radius_km
+    permanent = engine.pair_max_table_km[shell.plane_of[b] - shell.plane_of[a],
+                                         (shell.slot_of[b] - shell.slot_of[a]) % slots] <= r
+    link = alive[a] & alive[b] & (length <= r) & clear
+    types = reference_type_codes(shell, a, b, t)
+    ground = []
+    for k, gs in enumerate(stations):
+        g = ground_station_position(gs, t, engine.earth_rotation0_deg,
+                                    engine.constants.earth_radius_km)
+        slant = np.linalg.norm(pos - g, axis=1)
+        sats = np.flatnonzero(alive & (slant <= gs.range_km) & ((pos - g) @ g > 0.0))
+        ground += [(k, sat, slant[sat]) for sat in sats.tolist()]
+    out = {}
+    for mode in Mode:
+        keep = link & permanent if mode is Mode.NG else link
+        out[mode] = (a[keep], b[keep], length[keep], types[keep], permanent[keep], ground)
+    return out
+
+
+def assert_brute_force_links(snap, expected):
+    a, b, length, types, permanent, ground = expected
+    assert np.array_equal(snap.sat_a, a) and np.array_equal(snap.sat_b, b)
+    assert np.allclose(snap.sat_length_km, length, rtol=0.0, atol=1e-9)
+    assert np.array_equal(snap.sat_type_code, types)
+    assert np.array_equal(snap.sat_permanent, permanent)
+    found = list(zip(snap.gs_station_index.tolist(), snap.gs_sat_index.tolist()))
+    assert found == [(k, sat) for k, sat, _ in ground]
+    assert np.allclose(snap.gs_length_km, [slant for _, _, slant in ground], rtol=0.0, atol=1e-9)
+
+
+@settings(deadline=None, max_examples=300)
+@example(case=(small_walker_engine(), 659.5, np.ones(120, dtype=bool)), t=0.0)
+@example(case=(small_walker_engine(), 1700.0, np.arange(120) % 7 > 0), t=7.0)
+@example(case=(small_walker_engine(), 5016.0, np.arange(120) % 3 > 0), t=1234.0)
+@example(case=(small_walker_engine(), 5100.0, np.arange(120) < 60), t=1234.0)
+@given(case=masked_shells(), t=st.floats(0.0, 6000.0))
+def test_small_shell_snapshot_matches_brute_force(case, t):
+    """On random small shells, at ranges on both sides of the grazing chord,
+    the snapshots a query measures alone and the ones it selects from a
+    shared geometry, each with no mask and with a mask of live satellites,
+    hold the links of an all-pairs brute force over the live satellites:
+    the same links in the same order, lengths within 1e-9 km, types and
+    permanence, and the same ground links. The explicit examples keep the
+    6 x 20 shell at ranges below and above the grazing chord."""
+    engine, r, alive = case
+    stations = (GroundStation("s", 10.0, 20.0, 2500.0), GroundStation("d", -35.0, 100.0, 4000.0))
+    everyone = np.ones(len(engine.constellation), dtype=bool)
+    shared = engine.slot_geometry(t, [(r, mode) for mode in Mode])
+    for mask in (None, alive):
+        expected = brute_force_links(engine, t, r, stations, everyone if mask is None else mask)
+        for mode in Mode:
+            for geometry in (None, shared):
+                snap = engine.snapshot(t, r, mode, stations, geometry, mask)
+                assert_brute_force_links(snap, expected[mode])

@@ -11,7 +11,8 @@ from fsosim import (BUNDLED_STATIONS, ComparisonResult, ConstellationSpec, Groun
                     run_scenario)
 from fsosim import scenario
 from fsosim.errors import ConfigurationError
-from fsosim.orbital import parse_id
+from fsosim.links import angle_beyond_reach
+from fsosim.orbital import Constellation, parse_id
 from fsosim.scenario import (DEFAULT_RANGES_KM, SlotRecord, _chunks, _route_slot, compare_many,
                              evaluate_slot, lower_bounds, run_scenarios, summarize,
                              write_comparison_csv, write_slots_csv, write_summary_csv)
@@ -249,8 +250,8 @@ def recorded_passes():
     seen = []
     route = scenario._route_slot
 
-    def recording(engine, cfg, slot_index, geometry=None, alive=None):
-        record = route(engine, cfg, slot_index, geometry, alive)
+    def recording(engine, cfg, slot_index, geometry=None, alive=None, positions=None):
+        record = route(engine, cfg, slot_index, geometry, alive, positions)
         seen.append((cfg, slot_index, alive, record))
         return record
 
@@ -273,7 +274,9 @@ def accepted_passes(seen):
 
 def bounds_at(engine, cfg, slot_index):
     t = slot_index * cfg.slot_duration_s
-    return lower_bounds(engine, cfg, t, engine.constellation.positions_at(t))
+    positions = engine.constellation.positions_at(t)
+    return lower_bounds(engine, cfg, *(angle_beyond_reach(engine, gs, t, positions)
+                                       for gs in (cfg.src, cfg.dst)))
 
 
 def path_satellites(engine, record):
@@ -386,6 +389,26 @@ def test_any_last_latency_gives_the_unpruned_record(engine):
     assert len(unpruned_passes[high]) == 1
     assert unpruned_passes[math.inf] == [True]
     assert unpruned_passes[None] == [False]  # 10 % above the smallest bound holds here
+
+
+def test_a_lone_slot_propagates_once(engine, monkeypatch):
+    """A query alone at its instant propagates the shell once a slot, for
+    its bounds and every pass, also when a slot takes a second pass."""
+    calls = []
+    positions_at = Constellation.positions_at
+
+    def counting(self, t):
+        calls.append(t)
+        return positions_at(self, t)
+
+    monkeypatch.setattr(Constellation, "positions_at", counting)
+    cfg = short_cfg(5016.0, Mode.NNG, slots=10)
+    records, _ = run_scenario(engine, cfg)
+    assert calls == [float(i) for i in range(10)]
+    calls.clear()
+    with recorded_passes() as seen:  # a guess below the optimum takes a second pass
+        assert evaluate_slot(engine, cfg, 1, last_ms=0.9 * records[1].latency_ms) == records[1]
+    assert len(seen) >= 2 and calls == [1.0]
 
 
 def test_records_do_not_depend_on_chunk_starts(engine):
