@@ -8,7 +8,8 @@ Produces, under the output directory:
 
 The sweep and the comparisons run as one batch on one process pool. A
 full-fidelity run evaluates 3,600 one-second slots per scenario and
-takes about 2.2 minutes on two cores; use --slots for a quick look.
+takes about a minute on two cores (47-54 s with --workers 2 on a 2-vCPU
+x86_64 machine); use --slots for a quick look.
 """
 import argparse
 import os

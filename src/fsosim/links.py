@@ -154,11 +154,12 @@ class LinkEngine:
     pair_min_table_km (the largest and smallest separation over one period
     by plane offset and slot offset), are computed once at construction and
     are read-only afterwards, so one engine can serve any number of slots,
-    ranges, and modes. The candidate-pair cache is filled lazily and is not
-    guarded by a lock, so threads must not build snapshots on one engine
-    concurrently. Forked worker processes may share an engine: each gets a
-    copy-on-write image of the tables and of whatever the cache held at the
-    fork, and fills its own copy of the cache from there.
+    ranges, and modes. The candidate-pair cache is filled lazily, or up
+    front by fill_candidates, and is not guarded by a lock, so threads must
+    not build snapshots on one engine concurrently. Forked worker processes
+    may share an engine: each gets a copy-on-write image of the tables and
+    of whatever the cache held at the fork. A batch fills every list it
+    needs before its pool forks, so no worker builds one.
     """
 
     def __init__(self, constellation: Constellation, constants: PhysicalConstants | None = None,
@@ -235,6 +236,19 @@ class LinkEngine:
         self._candidate_cache[key] = result
         return result
 
+    def fill_candidates(self, requests) -> None:
+        """Cache the candidate pairs of every (lisl_range_km, Mode) request,
+        each filtered by a boolean class mask from one list of their union:
+        sorted lists make it equal to its own build, at less time and memory."""
+        masks = [self._class_mask(r, mode) for r, mode in set(requests)]
+        if not masks:
+            return
+        union = self._candidate_pairs(np.logical_or.reduce(masks))
+        for mask in masks:
+            key = mask.tobytes()
+            if key not in self._candidate_cache:
+                self._candidate_cache[key] = union.take(np.take(mask.ravel(), union.cls))
+
     def line_of_sight_binds(self, lisl_range_km: float) -> bool:
         """True iff the range exceeds the grazing chord, so that the Earth can
         block a pair that is within range."""
@@ -256,11 +270,12 @@ class LinkEngine:
         return self._measure(t, requests, self.constellation.positions_at(t))
 
     def _measure(self, t: float, requests: frozenset, positions: np.ndarray,
-                 alive: np.ndarray | None = None) -> SlotGeometry:
+                 alive: np.ndarray | None = None, ground: dict | None = None) -> SlotGeometry:
         """The slot geometry of the requests at positions, those at t; with
         alive, a mask over the satellites, only the pairs of two live
         satellites, found from the live satellites' rows (_PairRows.live), so
-        that a pass over few satellites reads few of the candidate pairs."""
+        that a pass over few satellites reads few of the candidate pairs;
+        with ground, sharing that SlotGeometry.ground dict."""
         union = np.logical_or.reduce([self._class_mask(r, mode) for r, mode in requests])
         pairs = self._candidate_pairs(union)
         if alive is not None:
@@ -268,45 +283,41 @@ class LinkEngine:
         length = pairs.per_pair(positions, _distance, float)
         near = np.flatnonzero(length <= max(r for r, _ in requests))
         return SlotGeometry(engine=self, time_s=t, requests=requests, positions=positions,
-                            pairs=pairs.take(near), length_km=length[near])
+                            pairs=pairs.take(near), length_km=length[near],
+                            ground={} if ground is None else ground)
 
     def snapshot(self, t: float, lisl_range_km: float, mode: Mode,
                  ground_stations: list[GroundStation] | tuple[GroundStation, ...] = (),
                  geometry: SlotGeometry | None = None,
                  alive: np.ndarray | None = None,
-                 positions: np.ndarray | None = None) -> GraphSnapshot:
+                 positions: np.ndarray | None = None,
+                 ground: dict | None = None) -> GraphSnapshot:
         """All links feasible at time t under the range and link policy.
 
         With geometry from slot_geometry at the same t and with (range, mode)
         among its requests, the snapshot selects its links from that shared
-        state; without it, the snapshot measures a geometry of its own, at
+        state. Without it, the snapshot measures a geometry of its own, at
         positions if given (the shell's positions at t, which it would
-        otherwise propagate). The links come out in the same order either
-        way. A non-positive range yields a snapshot with no satellite links.
+        otherwise propagate), and shares ground, if given, the ground links
+        of the snapshots at t (SlotGeometry.ground). The links come out in
+        the same order either way. A non-positive range yields a snapshot
+        with no satellite links.
 
         alive, if given, is a mask of the satellites that may carry links:
-        the snapshot then keeps only the satellite links between, and the
-        ground links to, those satellites, and a geometry of its own
-        measures only their pairs, reading only the live satellites' rows
-        of the candidate list.
+        the snapshot then measures only the pairs of live satellites,
+        reading only their rows of the candidate list, and keeps only the
+        ground links to them. A shared geometry takes no mask.
         """
-        cut = alive
         if geometry is None:
             if positions is None:
                 positions = self.constellation.positions_at(t)
             geometry = self._measure(t, frozenset({(float(lisl_range_km), Mode(mode))}),
-                                     positions, alive)
-            cut = None  # the geometry holds live pairs only
-        elif (geometry.engine is not self or geometry.time_s != t
+                                     positions, alive, ground)
+        elif (alive is not None or geometry.engine is not self or geometry.time_s != t
               or (float(lisl_range_km), mode) not in geometry.requests):
-            raise ValueError(f"geometry does not cover {mode.value} at {lisl_range_km:g} km "
-                             f"and t = {t:g} s")
+            raise ValueError(f"a shared geometry takes no mask and must cover {mode.value} at "
+                             f"{lisl_range_km:g} km and t = {t:g} s")
         index = geometry.selection(float(lisl_range_km), mode)
-        if cut is not None:
-            # Cut after the other tests, which leave fewer pairs to look up.
-            live = (np.take(cut, _pick(geometry.pairs.a, index))
-                    & np.take(cut, _pick(geometry.pairs.b, index)))
-            index = np.flatnonzero(live) if isinstance(index, slice) else index[live]
 
         stations = tuple(ground_stations)
         gs_positions = np.zeros((len(stations), 3))
@@ -376,8 +387,8 @@ class SlotGeometry:
     Made by LinkEngine.slot_geometry. pairs holds every pair of the
     requests' candidate classes that lies within the largest requested
     range, with its length. The plane-relation type codes, line of sight,
-    and each station's ground links and central angles to the satellites
-    are computed on first use and then kept.
+    and each station's ground links (in ground, which geometries of one
+    instant may share) are computed on first use and then kept.
     """
 
     engine: LinkEngine
@@ -386,9 +397,8 @@ class SlotGeometry:
     positions: np.ndarray
     pairs: _PairRows
     length_km: np.ndarray
+    ground: dict = field(default_factory=dict, repr=False)
     _clear: np.ndarray | None = field(default=None, init=False, repr=False)
-    _ground: dict = field(default_factory=dict, init=False, repr=False)
-    _beyond: dict = field(default_factory=dict, init=False, repr=False)
     _selected: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
@@ -437,7 +447,7 @@ class SlotGeometry:
     def ground_links(self, gs: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Station position, and the satellites it can link to with their slant
         ranges: those within the station's slant range and above its horizon."""
-        found = self._ground.get(gs)
+        found = self.ground.get(gs)
         if found is None:
             engine = self.engine
             g = ground_station_position(gs, self.time_s, engine.earth_rotation0_deg,
@@ -446,16 +456,7 @@ class SlotGeometry:
             slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
             feasible = np.flatnonzero((slant <= gs.range_km) & (delta @ g > 0.0))
             found = (g, feasible.astype(np.int32), slant[feasible])
-            self._ground[gs] = found
-        return found
-
-    def angle_beyond_reach(self, gs: GroundStation) -> np.ndarray:
-        """angle_beyond_reach of the station at this instant, computed once
-        per station."""
-        found = self._beyond.get(gs)
-        if found is None:
-            found = angle_beyond_reach(self.engine, gs, self.time_s, self.positions)
-            self._beyond[gs] = found
+            self.ground[gs] = found
         return found
 
 

@@ -6,12 +6,15 @@ every slot's snapshot and aggregates the results. Averages cover only the
 slots where a path exists; pathless slots are data, not failures.
 
 A batch of scenarios is evaluated slot-major: at each instant the shell is
-propagated and the candidate links of every scenario are measured once, in
-one shared SlotGeometry, and each scenario then selects and routes its own
-snapshot. With parallelism > 1 one process pool serves the whole batch; its
-tasks are chunks of slots, and the workers use the caller's engine, which
-they inherit through the pool initializer rather than rebuild. Records are
-always emitted in slot order regardless of the parallelism degree.
+propagated once, and each station's central angles and ground links are
+computed once, when first needed; every scenario then measures and routes
+a snapshot of its own on them, reading only the candidate pairs of the
+satellites it keeps. Every scenario's candidate list is built before the
+batch starts. With parallelism > 1 one process pool serves the whole
+batch; its tasks are chunks of slots, and the workers use the caller's
+engine, lists included, which they inherit through the pool initializer
+rather than rebuild. Records are always emitted in slot order regardless
+of the parallelism degree.
 
 Each slot guesses an upper bound U on its optimum and drops, before the
 snapshot is built, every satellite whose lower bound exceeds U; the route
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import routing
 from .errors import ConfigurationError
-from .links import LinkEngine, Mode, SlotGeometry, angle_beyond_reach
+from .links import LinkEngine, Mode, angle_beyond_reach
 from .orbital import GroundStation
 
 # Stations at the stock exchanges of the studied cities.
@@ -129,10 +132,10 @@ class ComparisonResult:
 
 
 def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
-                  geometry: SlotGeometry | None = None,
-                  last_ms: float | None = None) -> SlotRecord:
-    """Route one slot of the scenario, optionally on a shared slot geometry,
-    with the satellites that no optimal path can visit left out.
+                  last_ms: float | None = None, positions: np.ndarray | None = None,
+                  angles: dict | None = None, ground: dict | None = None) -> SlotRecord:
+    """Route one slot of the scenario, with the satellites that no optimal
+    path can visit left out.
 
     last_ms is the query's latency in the slot before: inf if that slot had
     no path, and then this one routes unpruned; None if it is not known.
@@ -141,46 +144,41 @@ def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
     of Hart, Nilsson and Raphael (1968). A path no slower than U is the
     optimum, since every satellite of an optimal path has a bound of at
     most U and was kept, and so is, but for exact ties, the path found. A
-    slower path's latency is a proven U for one more pass; no path at all
-    widens the guess, until no satellite is dropped.
+    slower path's latency is a proven U for one more pass; after no path
+    at all, the next pass drops no satellite.
+
+    positions, angles and ground, if given, are the shell's positions at
+    the slot's instant and dicts, which its queries share and fill when
+    first needed, of each station's angle_beyond_reach and ground links.
     """
-    if last_ms == math.inf:
-        return _route_slot(engine, cfg, slot_index, geometry)
     t = slot_index * cfg.slot_duration_s
-    stations = (cfg.src, cfg.dst)
-    if geometry is None:
-        # The shell is propagated once a slot: every pass measures at these.
-        positions = engine.constellation.positions_at(t)
-        angles = [angle_beyond_reach(engine, gs, t, positions) for gs in stations]
-    else:
-        positions = None
-        angles = [geometry.angle_beyond_reach(gs) for gs in stations]
-    bounds = lower_bounds(engine, cfg, *angles)
+    if positions is None:
+        positions, angles, ground = engine.constellation.positions_at(t), {}, {}
+    if last_ms == math.inf:
+        return _route_slot(engine, cfg, slot_index, None, positions, ground)
+    for gs in (cfg.src, cfg.dst):
+        if gs not in angles:
+            angles[gs] = angle_beyond_reach(engine, gs, t, positions)
+    bounds = lower_bounds(engine, cfg, angles[cfg.src], angles[cfg.dst])
     base, margin = (bounds.min(), _FIRST_MARGIN) if last_ms is None else (last_ms, _LAST_MARGIN)
     upper = base * (1.0 + margin)
     while True:
         alive = bounds <= upper + _BOUND_SLACK_MS
         pruned = not alive.all()
-        record = _route_slot(engine, cfg, slot_index, geometry, alive if pruned else None,
-                             positions)
+        record = _route_slot(engine, cfg, slot_index, alive if pruned else None, positions, ground)
         if not pruned or (record.path_found and record.latency_ms <= upper):
             return record
-        if record.path_found:
-            upper = record.latency_ms
-        else:
-            margin *= 2.0
-            upper = base * (1.0 + margin)
+        upper = record.latency_ms if record.path_found else math.inf
 
 
 def _route_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
-                geometry: SlotGeometry | None = None,
-                alive: np.ndarray | None = None,
-                positions: np.ndarray | None = None) -> SlotRecord:
+                alive: np.ndarray | None = None, positions: np.ndarray | None = None,
+                ground: dict | None = None) -> SlotRecord:
     # One pass of evaluate_slot, over the satellites alive marks (all if
-    # None), at the shell's positions if given.
+    # None), on the instant's positions and ground links if given.
     t = slot_index * cfg.slot_duration_s
-    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), geometry, alive,
-                           positions)
+    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), alive=alive,
+                           positions=positions, ground=ground)
     result = routing.shortest_path(snap, cfg.src.name, cfg.dst.name)
     if result is None:
         return SlotRecord(slot_index=slot_index, path_found=False)
@@ -196,8 +194,8 @@ def _route_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
 # The first guess at U. A slot's optimum moves little from the last slot's,
 # so 1 % above the last latency mostly holds. With no last latency, the
 # optimum of the study's queries lies near the smallest lower bound, and
-# 10 % above it keeps few satellites. A guess that finds no path doubles
-# its margin.
+# 10 % above it keeps few satellites. A guess that finds no path proves
+# nothing, so the next pass routes unpruned.
 _LAST_MARGIN = 0.01
 _FIRST_MARGIN = 0.1
 # Latency slack of the cut, far above the rounding in U and the lower bounds.
@@ -274,15 +272,14 @@ def _worker_init(engine: LinkEngine, configs: list[ScenarioConfig]):
 
 def _evaluate_instants(engine: LinkEngine, configs: list[ScenarioConfig],
                        instants: list[_Instant]) -> list[tuple[int, SlotRecord]]:
-    requests = {(cfg.lisl_range_km, cfg.mode) for cfg in configs}
     last: dict[int, float] = {}  # each query's last latency, inf if it found no path
     out = []
     for t, due in instants:
-        # A query alone at its instant has nothing to share, so its snapshot
-        # measures its own geometry, pruned before any pair is measured.
-        geometry = engine.slot_geometry(t, requests) if len(due) > 1 else None
+        # The queries share the shell, not the pairs: each measures only the
+        # pairs of the satellites its own bounds keep.
+        positions, angles, ground = engine.constellation.positions_at(t), {}, {}
         for q, i in due:
-            record = evaluate_slot(engine, configs[q], i, geometry, last.get(q))
+            record = evaluate_slot(engine, configs[q], i, last.get(q), positions, angles, ground)
             last[q] = record.latency_ms if record.path_found else math.inf
             out.append((q, record))
     return out
@@ -318,6 +315,8 @@ def run_scenarios(engine: LinkEngine, configs,
         for i in range(cfg.slot_count):
             by_time.setdefault(i * cfg.slot_duration_s, []).append((q, i))
     instants = sorted(by_time.items())
+    # Built here, the lists reach forked workers copy-on-write.
+    engine.fill_candidates((cfg.lisl_range_km, cfg.mode) for cfg in configs)
     if parallelism <= 1 or len(instants) < 4:
         found = _evaluate_instants(engine, configs, instants)
     else:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -439,6 +440,9 @@ def test_snapshot_rejects_geometry_that_does_not_cover_it(engine):
         engine.snapshot(5.0, 5016.0, Mode.NG, geometry=shared)
     with pytest.raises(ValueError):
         engine.snapshot(6.0, 1700.0, Mode.NG, geometry=shared)
+    with pytest.raises(ValueError):  # a mask is for a geometry of the snapshot's own
+        engine.snapshot(5.0, 1700.0, Mode.NG, geometry=shared,
+                        alive=np.ones(len(engine.constellation), dtype=bool))
     with pytest.raises(ValueError):
         engine.slot_geometry(5.0, [])
 
@@ -496,6 +500,26 @@ def test_blockwise_geometry_equals_one_pass(count, shell):
 
 
 # -- candidate order and lazy typing ---------------------------------------
+
+def assert_filled_lists_equal_own_builds(engine, requests):
+    """The candidate lists fill_candidates filters from the requests' union
+    list equal, array by array and dtype by dtype, those that a fresh
+    engine builds for each request's mask alone."""
+    engine.fill_candidates(requests)
+    own = LinkEngine(engine.constellation)
+    for r, mode in requests:
+        mask = engine._class_mask(r, mode)
+        filled, built = engine._candidate_cache[mask.tobytes()], own._candidate_pairs(mask)
+        for name in ("a", "b", "cls"):
+            x, y = getattr(filled, name), getattr(built, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (r, mode, name)
+
+
+def test_filled_starlink_lists_equal_own_builds(shell):
+    assert_filled_lists_equal_own_builds(
+        LinkEngine(shell), [(r, mode) for r in STANDARD_RANGES for mode in Mode])
+
+
 
 def generated_candidate_pairs(engine, class_mask):
     """The candidate pairs of class_mask as (a, b, flat class), generated
@@ -557,6 +581,15 @@ def test_plane_relation_types_on_random_shells(shell, mode, chord_fraction, t):
     geometry = engine.slot_geometry(t, [(chord_fraction * grazing_chord_km(engine), mode)])
     pairs = geometry.pairs
     assert np.array_equal(geometry.type_code, reference_type_codes(shell, pairs.a, pairs.b, t))
+
+
+@settings(deadline=None)
+@given(shell=small_shells(), requests=st.lists(
+    st.tuples(st.floats(0.1, 1.3), st.sampled_from(list(Mode))), min_size=1, max_size=5))
+def test_filled_lists_on_random_shells_equal_own_builds(shell, requests):
+    engine = LinkEngine(shell)
+    chord = grazing_chord_km(engine)
+    assert_filled_lists_equal_own_builds(engine, [(f * chord, mode) for f, mode in requests])
 
 
 def walker_period_s(spec):
@@ -686,12 +719,25 @@ def test_live_rows_are_the_scan(case, mode):
     assert np.array_equal(live, scan)
 
 
+def cut_snapshot(snap, alive):
+    """The arrays of snap with only the satellite links between, and the
+    ground links to, the satellites alive marks: what a snapshot that
+    measures only the pairs of live satellites must hold."""
+    sat, ground = alive[snap.sat_a] & alive[snap.sat_b], alive[snap.gs_sat_index]
+    return types.SimpleNamespace(
+        sat_positions=snap.sat_positions, gs_positions=snap.gs_positions,
+        **{name: getattr(snap, name)[sat]
+           for name in ("sat_a", "sat_b", "sat_length_km", "sat_type_code", "sat_permanent")},
+        **{name: getattr(snap, name)[ground]
+           for name in ("gs_station_index", "gs_sat_index", "gs_length_km")})
+
+
 def test_lone_pruned_snapshots_equal_cuts_of_a_shared_geometry(engine):
     """On the Starlink shell, a snapshot that measures only the pairs of live
-    satellites equals, array by array, the one a shared geometry cuts by
-    the same mask, at each of the 14 (range, mode) pairs, for masks cut by
-    the lower bounds of Sydney-Sao Paulo and New York-Jakarta and a random
-    mask."""
+    satellites equals, array by array, the snapshot of a shared geometry
+    cut by the same mask, at each of the 14 (range, mode) pairs, for masks
+    cut by the lower bounds of Sydney-Sao Paulo and New York-Jakarta and a
+    random mask."""
     t = 7.0
     stations = BUNDLED_STATIONS[:2]
     requests = [(r, mode) for r in STANDARD_RANGES for mode in Mode]
@@ -700,8 +746,9 @@ def test_lone_pruned_snapshots_equal_cuts_of_a_shared_geometry(engine):
     for r, mode in requests:
         masks = [bound_mask(engine, t, r, BUNDLED_STATIONS[a], BUNDLED_STATIONS[b], 0.1)
                  for a, b in ((0, 1), (6, 7))]
+        whole = engine.snapshot(t, r, mode, stations, shared)
         for alive in masks + [rng.random(len(engine.constellation)) < 0.6]:
-            assert_same_snapshot(engine.snapshot(t, r, mode, stations, shared, alive),
+            assert_same_snapshot(cut_snapshot(whole, alive),
                                  engine.snapshot(t, r, mode, stations, None, alive))
 
 
@@ -759,11 +806,12 @@ def assert_brute_force_links(snap, expected):
 def test_small_shell_snapshot_matches_brute_force(case, t):
     """On random small shells, at ranges on both sides of the grazing chord,
     the snapshots a query measures alone and the ones it selects from a
-    shared geometry, each with no mask and with a mask of live satellites,
-    hold the links of an all-pairs brute force over the live satellites:
-    the same links in the same order, lengths within 1e-9 km, types and
-    permanence, and the same ground links. The explicit examples keep the
-    6 x 20 shell at ranges below and above the grazing chord."""
+    shared geometry, each with no mask and with a mask of live satellites
+    (the shared one cut by cut_snapshot), hold the links of an all-pairs
+    brute force over the live satellites: the same links in the same
+    order, lengths within 1e-9 km, types and permanence, and the same
+    ground links. The explicit examples keep the 6 x 20 shell at ranges
+    below and above the grazing chord."""
     engine, r, alive = case
     stations = (GroundStation("s", 10.0, 20.0, 2500.0), GroundStation("d", -35.0, 100.0, 4000.0))
     everyone = np.ones(len(engine.constellation), dtype=bool)
@@ -771,6 +819,7 @@ def test_small_shell_snapshot_matches_brute_force(case, t):
     for mask in (None, alive):
         expected = brute_force_links(engine, t, r, stations, everyone if mask is None else mask)
         for mode in Mode:
-            for geometry in (None, shared):
-                snap = engine.snapshot(t, r, mode, stations, geometry, mask)
+            whole = engine.snapshot(t, r, mode, stations, shared)
+            for snap in (engine.snapshot(t, r, mode, stations, None, mask),
+                         whole if mask is None else cut_snapshot(whole, mask)):
                 assert_brute_force_links(snap, expected[mode])

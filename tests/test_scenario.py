@@ -11,7 +11,7 @@ from fsosim import (BUNDLED_STATIONS, ComparisonResult, ConstellationSpec, Groun
                     run_scenario)
 from fsosim import scenario
 from fsosim.errors import ConfigurationError
-from fsosim.links import angle_beyond_reach
+from fsosim.links import SlotGeometry, angle_beyond_reach
 from fsosim.orbital import Constellation, parse_id
 from fsosim.scenario import (DEFAULT_RANGES_KM, SlotRecord, _chunks, _route_slot, compare_many,
                              evaluate_slot, lower_bounds, run_scenarios, summarize,
@@ -250,8 +250,8 @@ def recorded_passes():
     seen = []
     route = scenario._route_slot
 
-    def recording(engine, cfg, slot_index, geometry=None, alive=None, positions=None):
-        record = route(engine, cfg, slot_index, geometry, alive, positions)
+    def recording(engine, cfg, slot_index, alive=None, positions=None, ground=None):
+        record = route(engine, cfg, slot_index, alive, positions, ground)
         seen.append((cfg, slot_index, alive, record))
         return record
 
@@ -393,7 +393,10 @@ def test_any_last_latency_gives_the_unpruned_record(engine):
 
 def test_a_lone_slot_propagates_once(engine, monkeypatch):
     """A query alone at its instant propagates the shell once a slot, for
-    its bounds and every pass, also when a slot takes a second pass."""
+    its bounds and every pass, also when a slot takes a second pass. A
+    batch of the 26 study queries propagates once an instant, and computes
+    each station's central angles and ground links at most once an
+    instant, for the stations of the queries due then."""
     calls = []
     positions_at = Constellation.positions_at
 
@@ -409,6 +412,30 @@ def test_a_lone_slot_propagates_once(engine, monkeypatch):
     with recorded_passes() as seen:  # a guess below the optimum takes a second pass
         assert evaluate_slot(engine, cfg, 1, last_ms=0.9 * records[1].latency_ms) == records[1]
     assert len(seen) >= 2 and calls == [1.0]
+
+    angles, ground = [], {}
+    angle_beyond_reach_ = scenario.angle_beyond_reach
+    ground_links = SlotGeometry.ground_links
+
+    def counting_angles(engine, gs, t, positions):
+        angles.append((t, gs))
+        return angle_beyond_reach_(engine, gs, t, positions)
+
+    def counting_ground(self, gs):
+        # A computed result is a new tuple; a cached one is the same tuple.
+        found = ground_links(self, gs)
+        ground.setdefault((self.time_s, gs), {})[id(found)] = found
+        return found
+
+    monkeypatch.setattr(scenario, "angle_beyond_reach", counting_angles)
+    monkeypatch.setattr(SlotGeometry, "ground_links", counting_ground)
+    calls.clear()
+    queries = study_queries(slots=5)
+    run_scenarios(engine, queries)
+    assert calls == [float(i) for i in range(5)]
+    due = {(float(i), gs) for i in range(5) for q in queries for gs in (q.src, q.dst)}
+    assert len(angles) == len(set(angles)) and set(angles) <= due
+    assert set(ground) == due and all(len(found) == 1 for found in ground.values())
 
 
 def test_records_do_not_depend_on_chunk_starts(engine):
@@ -433,6 +460,17 @@ def study_queries(slots):
               for a, b in ((2, 3), (4, 5), (6, 7))]
     return [ScenarioConfig(src, dst, r, mode, slot_count=slots)
             for src, dst, ranges in pairs for r in ranges for mode in Mode]
+
+
+def test_the_parent_builds_every_candidate_list(shell):
+    """A pooled batch builds every query's candidate list before the pool
+    forks: workers' caches never come back, so the lists in the parent's
+    cache were built there."""
+    engine = LinkEngine(shell)
+    queries = study_queries(slots=4)
+    run_scenarios(engine, queries, 2)
+    for cfg in queries:
+        assert engine._class_mask(cfg.lisl_range_km, cfg.mode).tobytes() in engine._candidate_cache
 
 
 def test_study_batch_equals_unpruned_slots(engine):
