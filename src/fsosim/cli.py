@@ -208,7 +208,7 @@ def parse_config(path: str | Path | None) -> RunConfig:
             raise ConfigurationError(f"configuration file not found: {path}")
         with open(path) as fh:
             try:
-                raw = yaml.safe_load(fh)
+                raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
             except yaml.YAMLError as exc:
                 raise ConfigurationError(f"{path}: not valid YAML ({exc})") from None
     if not isinstance(raw, (dict, type(None))):

@@ -154,9 +154,10 @@ class LinkEngine:
     pair_min_table_km (the largest and smallest separation over one period
     by plane offset and slot offset), are computed once at construction and
     are read-only afterwards, so one engine can serve any number of slots,
-    ranges, and modes. The candidate-pair cache is filled lazily, or up
-    front by fill_candidates, and is not guarded by a lock, so threads must
-    not build snapshots on one engine concurrently. Forked worker processes
+    ranges, and modes. The candidate-pair cache, one list per class mask
+    built in time in proportion to its length, is filled when first read
+    or up front by fill_candidates. It has no lock, so threads must not
+    build snapshots on one engine concurrently. Forked worker processes
     may share an engine: each gets a copy-on-write image of the tables and
     of whatever the cache held at the fork. A batch fills every list it
     needs before its pool forks, so no worker builds one.
@@ -211,43 +212,32 @@ class LinkEngine:
         if cached is not None:
             return cached
         spec = self.constellation.spec
-        # A class (dp, ds) reaches the partner dp planes above the base, so
-        # enumerating qualifying classes from every base satellite generates
-        # each cross-plane pair once (from its lower-plane endpoint) and each
-        # intra-plane pair twice; a < b dedupes the latter. The partner of
-        # base (plane p, slot s) is (p + dp) * S + (s + ds) mod S, so ordering
-        # each base slot's classes by (dp, (s + ds) mod S) once, and tiling
-        # that table over the planes, yields the pairs sorted by (a, b) with
-        # no sort of the whole list. Sorted lists make the pairs of a smaller
-        # mask an order-preserving subsequence of those of a larger one.
+        # Class (dp, ds) takes base a = p S + s to b = p S + k, with
+        # k = dp S + (s + ds) mod S, so a < b iff k > s, and b lies in the
+        # shell iff dp < P - p. With each slot's classes sorted by k once,
+        # a base's partners are one run of its slot's row, and the list is
+        # one gather of those runs, sorted by (a, b): the pairs of a smaller
+        # mask are an order-preserving subsequence of those of a larger one.
+        planes, slots = spec.plane_count, spec.sats_per_plane
         cls_dp, cls_ds = np.nonzero(class_mask)
-        slots, n = spec.sats_per_plane, spec.satellite_count
-        partner_slot = (np.arange(slots)[:, None] + cls_ds) % slots
-        order = np.argsort(cls_dp * slots + partner_slot, axis=1)
-        a = np.repeat(np.arange(n, dtype=np.int32), len(cls_dp))
-        dp = np.tile(cls_dp[order].astype(np.int32).ravel(), spec.plane_count)
-        ds = np.tile(cls_ds[order].astype(np.int32).ravel(), spec.plane_count)
-        plane_b = self.constellation.plane_of[a] + dp
-        keep = plane_b < spec.plane_count
-        a, dp, ds, plane_b = a[keep], dp[keep], ds[keep], plane_b[keep]
-        b = (plane_b * slots + (self.constellation.slot_of[a] + ds) % slots).astype(np.int32)
-        keep = a < b
-        result = _PairRows(a=a[keep], b=b[keep], cls=(dp * slots + ds)[keep].astype(np.int16))
+        slot = np.arange(slots)[:, None]
+        k = cls_dp * slots + (slot + cls_ds) % slots
+        order = np.argsort(k, axis=1)
+        step = (np.take_along_axis(k, order, axis=1) - slot).astype(np.int32)  # b - a
+        cls = (cls_dp * slots + cls_ds).astype(np.int16)[order]
+        first = np.count_nonzero(step <= 0, axis=1)
+        stop = np.cumsum(np.bincount(cls_dp, minlength=planes))[::-1]  # classes with dp < P - p
+        size = (stop[:, None] - first).ravel()
+        rows = _run_rows(np.tile(np.arange(slots) * len(cls_dp) + first, planes), size)
+        a = np.repeat(np.arange(spec.satellite_count, dtype=np.int32), size)
+        result = _PairRows(a=a, b=a + np.take(step, rows), cls=np.take(cls, rows))
         self._candidate_cache[key] = result
         return result
 
     def fill_candidates(self, requests) -> None:
-        """Cache the candidate pairs of every (lisl_range_km, Mode) request,
-        each filtered by a boolean class mask from one list of their union:
-        sorted lists make it equal to its own build, at less time and memory."""
-        masks = [self._class_mask(r, mode) for r, mode in set(requests)]
-        if not masks:
-            return
-        union = self._candidate_pairs(np.logical_or.reduce(masks))
-        for mask in masks:
-            key = mask.tobytes()
-            if key not in self._candidate_cache:
-                self._candidate_cache[key] = union.take(np.take(mask.ravel(), union.cls))
+        """Build the candidate list of every (lisl_range_km, Mode) request."""
+        for r, mode in set(requests):
+            self._candidate_pairs(self._class_mask(r, mode))
 
     def line_of_sight_binds(self, lisl_range_km: float) -> bool:
         """True iff the range exceeds the grazing chord, so that the Earth can
@@ -363,8 +353,7 @@ class _PairRows:
         rows are read, and of them the pairs whose b is alive are kept."""
         edges = np.flatnonzero(np.diff(alive, prepend=False, append=False))
         bounds = np.searchsorted(self.a, edges.astype(self.a.dtype))
-        lo, size = bounds[0::2], bounds[1::2] - bounds[0::2]
-        rows = np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
+        rows = _run_rows(bounds[0::2], bounds[1::2] - bounds[0::2])
         return rows[np.take(alive, np.take(self.b, rows))]
 
     def per_pair(self, table: np.ndarray, rows, dtype) -> np.ndarray:
@@ -489,6 +478,11 @@ def angle_beyond_reach(engine: LinkEngine, gs: GroundStation, time_s: float,
 def _distance(p, q):
     diff = p - q
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _run_rows(lo: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The indices of the runs [lo, lo + size), one run after another."""
+    return np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
 
 
 def _pick(values: np.ndarray, index: np.ndarray | slice) -> np.ndarray:

@@ -133,7 +133,8 @@ class ComparisonResult:
 
 def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
                   last_ms: float | None = None, positions: np.ndarray | None = None,
-                  angles: dict | None = None, ground: dict | None = None) -> SlotRecord:
+                  angles: dict | None = None, ground: dict | None = None,
+                  bounds: dict | None = None) -> SlotRecord:
     """Route one slot of the scenario, with the satellites that no optimal
     path can visit left out.
 
@@ -147,23 +148,27 @@ def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
     slower path's latency is a proven U for one more pass; after no path
     at all, the next pass drops no satellite.
 
-    positions, angles and ground, if given, are the shell's positions at
-    the slot's instant and dicts, which its queries share and fill when
-    first needed, of each station's angle_beyond_reach and ground links.
+    positions, angles, ground and bounds, if given, are the shell's
+    positions at the slot's instant and dicts, which its queries share and
+    fill when first needed, of each station's angle_beyond_reach and ground
+    links and of each (src, dst, range)'s lower bounds.
     """
     t = slot_index * cfg.slot_duration_s
     if positions is None:
-        positions, angles, ground = engine.constellation.positions_at(t), {}, {}
+        positions, angles, ground, bounds = engine.constellation.positions_at(t), {}, {}, {}
     if last_ms == math.inf:
         return _route_slot(engine, cfg, slot_index, None, positions, ground)
-    for gs in (cfg.src, cfg.dst):
-        if gs not in angles:
-            angles[gs] = angle_beyond_reach(engine, gs, t, positions)
-    bounds = lower_bounds(engine, cfg, angles[cfg.src], angles[cfg.dst])
-    base, margin = (bounds.min(), _FIRST_MARGIN) if last_ms is None else (last_ms, _LAST_MARGIN)
+    key = (cfg.src, cfg.dst, cfg.lisl_range_km)
+    if key not in bounds:
+        for gs in (cfg.src, cfg.dst):
+            if gs not in angles:
+                angles[gs] = angle_beyond_reach(engine, gs, t, positions)
+        bounds[key] = lower_bounds(engine, cfg, angles[cfg.src], angles[cfg.dst])
+    lower = bounds[key]
+    base, margin = (lower.min(), _FIRST_MARGIN) if last_ms is None else (last_ms, _LAST_MARGIN)
     upper = base * (1.0 + margin)
     while True:
-        alive = bounds <= upper + _BOUND_SLACK_MS
+        alive = lower <= upper + _BOUND_SLACK_MS
         pruned = not alive.all()
         record = _route_slot(engine, cfg, slot_index, alive if pruned else None, positions, ground)
         if not pruned or (record.path_found and record.latency_ms <= upper):
@@ -277,9 +282,9 @@ def _evaluate_instants(engine: LinkEngine, configs: list[ScenarioConfig],
     for t, due in instants:
         # The queries share the shell, not the pairs: each measures only the
         # pairs of the satellites its own bounds keep.
-        positions, angles, ground = engine.constellation.positions_at(t), {}, {}
+        shared = engine.constellation.positions_at(t), {}, {}, {}
         for q, i in due:
-            record = evaluate_slot(engine, configs[q], i, last.get(q), positions, angles, ground)
+            record = evaluate_slot(engine, configs[q], i, last.get(q), *shared)
             last[q] = record.latency_ms if record.path_found else math.inf
             out.append((q, record))
     return out

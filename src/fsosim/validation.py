@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationFailure
 from .geometry import PhysicalConstants, great_circle_distance, max_lisl_range
-from .links import LinkEngine, Mode, degree_counts, link_census
+from .links import LinkEngine, Mode, SlotGeometry, degree_counts, link_census
 from .orbital import Constellation, ConstellationSpec, SatelliteId, build_constellation
 from .scenario import DEFAULT_RANGES_KM
 
@@ -137,10 +137,10 @@ def check_station_distances(stations, earth_radius_km: float) -> list[CheckResul
     return out
 
 
-def check_permanent_census(engine: LinkEngine) -> list[CheckResult]:
+def check_permanent_census(engine: LinkEngine, geometry: SlotGeometry) -> list[CheckResult]:
     out = []
     for idx, (r, expected) in enumerate(zip(DEFAULT_RANGES_KM, REFERENCE_PERMANENT_DEGREES)):
-        degs = degree_counts(engine.snapshot(0.0, r, Mode.NG))
+        degs = degree_counts(engine.snapshot(0.0, r, Mode.NG, geometry=geometry))
         uniform = int(degs.min()) == int(degs.max())
         value = int(degs[0])
         tol = 0 if idx < PERMANENT_EXACT_COUNT else PERMANENT_HIGH_TOLERANCE
@@ -174,11 +174,11 @@ def check_latitude_connectivity(engine: LinkEngine) -> list[CheckResult]:
     return out
 
 
-def check_census_ratio(engine: LinkEngine, stations) -> list[CheckResult]:
+def check_census_ratio(engine: LinkEngine, stations, geometry: SlotGeometry) -> list[CheckResult]:
     out = []
     for r in DEFAULT_RANGES_KM:
-        ng = link_census(engine.snapshot(0.0, r, Mode.NG, stations))
-        nng = link_census(engine.snapshot(0.0, r, Mode.NNG, stations))
+        ng = link_census(engine.snapshot(0.0, r, Mode.NG, stations, geometry))
+        nng = link_census(engine.snapshot(0.0, r, Mode.NNG, stations, geometry))
         ratio = nng.total_undirected / max(ng.total_undirected, 1)
         out.append(CheckResult(
             f"all-links/permanent census ratio at {r:g} km",
@@ -203,8 +203,9 @@ def run_validation(spec: ConstellationSpec, constants: PhysicalConstants,
         f"offset {pinned} of [0, {spec.plane_count}) reproduces the permanent census"))
     pinned_spec = dataclasses.replace(spec, phasing_offset=pinned)
     engine = LinkEngine(build_constellation(pinned_spec), constants, earth_rotation0_deg)
-    results += check_permanent_census(engine)
+    geometry = engine.slot_geometry(0.0, [(r, mode) for mode in Mode for r in DEFAULT_RANGES_KM])
+    results += check_permanent_census(engine, geometry)
     results += check_latitude_connectivity(engine)
-    results += check_census_ratio(engine, stations)
+    results += check_census_ratio(engine, stations, geometry)
     passed = all(r.passed for r in results)
     return passed, [r.line() for r in results], pinned

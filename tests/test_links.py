@@ -502,9 +502,10 @@ def test_blockwise_geometry_equals_one_pass(count, shell):
 # -- candidate order and lazy typing ---------------------------------------
 
 def assert_filled_lists_equal_own_builds(engine, requests):
-    """The candidate lists fill_candidates filters from the requests' union
-    list equal, array by array and dtype by dtype, those that a fresh
-    engine builds for each request's mask alone."""
+    """The candidate lists that fill_candidates caches for the requests
+    equal, array by array and dtype by dtype, those that a fresh engine
+    builds for each request's mask alone: a batch's lists do not depend on
+    what else it requests."""
     engine.fill_candidates(requests)
     own = LinkEngine(engine.constellation)
     for r, mode in requests:
@@ -568,6 +569,28 @@ def test_candidate_pairs_come_sorted(shell, mode, chord_fraction):
     found = set(zip(pairs.a.tolist(), pairs.b.tolist(), pairs.cls.tolist()))
     assert len(found) == len(pairs.a)
     assert found == generated_candidate_pairs(engine, mask)
+
+
+def test_empty_mask_gives_empty_lists(shell):
+    engine = LinkEngine(shell)
+    pairs = engine._candidate_pairs(np.zeros_like(engine.pair_max_table_km, dtype=bool))
+    assert [(len(x), x.dtype) for x in (pairs.a, pairs.b, pairs.cls)] == [
+        (0, np.int32), (0, np.int32), (0, np.int16)]
+
+
+def test_starlink_lists_equal_generated_pairs(shell):
+    """Each of the 14 Starlink candidate lists, and the list of their union,
+    holds the pairs and classes that unsorted generation gives, strictly
+    ascending in a * N + b."""
+    engine = LinkEngine(shell)
+    masks = [engine._class_mask(r, mode) for r in STANDARD_RANGES for mode in Mode]
+    for mask in masks + [np.logical_or.reduce(masks)]:
+        pairs = engine._candidate_pairs(mask)
+        assert pairs.a.dtype == pairs.b.dtype == np.int32 and pairs.cls.dtype == np.int16
+        assert np.all(np.diff(pairs.a.astype(np.int64) * len(shell) + pairs.b) > 0)
+        generated = generated_candidate_pairs(engine, mask)
+        assert len(pairs.a) == len(generated)
+        assert set(zip(pairs.a.tolist(), pairs.b.tolist(), pairs.cls.tolist())) == generated
 
 
 @settings(deadline=None)

@@ -438,6 +438,33 @@ def test_a_lone_slot_propagates_once(engine, monkeypatch):
     assert set(ground) == due and all(len(found) == 1 for found in ground.values())
 
 
+def test_sibling_queries_share_lower_bounds(engine, monkeypatch):
+    """The NG and NNG queries of one station pair and range share their
+    lower bounds: over a batch of the 26 study queries, lower_bounds runs
+    once per (src, dst, range) and instant at which one of its queries
+    prunes, that is, at its first slot or after a slot with a path."""
+    instants, calls = [], []
+    positions_at, lower_bounds_ = Constellation.positions_at, scenario.lower_bounds
+
+    def propagating(self, t):
+        instants.append(t)
+        return positions_at(self, t)
+
+    def counting(engine, cfg, src_angle, dst_angle):
+        calls.append((instants[-1], cfg.src, cfg.dst, cfg.lisl_range_km))
+        return lower_bounds_(engine, cfg, src_angle, dst_angle)
+
+    monkeypatch.setattr(Constellation, "positions_at", propagating)
+    monkeypatch.setattr(scenario, "lower_bounds", counting)
+    queries = study_queries(slots=5)
+    results = run_scenarios(engine, queries)
+    pruning = {(float(i), cfg.src, cfg.dst, cfg.lisl_range_km)
+               for cfg, (records, _) in zip(queries, results)
+               for i in range(5) if i == 0 or records[i - 1].path_found}
+    assert len(calls) == len(set(calls)) and set(calls) == pruning
+    assert len({key for key in pruning if key[0] == 0.0}) == 13
+
+
 def test_records_do_not_depend_on_chunk_starts(engine):
     """Serial and pooled runs guess from a last latency at different slots,
     yet give the unpruned records. Serially, every slot after the first

@@ -1,0 +1,101 @@
+import collections
+
+import pytest
+
+from fsosim import BUNDLED_STATIONS, ConstellationSpec, LinkEngine, Mode, PhysicalConstants
+from fsosim import links, validation
+from fsosim.links import degree_counts, link_census
+from fsosim.orbital import Constellation
+from fsosim.validation import (DEFAULT_RANGES_KM, PERMANENT_EXACT_COUNT,
+                               PERMANENT_HIGH_TOLERANCE, REFERENCE_PERMANENT_DEGREES,
+                               CheckResult)
+
+
+def reference_permanent_census(engine, _geometry):
+    """check_permanent_census with one snapshot, and so one geometry, of
+    its own per range."""
+    out = []
+    for idx, (r, expected) in enumerate(zip(DEFAULT_RANGES_KM, REFERENCE_PERMANENT_DEGREES)):
+        degs = degree_counts(engine.snapshot(0.0, r, Mode.NG))
+        uniform = int(degs.min()) == int(degs.max())
+        value = int(degs[0])
+        tol = 0 if idx < PERMANENT_EXACT_COUNT else PERMANENT_HIGH_TOLERANCE
+        ok = uniform and abs(value - expected) <= tol
+        out.append(CheckResult(
+            f"permanent-link degree at {r:g} km", ok,
+            f"every satellite has {value} (expect {expected}{'' if tol == 0 else f' +/- {tol}'})"))
+    return out
+
+
+def reference_census_ratio(engine, stations, _geometry):
+    """check_census_ratio with one snapshot of its own per (range, mode)."""
+    out = []
+    for r in DEFAULT_RANGES_KM:
+        ng = link_census(engine.snapshot(0.0, r, Mode.NG, stations))
+        nng = link_census(engine.snapshot(0.0, r, Mode.NNG, stations))
+        ratio = nng.total_undirected / max(ng.total_undirected, 1)
+        out.append(CheckResult(
+            f"all-links/permanent census ratio at {r:g} km",
+            ratio >= 2.0, f"{nng.total_undirected}/{ng.total_undirected} = {ratio:.2f} (>= 2.0)"))
+    return out
+
+
+@pytest.mark.parametrize("rotation_deg", [0.0, 123.4])
+def test_shared_geometry_gives_the_reference_lines(monkeypatch, rotation_deg):
+    """On the Starlink shell, the census checks on one shared geometry give
+    the verdict, lines and offset of one snapshot per check."""
+    args = (ConstellationSpec(), PhysicalConstants(), BUNDLED_STATIONS, rotation_deg)
+    found = validation.run_validation(*args)
+    monkeypatch.setattr(validation, "check_permanent_census", reference_permanent_census)
+    monkeypatch.setattr(validation, "check_census_ratio", reference_census_ratio)
+    assert validation.run_validation(*args) == found
+    assert found[0] and len(found[1]) == 23
+
+
+def test_census_checks_share_one_geometry(monkeypatch):
+    """At t = 0 the census checks propagate the pinned engine's shell once,
+    build one candidate list and compute each station's ground links once.
+    Counts start at the pinned engine's build, after the phasing scan's
+    engines; the latitude check, which propagates the shell itself, is not
+    counted."""
+    counts, shell, counting = collections.Counter(), [None], [True]
+    positions_at, ground_position = Constellation.positions_at, links.ground_station_position
+    latitude_check = validation.check_latitude_connectivity
+
+    class CountingEngine(LinkEngine):
+        def __init__(self, constellation, *args):
+            super().__init__(constellation, *args)
+            shell[0] = constellation
+            counts.clear()
+
+        def _candidate_pairs(self, class_mask):
+            if counting[0] and class_mask.tobytes() not in self._candidate_cache:
+                counts["candidate builds"] += 1
+            return super()._candidate_pairs(class_mask)
+
+    def propagating(self, t):
+        if counting[0] and self is shell[0]:
+            counts[f"positions_at({t:g})"] += 1
+        return positions_at(self, t)
+
+    def station_position(gs, *args):
+        if counting[0]:
+            counts[gs.name] += 1
+        return ground_position(gs, *args)
+
+    def uncounted(engine):
+        counting[0] = False
+        try:
+            return latitude_check(engine)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(validation, "LinkEngine", CountingEngine)
+    monkeypatch.setattr(Constellation, "positions_at", propagating)
+    monkeypatch.setattr(links, "ground_station_position", station_position)
+    monkeypatch.setattr(validation, "check_latitude_connectivity", uncounted)
+    passed, _lines, _offset = validation.run_validation(
+        ConstellationSpec(), PhysicalConstants(), BUNDLED_STATIONS)
+    assert passed
+    assert counts == {"positions_at(0)": 1, "candidate builds": 1,
+                      **{gs.name: 1 for gs in BUNDLED_STATIONS}}
