@@ -121,9 +121,13 @@ def _coerce(value, kind, path: str):
 
 
 def _coerce_list(values, kind, path: str) -> tuple:
+    """values as a tuple of kind, none given twice: it would run twice."""
     if not isinstance(values, list):
         raise ConfigurationError(f"{path}: expected a list, got {values!r}")
-    return tuple(_coerce(v, kind, f"{path}[{k}]") for k, v in enumerate(values))
+    values = tuple(_coerce(v, kind, f"{path}[{k}]") for k, v in enumerate(values))
+    if len(set(values)) != len(values):
+        raise ConfigurationError(f"{path}: a value is given more than once")
+    return values
 
 
 def _values(cls, mapping: dict, path: str, **given) -> dict:
@@ -266,11 +270,11 @@ def _make_engine(config: RunConfig) -> LinkEngine:
 
 
 def _cmd_census(config: RunConfig, args) -> int:
+    modes = [Mode(args.mode)] if args.mode else ScenarioSpec.modes
+    ranges = _coerce_list(args.range, float, "--range") if args.range else ScenarioSpec.ranges_km
     out_dir = Path(args.output_dir or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     engine = _make_engine(config)
-    modes = [Mode(args.mode)] if args.mode else ScenarioSpec.modes
-    ranges = args.range or ScenarioSpec.ranges_km
     geometry = engine.slot_geometry(args.time, [(r, mode) for mode in modes for r in ranges])
     censuses = []
     totals = {}
@@ -301,7 +305,7 @@ def _scenario_configs(config: RunConfig, args):
         specs = list(config.scenarios)
     given = {}
     if args.range:
-        given["ranges_km"] = tuple(args.range)
+        given["ranges_km"] = _coerce_list(args.range, float, "--range")
     if getattr(args, "mode", None):
         given["modes"] = (Mode(args.mode),)
     if args.slots is not None:

@@ -113,7 +113,7 @@ class GraphSnapshot:
 
     @functools.cached_property
     def sat_permanent(self) -> np.ndarray:
-        permanent = self._geometry.engine.pair_max_table_km <= self.lisl_range_km
+        permanent = self._geometry.engine._class_mask(self.lisl_range_km, Mode.NG)
         return np.take(permanent, _pick(self._geometry.pairs.cls, self._index))
 
     @property
@@ -154,13 +154,12 @@ class LinkEngine:
     pair_min_table_km (the largest and smallest separation over one period
     by plane offset and slot offset), are computed once at construction and
     are read-only afterwards, so one engine can serve any number of slots,
-    ranges, and modes. The candidate-pair cache, one list per class mask
-    built in time in proportion to its length, is filled when first read
-    or up front by fill_candidates. It has no lock, so threads must not
-    build snapshots on one engine concurrently. Forked worker processes
-    may share an engine: each gets a copy-on-write image of the tables and
-    of whatever the cache held at the fork. A batch fills every list it
-    needs before its pool forks, so no worker builds one.
+    ranges, and modes. Each class mask's runs table (_class_runs) is built
+    when first read and then kept, and every pass generates its candidate
+    pairs from it: the 14 tables of the Starlink study hold 0.8 MiB, their
+    candidate lists 12.8 MiB. The cache has no lock, so threads must not
+    build snapshots on one engine concurrently. Forked worker processes may
+    share an engine; each builds the tables it reads.
     """
 
     def __init__(self, constellation: Constellation, constants: PhysicalConstants | None = None,
@@ -169,7 +168,7 @@ class LinkEngine:
         self.constants = constants if constants is not None else PhysicalConstants()
         self.earth_rotation0_deg = earth_rotation0_deg
         self.pair_max_table_km, self.pair_min_table_km = self._build_class_tables()
-        self._candidate_cache: dict[bytes, _PairRows] = {}
+        self._runs_cache: dict[bytes, tuple] = {}
 
     # -- pair classes -------------------------------------------------
 
@@ -204,40 +203,55 @@ class LinkEngine:
         # lengths, so the cut keeps every pair that is ever in range.
         return self.pair_min_table_km <= lisl_range_km + 1e-3
 
-    def _candidate_pairs(self, class_mask: np.ndarray) -> _PairRows:
-        """Satellite pairs a < b whose class lies in class_mask, sorted by (a, b)
-        and cached per mask."""
+    def _class_runs(self, class_mask: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The candidate pairs of class_mask as runs of one table, cached per
+        mask: (step, cls, start, size). Row s of step and cls (S x C) holds
+        the mask's C classes seen from a base of slot s, sorted by step =
+        b - a, with the flat class of each; base a's partners b > a in the
+        shell are the entries [start[a], start[a] + size[a]) of the
+        flattened rows."""
         key = class_mask.tobytes()
-        cached = self._candidate_cache.get(key)
+        cached = self._runs_cache.get(key)
         if cached is not None:
             return cached
         spec = self.constellation.spec
         # Class (dp, ds) takes base a = p S + s to b = p S + k, with
         # k = dp S + (s + ds) mod S, so a < b iff k > s, and b lies in the
         # shell iff dp < P - p. With each slot's classes sorted by k once,
-        # a base's partners are one run of its slot's row, and the list is
-        # one gather of those runs, sorted by (a, b): the pairs of a smaller
-        # mask are an order-preserving subsequence of those of a larger one.
+        # a base's partners are one run of its slot's row, sorted by b.
         planes, slots = spec.plane_count, spec.sats_per_plane
         cls_dp, cls_ds = np.nonzero(class_mask)
         slot = np.arange(slots)[:, None]
         k = cls_dp * slots + (slot + cls_ds) % slots
         order = np.argsort(k, axis=1)
-        step = (np.take_along_axis(k, order, axis=1) - slot).astype(np.int32)  # b - a
-        cls = (cls_dp * slots + cls_ds).astype(np.int16)[order]
-        first = np.count_nonzero(step <= 0, axis=1)
+        first = np.count_nonzero(k <= slot, axis=1)
         stop = np.cumsum(np.bincount(cls_dp, minlength=planes))[::-1]  # classes with dp < P - p
-        size = (stop[:, None] - first).ravel()
-        rows = _run_rows(np.tile(np.arange(slots) * len(cls_dp) + first, planes), size)
-        a = np.repeat(np.arange(spec.satellite_count, dtype=np.int32), size)
-        result = _PairRows(a=a, b=a + np.take(step, rows), cls=np.take(cls, rows))
-        self._candidate_cache[key] = result
+        result = ((np.take_along_axis(k, order, axis=1) - slot).astype(np.int32),
+                  (cls_dp * slots + cls_ds).astype(np.int16)[order],
+                  np.tile(np.arange(slots) * len(cls_dp) + first, planes).astype(np.int32),
+                  (stop[:, None] - first).ravel().astype(np.int32))
+        self._runs_cache[key] = result
         return result
 
-    def fill_candidates(self, requests) -> None:
-        """Build the candidate list of every (lisl_range_km, Mode) request."""
-        for r, mode in set(requests):
-            self._candidate_pairs(self._class_mask(r, mode))
+    def _candidate_pairs(self, class_mask: np.ndarray,
+                         alive: np.ndarray | None = None) -> _PairRows:
+        """Satellite pairs a < b whose class lies in class_mask, sorted by
+        (a, b); with alive, a mask over the satellites, only the pairs of
+        two live satellites, generated from the live satellites' runs alone.
+        The pairs of a smaller mask are an order-preserving subsequence of
+        those of a larger one."""
+        step, cls, start, size = self._class_runs(class_mask)
+        a = (np.arange(len(size), dtype=np.int32) if alive is None
+             else np.flatnonzero(alive).astype(np.int32))
+        size = np.take(size, a)
+        rows = _run_rows(np.take(start, a), size)
+        a = np.repeat(a, size)
+        b = a + np.take(step, rows)
+        if alive is not None:
+            # Gathering the few live pairs by index is faster than three masks.
+            live = np.flatnonzero(np.take(alive, b))
+            rows, a, b = np.take(rows, live), np.take(a, live), np.take(b, live)
+        return _PairRows(a=a, b=b, cls=np.take(cls, rows))
 
     def line_of_sight_binds(self, lisl_range_km: float) -> bool:
         """True iff the range exceeds the grazing chord, so that the Earth can
@@ -263,13 +277,10 @@ class LinkEngine:
                  alive: np.ndarray | None = None, ground: dict | None = None) -> SlotGeometry:
         """The slot geometry of the requests at positions, those at t; with
         alive, a mask over the satellites, only the pairs of two live
-        satellites, found from the live satellites' rows (_PairRows.live), so
-        that a pass over few satellites reads few of the candidate pairs;
-        with ground, sharing that SlotGeometry.ground dict."""
+        satellites, so that a pass over few satellites generates few
+        candidate pairs; with ground, sharing that SlotGeometry.ground dict."""
         union = np.logical_or.reduce([self._class_mask(r, mode) for r, mode in requests])
-        pairs = self._candidate_pairs(union)
-        if alive is not None:
-            pairs = pairs.take(pairs.live(alive))
+        pairs = self._candidate_pairs(union, alive)
         length = pairs.per_pair(positions, _distance, float)
         near = np.flatnonzero(length <= max(r for r, _ in requests))
         return SlotGeometry(engine=self, time_s=t, requests=requests, positions=positions,
@@ -295,8 +306,8 @@ class LinkEngine:
 
         alive, if given, is a mask of the satellites that may carry links:
         the snapshot then measures only the pairs of live satellites,
-        reading only their rows of the candidate list, and keeps only the
-        ground links to them. A shared geometry takes no mask.
+        generated from their runs alone, and keeps only the ground links to
+        them. A shared geometry takes no mask.
         """
         if geometry is None:
             if positions is None:
@@ -345,17 +356,6 @@ class _PairRows:
     def take(self, index) -> "_PairRows":
         return _PairRows(a=self.a[index], b=self.b[index], cls=self.cls[index])
 
-    def live(self, alive: np.ndarray) -> np.ndarray:
-        """Ascending index of the pairs whose two satellites alive marks.
-
-        The pairs come sorted by a, so the rows of each run of consecutive
-        live satellites are one slice, found by searchsorted; only those
-        rows are read, and of them the pairs whose b is alive are kept."""
-        edges = np.flatnonzero(np.diff(alive, prepend=False, append=False))
-        bounds = np.searchsorted(self.a, edges.astype(self.a.dtype))
-        rows = _run_rows(bounds[0::2], bounds[1::2] - bounds[0::2])
-        return rows[np.take(alive, np.take(self.b, rows))]
-
     def per_pair(self, table: np.ndarray, rows, dtype) -> np.ndarray:
         """rows(table[a], table[b]) into one array, over blocks of pairs small
         enough that the allocator reuses their temporaries from slot to slot;
@@ -387,7 +387,6 @@ class SlotGeometry:
     pairs: _PairRows
     length_km: np.ndarray
     ground: dict = field(default_factory=dict, repr=False)
-    _clear: np.ndarray | None = field(default=None, init=False, repr=False)
     _selected: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
@@ -408,14 +407,13 @@ class SlotGeometry:
         type_code[offset == 0] = 0
         return type_code
 
+    @functools.cached_property
     def clear_of_earth(self) -> np.ndarray:
         """Per pair, True iff the segment between the two satellites clears the
         occlusion sphere."""
-        if self._clear is None:
-            occ = self.engine.constants.occlusion_radius_km
-            self._clear = self.pairs.per_pair(
-                self.positions, lambda p, q: _segments_clear_origin(p, q, occ), bool)
-        return self._clear
+        occ = self.engine.constants.occlusion_radius_km
+        return self.pairs.per_pair(self.positions,
+                                   lambda p, q: _segments_clear_origin(p, q, occ), bool)
 
     def selection(self, lisl_range_km: float, mode: Mode) -> np.ndarray | slice:
         """Index of the pairs that are links of (range, mode), as int32, or
@@ -426,7 +424,7 @@ class SlotGeometry:
             keep = np.take(engine._class_mask(lisl_range_km, mode), self.pairs.cls)
             keep &= self.length_km <= lisl_range_km
             if engine.line_of_sight_binds(lisl_range_km):
-                keep &= self.clear_of_earth()
+                keep &= self.clear_of_earth
             # Keeping every pair hands out views of the geometry's arrays,
             # which snapshots, like their shared positions, never write to.
             index = slice(None) if keep.all() else np.flatnonzero(keep).astype(np.int32)

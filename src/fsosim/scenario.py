@@ -8,13 +8,11 @@ slots where a path exists; pathless slots are data, not failures.
 A batch of scenarios is evaluated slot-major: at each instant the shell is
 propagated once, and each station's central angles and ground links are
 computed once, when first needed; every scenario then measures and routes
-a snapshot of its own on them, reading only the candidate pairs of the
-satellites it keeps. Every scenario's candidate list is built before the
-batch starts. With parallelism > 1 one process pool serves the whole
-batch; its tasks are chunks of slots, and the workers use the caller's
-engine, lists included, which they inherit through the pool initializer
-rather than rebuild. Records are always emitted in slot order regardless
-of the parallelism degree.
+a snapshot of its own on them, generating only the candidate pairs of the
+satellites it keeps. With parallelism > 1 one process pool serves the
+whole batch; its tasks are chunks of slots, and the workers use the
+caller's engine, which they inherit through the pool initializer. Records
+are always emitted in slot order regardless of the parallelism degree.
 
 Each slot guesses an upper bound U on its optimum and drops, before the
 snapshot is built, every satellite whose lower bound exceeds U; the route
@@ -320,8 +318,6 @@ def run_scenarios(engine: LinkEngine, configs,
         for i in range(cfg.slot_count):
             by_time.setdefault(i * cfg.slot_duration_s, []).append((q, i))
     instants = sorted(by_time.items())
-    # Built here, the lists reach forked workers copy-on-write.
-    engine.fill_candidates((cfg.lisl_range_km, cfg.mode) for cfg in configs)
     if parallelism <= 1 or len(instants) < 4:
         found = _evaluate_instants(engine, configs, instants)
     else:

@@ -50,8 +50,8 @@ class CheckResult:
 def permanent_degree_profile(constellation: Constellation,
                              ranges_km=DEFAULT_RANGES_KM) -> tuple[int, ...]:
     """Permanent-link degree of every satellite (they are all equal) per range."""
-    table = LinkEngine(constellation).pair_max_table_km
-    return tuple(int((table <= r).sum()) for r in ranges_km)
+    engine = LinkEngine(constellation)
+    return tuple(int(engine._class_mask(r, Mode.NG).sum()) for r in ranges_km)
 
 
 def total_degree_profile(constellation: Constellation, t: float,

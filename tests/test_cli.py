@@ -352,6 +352,30 @@ def test_zero_slots_exit_code(tmp_path, via):
     assert not list(out.glob("slots_*.csv"))
 
 
+@pytest.mark.parametrize("scenario, argv, message", [
+    ("ranges_km: [1700, 1700]", ["run", "--slots", "2"],
+     r"scenarios\[0\]\.ranges_km: a value is given more than once"),
+    ("modes: [NNG, NG, NNG]", ["run", "--slots", "2"],
+     r"scenarios\[0\]\.modes: a value is given more than once"),
+    ("ranges_km: [1700]", ["run", "--slots", "2", "--range", "1700", "--range", "1700.0"],
+     r"--range: a value is given more than once"),
+    ("ranges_km: [1700]", ["sweep", "--slots", "2", "--range", "1500", "--range", "1500"],
+     r"--range: a value is given more than once"),
+    ("ranges_km: [1700]", ["census", "--range", "1700", "--range", "1700"],
+     r"--range: a value is given more than once"),
+], ids=["config-ranges", "config-modes", "run-flag", "sweep-flag", "census-flag"])
+def test_repeated_range_or_mode_exit_code(tmp_path, capsys, scenario, argv, message):
+    """A range or mode given twice would run twice, overwrite its own slot
+    file and repeat its summary or census rows: a configuration error
+    naming its key or flag, raised before any output is written."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"scenarios:\n  - {{src: Sydney, dst: Sao Paulo, {scenario}}}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), *argv, "--output-dir", str(out)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
 STUDY_26 = (
     "scenarios:\n"
     "  - {src: Sydney, dst: Sao Paulo,"

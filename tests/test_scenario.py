@@ -489,17 +489,6 @@ def study_queries(slots):
             for src, dst, ranges in pairs for r in ranges for mode in Mode]
 
 
-def test_the_parent_builds_every_candidate_list(shell):
-    """A pooled batch builds every query's candidate list before the pool
-    forks: workers' caches never come back, so the lists in the parent's
-    cache were built there."""
-    engine = LinkEngine(shell)
-    queries = study_queries(slots=4)
-    run_scenarios(engine, queries, 2)
-    for cfg in queries:
-        assert engine._class_mask(cfg.lisl_range_km, cfg.mode).tobytes() in engine._candidate_cache
-
-
 def test_study_batch_equals_unpruned_slots(engine):
     """The 26 study queries give the records of unpruned slots run one query
     at a time, as one batch, and as one batch on two workers."""

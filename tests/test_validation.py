@@ -54,7 +54,7 @@ def test_shared_geometry_gives_the_reference_lines(monkeypatch, rotation_deg):
 
 def test_census_checks_share_one_geometry(monkeypatch):
     """At t = 0 the census checks propagate the pinned engine's shell once,
-    build one candidate list and compute each station's ground links once.
+    build one runs table and compute each station's ground links once.
     Counts start at the pinned engine's build, after the phasing scan's
     engines; the latitude check, which propagates the shell itself, is not
     counted."""
@@ -68,10 +68,10 @@ def test_census_checks_share_one_geometry(monkeypatch):
             shell[0] = constellation
             counts.clear()
 
-        def _candidate_pairs(self, class_mask):
-            if counting[0] and class_mask.tobytes() not in self._candidate_cache:
-                counts["candidate builds"] += 1
-            return super()._candidate_pairs(class_mask)
+        def _class_runs(self, class_mask):
+            if counting[0] and class_mask.tobytes() not in self._runs_cache:
+                counts["table builds"] += 1
+            return super()._class_runs(class_mask)
 
     def propagating(self, t):
         if counting[0] and self is shell[0]:
@@ -97,5 +97,5 @@ def test_census_checks_share_one_geometry(monkeypatch):
     passed, _lines, _offset = validation.run_validation(
         ConstellationSpec(), PhysicalConstants(), BUNDLED_STATIONS)
     assert passed
-    assert counts == {"positions_at(0)": 1, "candidate builds": 1,
+    assert counts == {"positions_at(0)": 1, "table builds": 1,
                       **{gs.name: 1 for gs in BUNDLED_STATIONS}}
