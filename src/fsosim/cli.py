@@ -178,6 +178,7 @@ def _parse_scenarios(raw, stations, path: str) -> tuple[ScenarioSpec, ...]:
         raise ConfigurationError(f"{path}: expected a list of scenarios")
     known = {gs.name for gs in stations}
     out = []
+    first_of: dict[tuple[str, str], int] = {}
     for k, item in enumerate(raw):
         where = f"{path}[{k}]"
         item = _require_mapping(item, where, ScenarioSpec)
@@ -188,6 +189,11 @@ def _parse_scenarios(raw, stations, path: str) -> tuple[ScenarioSpec, ...]:
             names[endpoint] = _coerce(item[endpoint], str, f"{where}.{endpoint}")
             if names[endpoint] not in known:
                 raise ConfigurationError(f"{where}.{endpoint}: unknown station {names[endpoint]!r}")
+        pair = (names["src"], names["dst"])
+        if pair in first_of:
+            raise ConfigurationError(f"{where}: {pair[0]} -> {pair[1]} repeats "
+                                     f"{path}[{first_of[pair]}]")
+        first_of[pair] = k
         lists = {key: _coerce_list(item[key], kind, f"{where}.{key}")
                  for key, kind in (("ranges_km", float), ("modes", Mode)) if key in item}
         spec = ScenarioSpec(**_values(ScenarioSpec, item, where, **names, **lists))

@@ -108,11 +108,13 @@ def check_geometry_constants(spec: ConstellationSpec,
                              constants: PhysicalConstants) -> list[CheckResult]:
     chord = 2.0 * spec.orbit_radius_km * math.sin(math.pi / spec.sats_per_plane)
     name = "maximum visibility-limited link range"
+    # The orbit the engine propagates, above the Earth the clearance is measured from.
+    altitude_km = spec.orbit_radius_km - constants.earth_radius_km
     try:
-        max_range = max_lisl_range(spec.altitude_km, constants.occlusion_clearance_km,
+        max_range = max_lisl_range(altitude_km, constants.occlusion_clearance_km,
                                    constants.earth_radius_km)
     except ValueError:
-        range_check = CheckResult(name, False, f"the shell at {spec.altitude_km:g} km lies below "
+        range_check = CheckResult(name, False, f"the shell at {altitude_km:g} km lies below "
                                   f"the {constants.occlusion_clearance_km:g} km occlusion clearance")
     else:
         range_check = CheckResult(name, abs(max_range - 5016.0) <= 1.0,

@@ -328,6 +328,33 @@ def test_shell_beyond_two_digit_ids_exit_code(tmp_path):
     assert main(["--config", str(f), "run", "--slots", "1"]) == 2
 
 
+@pytest.mark.parametrize("command, scenarios, message", [
+    ("compare", "[{src: Sydney, dst: Tokyo, ranges_km: [1700]},"
+                " {src: Sydney, dst: Tokyo, ranges_km: [5016]}]",
+     r"scenarios\[1\]: Sydney -> Tokyo repeats scenarios\[0\]"),
+    ("run", "[{src: Sydney, dst: Tokyo}, {src: Madrid, dst: Tokyo},"
+            " {src: Sydney, dst: Tokyo}]",
+     r"scenarios\[2\]: Sydney -> Tokyo repeats scenarios\[0\]"),
+], ids=["compare", "run"])
+def test_repeated_station_pair_exit_code(tmp_path, capsys, command, scenarios, message):
+    """A station pair in two scenarios would write its files twice, the
+    second over the first, or repeat its summary rows: a configuration
+    error naming the later scenario, raised before any output is written."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"scenarios: {scenarios}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), command, "--slots", "2", "--output-dir", str(out)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_reverse_station_pair_is_a_scenario_of_its_own(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("scenarios: [{src: Sydney, dst: Tokyo}, {src: Tokyo, dst: Sydney}]\n")
+    assert [(s.src, s.dst) for s in parse_config(cfg).scenarios] == [("Sydney", "Tokyo"),
+                                                                     ("Tokyo", "Sydney")]
+
+
 @pytest.mark.parametrize("via", ["flags", "config"])
 def test_same_source_and_destination_exit_code(tmp_path, via):
     """Rejected as a configuration error before any slot runs."""

@@ -2,52 +2,104 @@ import dataclasses
 import heapq
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 
-from fsosim import (BUNDLED_STATIONS, ConstellationSpec, GraphSnapshot, LinkEngine, Mode,
-                    PathResult, PhysicalConstants, build_constellation)
-from fsosim.routing import RouteGraph, _directed_arcs, shortest_path
+from fsosim import (BUNDLED_STATIONS, ConstellationSpec, LinkEngine, Mode, PathResult,
+                    PhysicalConstants, build_constellation)
+from fsosim.geometry import NODE_DELAY_MS, SPEED_OF_LIGHT_MPS
+from fsosim.routing import _directed_arcs, shortest_path
 
 LIGHT_MS_KM = 299.792458  # one light-millisecond
 ORACLE_MAX_NODES = 12
+SAT_FIELDS = ("sat_a", "sat_b", "sat_length_km")
+GROUND_FIELDS = ("gs_station_index", "gs_sat_index", "gs_length_km")
 
 
-def make_graph(is_satellite, edges, names=None):
-    """edges: list of (u, v, length_km)."""
-    is_satellite = np.asarray(is_satellite, dtype=bool)
-    edge_u = np.array([e[0] for e in edges], dtype=np.int64)
-    edge_v = np.array([e[1] for e in edges], dtype=np.int64)
-    lengths = np.array([e[2] for e in edges], dtype=float)
-    if names is None:
-        names = [f"n{k}" for k in range(len(is_satellite))]
-    return RouteGraph(is_satellite=is_satellite, edge_u=edge_u, edge_v=edge_v,
-                      edge_length_km=lengths, name_of=list(names).__getitem__)
+def route_snapshot(satellites, stations, sat_links, ground_links, node_delay_ms=NODE_DELAY_MS):
+    """A snapshot-shaped namespace holding what shortest_path reads of a
+    GraphSnapshot: the named satellites are nodes 0..N-1 and the named
+    stations follow. sat_links are (a, b, km) by satellite index and
+    ground_links (station, satellite, km) by station and satellite index,
+    each in any order."""
+    names = [*satellites, *stations]
+    columns = {}
+    for fields, links in ((SAT_FIELDS, sat_links), (GROUND_FIELDS, ground_links)):
+        for k, (name, dtype) in enumerate(zip(fields, (np.int32, np.int32, float))):
+            columns[name] = np.array([link[k] for link in links], dtype=dtype)
+    return types.SimpleNamespace(
+        satellite_count=len(satellites), node_count=len(names), **columns,
+        constants=types.SimpleNamespace(c_mps=SPEED_OF_LIGHT_MPS, node_delay_ms=node_delay_ms),
+        node_name=names.__getitem__, node_index={n: k for k, n in enumerate(names)}.__getitem__)
+
+
+def make_graph(satellites, stations, links, node_delay_ms=NODE_DELAY_MS):
+    """route_snapshot from links (x, y, km) between named nodes, in the order
+    and orientation given; a link at a station is that station's ground link."""
+    n_sat = len(satellites)
+    index = {name: k for k, name in enumerate([*satellites, *stations])}
+    sat_links, ground_links = [], []
+    for x, y, km in links:
+        u, v = index[x], index[y]
+        if u < n_sat and v < n_sat:
+            sat_links.append((u, v, km))
+        else:
+            station, sat = (u, v) if u >= n_sat else (v, u)
+            assert sat < n_sat, "a station links only to satellites"
+            ground_links.append((station - n_sat, sat, km))
+    return route_snapshot(satellites, stations, sat_links, ground_links, node_delay_ms)
+
+
+def with_node_delay(graph, node_delay_ms):
+    constants = types.SimpleNamespace(c_mps=graph.constants.c_mps, node_delay_ms=node_delay_ms)
+    return types.SimpleNamespace(**{**vars(graph), "constants": constants})
+
+
+def drop_link(graph, k):
+    """graph without its k-th link, counting its satellite links first."""
+    fields, n = dict(vars(graph)), len(graph.sat_a)
+    names, j = (SAT_FIELDS, k) if k < n else (GROUND_FIELDS, k - n)
+    for name in names:
+        fields[name] = np.delete(fields[name], j)
+    return types.SimpleNamespace(**fields)
 
 
 def random_graph(rng):
-    """Random mixed graph with <= 12 nodes, >= 2 stations, random weights."""
+    """Random snapshot-shaped graph of at most 12 nodes, 2 to 4 of them
+    stations, with random links and lengths, and two of its stations."""
     n = int(rng.integers(2, ORACLE_MAX_NODES + 1))
     n_gs = int(rng.integers(2, min(n, 4) + 1))
-    kinds = np.array([True] * (n - n_gs) + [False] * n_gs)
-    rng.shuffle(kinds)
-    stations = np.nonzero(~kinds)[0]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.45:
-                edges.append((u, v, float(rng.uniform(1.0, 5000.0))))
-    if not edges:
-        edges.append((0, 1, float(rng.uniform(1.0, 5000.0))))
-    graph = make_graph(kinds, edges)
-    src, dst = (int(x) for x in rng.choice(stations, size=2, replace=False))
+    n_sat = n - n_gs
+
+    def drawn(pairs):
+        return [(u, v, float(rng.uniform(1.0, 5000.0))) for u, v in pairs if rng.random() < 0.45]
+
+    sat_links = drawn(itertools.combinations(range(n_sat), 2))
+    ground_links = drawn(itertools.product(range(n_gs), range(n_sat)))
+    stations = [f"g{k}" for k in range(n_gs)]
+    graph = route_snapshot([f"s{k}" for k in range(n_sat)], stations, sat_links, ground_links)
+    src, dst = (stations[k] for k in rng.choice(n_gs, size=2, replace=False))
     return graph, src, dst
 
 
 # -- reference routers, on the full arc list ---------------------------
+
+def edge_list(graph):
+    """graph (a snapshot or a route_snapshot) as one undirected edge list,
+    ground links then satellite links, with a kind per node."""
+    n_sat = graph.satellite_count
+    return types.SimpleNamespace(
+        node_count=graph.node_count, is_satellite=np.arange(graph.node_count) < n_sat,
+        edge_u=np.concatenate([graph.gs_station_index + n_sat, graph.sat_a]),
+        edge_v=np.concatenate([graph.gs_sat_index, graph.sat_b]),
+        edge_length_km=np.concatenate([graph.gs_length_km, graph.sat_length_km]),
+        c_mps=graph.constants.c_mps, node_delay_ms=graph.constants.node_delay_ms,
+        name_of=graph.node_name)
+
 
 def full_arc_reference(graph, src, dst):
     """Every edge in both directions, node delay on entering a satellite,
@@ -62,22 +114,13 @@ def full_arc_reference(graph, src, dst):
     return tails[keep], heads[keep], weights[keep]
 
 
-def node_of(graph, raw, node):
-    """Index of a node given by name, or by index in a RouteGraph."""
-    if isinstance(graph, GraphSnapshot):
-        return graph.node_index(node)
-    if isinstance(node, (int, np.integer)):
-        return int(node)
-    return [raw.name_of(k) for k in range(raw.node_count)].index(node)
-
-
 def reference_arcs(graph, src, dst):
-    """The RouteGraph of graph (a GraphSnapshot or a RouteGraph), the node
-    indices of src and dst, and the full reference arcs between them."""
-    raw = RouteGraph.from_snapshot(graph) if isinstance(graph, GraphSnapshot) else graph
-    s, d = node_of(graph, raw, src), node_of(graph, raw, dst)
+    """The edge list of graph, the node indices of the named src and dst,
+    and the full reference arcs between them."""
+    edges = edge_list(graph)
+    s, d = graph.node_index(src), graph.node_index(dst)
     assert s != d
-    return raw, s, d, full_arc_reference(raw, s, d)
+    return edges, s, d, full_arc_reference(edges, s, d)
 
 
 def path_result(graph, nodes):
@@ -171,31 +214,24 @@ def oracle_shortest_path(graph, src, dst):
     return None if best is None else path_result(raw, list(best[2]))
 
 
-def test_direct_station_link_is_one_light_millisecond():
-    graph = make_graph([False, False], [(0, 1, LIGHT_MS_KM)], names=["gs1", "gs2"])
-    result = shortest_path(graph, "gs1", "gs2")
-    assert result.latency_ms == 1.0
-    assert result.hop_count == 0
-    assert result.node_sequence == ("gs1", "gs2")
-
-
 def test_one_satellite_relay_accounting():
-    graph = make_graph([False, True, False],
-                       [(0, 1, LIGHT_MS_KM), (1, 2, LIGHT_MS_KM)],
-                       names=["gs1", "satA", "gs2"])
+    graph = make_graph(["satA"], ["gs1", "gs2"],
+                       [("gs1", "satA", LIGHT_MS_KM), ("satA", "gs2", LIGHT_MS_KM)])
     result = shortest_path(graph, "gs1", "gs2")
     assert result.propagation_delay_ms == pytest.approx(2.0, abs=1e-12)
     assert result.node_delay_ms == 10.0
     assert result.latency_ms == pytest.approx(12.0, abs=1e-12)
     assert result.hop_count == 1
+    assert result.node_sequence == ("gs1", "satA", "gs2")
 
 
 def test_nine_hop_chain_accounting():
     # nine satellites, total propagation 52.24 ms -> latency 142.24 ms
-    kinds = [False] + [True] * 9 + [False]
+    sats = [f"s{k}" for k in range(9)]
+    chain = ["gs1", *sats, "gs2"]
     per_link_km = 52.24 / 10.0 * LIGHT_MS_KM
-    edges = [(k, k + 1, per_link_km) for k in range(10)]
-    result = shortest_path(make_graph(kinds, edges), 0, 10)
+    links = [(x, y, per_link_km) for x, y in zip(chain, chain[1:])]
+    result = shortest_path(make_graph(sats, ["gs1", "gs2"], links), "gs1", "gs2")
     assert result.hop_count == 9
     assert result.node_delay_ms == 90.0
     assert result.propagation_delay_ms == pytest.approx(52.24, abs=1e-9)
@@ -204,47 +240,50 @@ def test_nine_hop_chain_accounting():
 
 
 def test_disconnected_returns_none():
-    graph = make_graph([False, True, False], [(0, 1, 100.0)])
-    assert shortest_path(graph, 0, 2) is None
-    assert shortest_path_exact(graph, 0, 2) is None
-    assert oracle_shortest_path(graph, 0, 2) is None
+    graph = make_graph(["sat"], ["gs1", "gs2"], [("gs1", "sat", 100.0)])
+    assert shortest_path(graph, "gs1", "gs2") is None
+    assert shortest_path_exact(graph, "gs1", "gs2") is None
+    assert oracle_shortest_path(graph, "gs1", "gs2") is None
 
 
 def test_single_edge_graph_oracle():
-    graph = make_graph([False, False], [(0, 1, 500.0)])
-    assert oracle_shortest_path(graph, 0, 1).node_sequence == ("n0", "n1")
+    """One laser link between the stations' satellites: the oracle walks it."""
+    graph = make_graph(["s0", "s1"], ["gs1", "gs2"],
+                       [("gs1", "s0", 500.0), ("s0", "s1", 500.0), ("s1", "gs2", 500.0)])
+    assert oracle_shortest_path(graph, "gs1", "gs2").node_sequence == ("gs1", "s0", "s1", "gs2")
 
 
 def test_same_endpoints_rejected():
-    graph = make_graph([False, False], [(0, 1, 500.0)])
+    graph = make_graph(["sat"], ["gs1", "gs2"], [("gs1", "sat", 500.0), ("sat", "gs2", 500.0)])
     with pytest.raises(ValueError):
-        shortest_path(graph, 0, 0)
+        shortest_path(graph, "gs1", "gs1")
 
 
 def test_unknown_node_rejected():
-    graph = make_graph([False, False], [(0, 1, 500.0)])
+    graph = make_graph(["sat"], ["gs1", "gs2"], [("gs1", "sat", 500.0), ("sat", "gs2", 500.0)])
     with pytest.raises(KeyError):
         shortest_path(graph, "gs1", "nope")
-    with pytest.raises(KeyError):
-        shortest_path(graph, 0, 7)
 
 
 def test_oracle_refuses_large_graphs():
-    kinds = [False] * 13
-    edges = [(k, k + 1, 10.0) for k in range(12)]
+    sats = [f"s{k}" for k in range(11)]
+    chain = ["gs1", *sats, "gs2"]
+    links = [(x, y, 10.0) for x, y in zip(chain, chain[1:])]
     with pytest.raises(ValueError):
-        oracle_shortest_path(make_graph(kinds, edges), 0, 12)
+        oracle_shortest_path(make_graph(sats, ["gs1", "gs2"], links), "gs1", "gs2")
 
 
 def test_paths_do_not_route_through_stations():
-    # the free station in the middle must not be used as a relay
-    graph = make_graph(
-        [False, False, False, True],
-        [(0, 1, 10.0), (1, 2, 10.0), (0, 3, 10.0), (3, 2, 10.0)],
-        names=["src", "mid", "dst", "sat"])
+    """Relaying through the free station mid would cover 40 km instead of
+    5,020 km at the same hop count, yet no router may use it."""
+    graph = make_graph(["A", "B"], ["src", "mid", "dst"],
+                       [("src", "A", 10.0), ("A", "B", 5000.0), ("B", "dst", 10.0),
+                        ("A", "mid", 10.0), ("mid", "B", 10.0)])
     for impl in (shortest_path, shortest_path_exact, oracle_shortest_path):
         result = impl(graph, "src", "dst")
-        assert result.node_sequence == ("src", "sat", "dst")
+        assert result.node_sequence == ("src", "A", "B", "dst")
+        relayed = [impl(graph, "src", "mid"), impl(graph, "mid", "dst")]
+        assert sum(leg.latency_ms for leg in relayed) < result.latency_ms
 
 
 def test_oracle_equivalence_500_random_graphs():
@@ -273,14 +312,8 @@ def test_superset_monotonicity_random_graphs():
         base = oracle_shortest_path(graph, src, dst)
         if base is None:
             continue
-        # drop a random edge -> latency can only get worse
-        drop = int(rng.integers(len(graph.edge_u)))
-        keep = np.ones(len(graph.edge_u), dtype=bool)
-        keep[drop] = False
-        sub = RouteGraph(is_satellite=graph.is_satellite,
-                         edge_u=graph.edge_u[keep], edge_v=graph.edge_v[keep],
-                         edge_length_km=graph.edge_length_km[keep],
-                         name_of=graph.name_of)
+        # drop a random link -> latency can only get worse
+        sub = drop_link(graph, int(rng.integers(len(graph.sat_a) + len(graph.gs_sat_index))))
         worse = oracle_shortest_path(sub, src, dst)
         if worse is not None:
             assert worse.latency_ms >= base.latency_ms - 1e-12
@@ -291,7 +324,7 @@ def test_node_delay_scales_with_hops():
     for _ in range(50):
         graph, src, dst = random_graph(rng)
         for delay in (0.0, 10.0, 25.0):
-            result = shortest_path(dataclasses.replace(graph, node_delay_ms=delay), src, dst)
+            result = shortest_path(with_node_delay(graph, delay), src, dst)
             if result is None:
                 continue
             assert result.node_delay_ms == delay * result.hop_count
@@ -347,7 +380,6 @@ def test_snapshot_node_delay_comes_from_its_constants(shell):
     assert result.hop_count > 0
     assert result.node_delay_ms == 5.0 * result.hop_count
     assert result.latency_ms == result.propagation_delay_ms + result.node_delay_ms
-    assert RouteGraph.from_snapshot(snap).node_delay_ms == 5.0
 
 
 def test_snapshot_superset_latency_dominance(engine):
@@ -362,10 +394,13 @@ def test_snapshot_superset_latency_dominance(engine):
 # -- arc lists against the full-arc reference -----------------------------
 
 def assert_same_csr(graph, src, dst):
+    """The router's arcs between node indices src and dst are int32 and
+    build the CSR of the reference arcs of graph's edge list."""
+    arcs = _directed_arcs(graph, src, dst)
+    assert arcs[0].dtype == arcs[1].dtype == np.int32
     n = graph.node_count
     matrices = [csr_matrix((w, (t, h)), shape=(n, n))
-                for t, h, w in (full_arc_reference(graph, src, dst),
-                                _directed_arcs(graph, src, dst))]
+                for t, h, w in (full_arc_reference(edge_list(graph), src, dst), arcs)]
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(matrices[0], name), getattr(matrices[1], name)), name
 
@@ -387,12 +422,10 @@ def assert_snapshot_arcs(snap):
     """The snapshot's arcs come in canonical order and build the reference
     CSR, from its first station to its second and from its third to its
     first."""
-    graph = RouteGraph.from_snapshot(snap)
-    assert graph.edge_u.dtype == graph.edge_v.dtype == np.int32
     n_sat = snap.satellite_count
     for src, dst in ((n_sat, n_sat + 1), (n_sat + 2, n_sat)):
-        assert_canonical_arc_order(graph, src, dst)
-        assert_same_csr(graph, src, dst)
+        assert_canonical_arc_order(snap, src, dst)
+        assert_same_csr(snap, src, dst)
 
 
 @pytest.mark.parametrize("range_km", [1700.0, 5016.0])
@@ -411,13 +444,19 @@ FAR_STATIONS = tuple(dataclasses.replace(gs, range_km=6000.0) for gs in BUNDLED_
        chord_fraction=st.floats(0.1, 1.3), t=st.floats(0.0, 6000.0))
 def test_small_shell_arcs_build_the_reference_csr(planes, slots, data, raan_spread_deg, mode,
                                                   chord_fraction, t):
-    """Random Walker shells, at ranges on both sides of the grazing chord."""
+    """Random Walker shells, at ranges on both sides of the grazing chord,
+    unmasked or with a random mask of live satellites."""
     spec = ConstellationSpec(plane_count=planes, sats_per_plane=slots,
                              phasing_offset=data.draw(st.integers(0, planes - 1)),
                              raan_spread_deg=raan_spread_deg)
     engine = LinkEngine(build_constellation(spec))
     chord = 2.0 * math.sqrt(spec.orbit_radius_km**2 - engine.constants.occlusion_radius_km**2)
-    assert_snapshot_arcs(engine.snapshot(t, chord_fraction * chord, mode, FAR_STATIONS))
+    live_share = data.draw(st.none() | st.floats(0.0, 1.0))
+    alive = None if live_share is None else (
+        np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(planes * slots)
+        < live_share)
+    assert_snapshot_arcs(engine.snapshot(t, chord_fraction * chord, mode, FAR_STATIONS,
+                                         None, alive))
 
 
 def test_snapshot_csr_is_never_sorted(engine, monkeypatch):
@@ -430,13 +469,18 @@ def test_snapshot_csr_is_never_sorted(engine, monkeypatch):
     assert shortest_path(snap, "Sydney", "Sao Paulo") is not None
 
 
-@pytest.mark.parametrize("edges", [
-    [(3, 0, 10.0), (0, 1, 5.0), (4, 1, 7.0), (2, 1, 3.0)],  # stations as edge_u
-    [(0, 3, 10.0), (0, 1, 5.0), (1, 4, 7.0), (1, 2, 3.0)],  # stations as edge_v
-    [(3, 4, 30.0), (2, 3, 4.0), (0, 2, 9.0), (0, 1, 5.0)],  # station-station edges
+@pytest.mark.parametrize("links", [
+    # stations named first in their links, the satellite link reversed
+    [("g3", "s0", 10.0), ("s1", "s0", 5.0), ("g4", "s1", 7.0), ("g2", "s1", 3.0)],
+    # stations named last, the ground links in descending station order
+    [("s1", "g4", 7.0), ("s0", "g3", 10.0), ("s1", "s0", 5.0), ("s1", "g2", 3.0)],
+    # stations sharing satellites, each listing them in descending order
+    [("g4", "s1", 30.0), ("g3", "s1", 4.0), ("s0", "s1", 9.0), ("g3", "s0", 5.0),
+     ("g2", "s1", 6.0), ("g4", "s0", 8.0)],
 ], ids=["station-u", "station-v", "station-station"])
-def test_hand_built_arcs_build_the_reference_csr(edges):
-    graph = make_graph([True, True, False, False, False], edges)
+def test_hand_built_arcs_build_the_reference_csr(links):
+    """Hand-built graphs whose links come in no canonical order."""
+    graph = make_graph(["s0", "s1"], ["g2", "g3", "g4"], links)
     for src, dst in itertools.permutations([2, 3, 4], 2):
         for delay in (0.0, 10.0):
-            assert_same_csr(dataclasses.replace(graph, node_delay_ms=delay), src, dst)
+            assert_same_csr(with_node_delay(graph, delay), src, dst)

@@ -2,7 +2,8 @@ import collections
 
 import pytest
 
-from fsosim import BUNDLED_STATIONS, ConstellationSpec, LinkEngine, Mode, PhysicalConstants
+from fsosim import (BUNDLED_STATIONS, ConstellationSpec, LinkEngine, Mode, PhysicalConstants,
+                    build_constellation)
 from fsosim import links, validation
 from fsosim.links import degree_counts, link_census
 from fsosim.orbital import Constellation
@@ -99,3 +100,18 @@ def test_census_checks_share_one_geometry(monkeypatch):
     assert passed
     assert counts == {"positions_at(0)": 1, "table builds": 1,
                       **{gs.name: 1 for gs in BUNDLED_STATIONS}}
+
+
+def test_range_check_reads_the_engines_grazing_chord():
+    """With the shell's Earth radius apart from the constants', the range
+    check reports the chord at which the engine's line of sight binds,
+    measured on the orbit it propagates, and fails it."""
+    spec, constants = ConstellationSpec(earth_radius_km=6371.0), PhysicalConstants()
+    _chord, range_check = validation.check_geometry_constants(spec, constants)
+    assert range_check.line() == ("[FAIL] maximum visibility-limited link range: "
+                                  "4977.74 km (5016 +/- 1)")
+    engine = LinkEngine(build_constellation(spec), constants)
+    assert not engine.line_of_sight_binds(4977.73)
+    assert engine.line_of_sight_binds(4977.75)
+    assert validation.check_geometry_constants(ConstellationSpec(), constants)[1].line() == (
+        "[PASS] maximum visibility-limited link range: 5016.54 km (5016 +/- 1)")
