@@ -25,6 +25,12 @@ cos(2u + delta) = +/-1. Intra-plane classes get the chord 2 r sin(delta/2).
 
 Candidate pairs, and so a snapshot's satellite links, come sorted by
 endpoints; plane-relation types and permanence are computed when first read.
+A pass over the few satellites that pruning keeps costs what those
+satellites cost, not what the shell does: it generates their pairs either
+from their runs of the class table or, when there are fewer ordered live
+pairs than run entries, by looking every ordered live pair up in a table
+of classes by plane and slot offset (_ClassRuns.lookup), and it measures
+ground links only for the satellites that pass a dot-product test.
 """
 from __future__ import annotations
 
@@ -36,8 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import PhysicalConstants
-from .orbital import (Constellation, GroundStation, format_id, ground_station_position,
-                      parse_id)
+from .orbital import Constellation, GroundStation, ground_station_position, parse_id
 
 
 class LinkType(enum.Enum):
@@ -130,7 +135,7 @@ class GraphSnapshot:
 
     def node_name(self, index: int) -> str:
         if index < self.satellite_count:
-            return format_id(self.constellation.satellite_id(index))
+            return self.constellation.names[index]
         return self.stations[index - self.satellite_count].name
 
     def node_index(self, node: str) -> int:
@@ -154,12 +159,14 @@ class LinkEngine:
     pair_min_table_km (the largest and smallest separation over one period
     by plane offset and slot offset), are computed once at construction and
     are read-only afterwards, so one engine can serve any number of slots,
-    ranges, and modes. Each class mask's runs table (_class_runs) is built
-    when first read and then kept, and every pass generates its candidate
-    pairs from it: the 14 tables of the Starlink study hold 0.8 MiB, their
-    candidate lists 12.8 MiB. The cache has no lock, so threads must not
-    build snapshots on one engine concurrently. Forked worker processes may
-    share an engine; each builds the tables it reads.
+    ranges, and modes. Each (range, mode)'s class mask (_class_mask,
+    read-only) and each class mask's runs (_class_runs) are built when
+    first read and then kept, and every pass generates its candidate pairs
+    from them: the 14 runs tables of the Starlink study hold 0.8 MiB and
+    their lookup tables 0.17 MiB, where their candidate lists held
+    12.8 MiB. The caches have no lock, so threads must not build snapshots
+    on one engine concurrently. Forked worker processes may share an
+    engine; each builds the tables it reads.
     """
 
     def __init__(self, constellation: Constellation, constants: PhysicalConstants | None = None,
@@ -191,25 +198,33 @@ class LinkEngine:
 
     # -- snapshots ----------------------------------------------------
 
+    @functools.cached_property
+    def _masks(self) -> dict:
+        """Each (range, mode)'s class mask, as _class_mask first built it."""
+        return {}
+
     def _class_mask(self, lisl_range_km: float, mode: Mode) -> np.ndarray:
-        """Pair classes (dp, ds) that can ever satisfy (range, mode).
+        """Pair classes (dp, ds) that can ever satisfy (range, mode), as a
+        read-only array built once per (range, mode).
 
         NG keeps classes whose max stays within range (permanent); NNG keeps
         classes whose min ever comes within range.
         """
-        if mode is Mode.NG:
-            return self.pair_max_table_km <= lisl_range_km
-        # The 1 m guard absorbs rounding in the exact extrema and in measured
-        # lengths, so the cut keeps every pair that is ever in range.
-        return self.pair_min_table_km <= lisl_range_km + 1e-3
+        mask = self._masks.get((lisl_range_km, mode))
+        if mask is None:
+            if mode is Mode.NG:
+                mask = self.pair_max_table_km <= lisl_range_km
+            else:
+                # The 1 m guard absorbs rounding in the exact extrema and in
+                # measured lengths, so the cut keeps every pair ever in range.
+                mask = self.pair_min_table_km <= lisl_range_km + 1e-3
+            mask.setflags(write=False)
+            self._masks[(lisl_range_km, mode)] = mask
+        return mask
 
-    def _class_runs(self, class_mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _class_runs(self, class_mask: np.ndarray) -> _ClassRuns:
         """The candidate pairs of class_mask as runs of one table, cached per
-        mask: (step, cls, start, size). Row s of step and cls (S x C) holds
-        the mask's C classes seen from a base of slot s, sorted by step =
-        b - a, with the flat class of each; base a's partners b > a in the
-        shell are the entries [start[a], start[a] + size[a]) of the
-        flattened rows."""
+        mask (see _ClassRuns)."""
         key = class_mask.tobytes()
         cached = self._runs_cache.get(key)
         if cached is not None:
@@ -226,10 +241,12 @@ class LinkEngine:
         order = np.argsort(k, axis=1)
         first = np.count_nonzero(k <= slot, axis=1)
         stop = np.cumsum(np.bincount(cls_dp, minlength=planes))[::-1]  # classes with dp < P - p
-        result = ((np.take_along_axis(k, order, axis=1) - slot).astype(np.int32),
-                  (cls_dp * slots + cls_ds).astype(np.int16)[order],
-                  np.tile(np.arange(slots) * len(cls_dp) + first, planes).astype(np.int32),
-                  (stop[:, None] - first).ravel().astype(np.int32))
+        result = _ClassRuns(
+            mask=class_mask.copy(),
+            step=(np.take_along_axis(k, order, axis=1) - slot).astype(np.int32),
+            cls=(cls_dp * slots + cls_ds).astype(np.int16)[order],
+            start=np.tile(np.arange(slots) * len(cls_dp) + first, planes).astype(np.int32),
+            size=(stop[:, None] - first).ravel().astype(np.int32))
         self._runs_cache[key] = result
         return result
 
@@ -237,21 +254,18 @@ class LinkEngine:
                          alive: np.ndarray | None = None) -> _PairRows:
         """Satellite pairs a < b whose class lies in class_mask, sorted by
         (a, b); with alive, a mask over the satellites, only the pairs of
-        two live satellites, generated from the live satellites' runs alone.
-        The pairs of a smaller mask are an order-preserving subsequence of
-        those of a larger one."""
-        step, cls, start, size = self._class_runs(class_mask)
-        a = (np.arange(len(size), dtype=np.int32) if alive is None
-             else np.flatnonzero(alive).astype(np.int32))
-        size = np.take(size, a)
-        rows = _run_rows(np.take(start, a), size)
-        a = np.repeat(a, size)
-        b = a + np.take(step, rows)
-        if alive is not None:
-            # Gathering the few live pairs by index is faster than three masks.
-            live = np.flatnonzero(np.take(alive, b))
-            rows, a, b = np.take(rows, live), np.take(a, live), np.take(b, live)
-        return _PairRows(a=a, b=b, cls=np.take(cls, rows))
+        two live satellites. The m live satellites' pairs come from their
+        runs, or, if m^2 is below the runs' summed size, from a lookup of
+        every ordered live pair (_ClassRuns.lookup), so that a pass costs the
+        smaller of the two. The pairs of a smaller mask are an
+        order-preserving subsequence of those of a larger one."""
+        runs = self._class_runs(class_mask)
+        if alive is None:
+            return runs.gather(np.arange(len(runs.size), dtype=np.int32))
+        live = np.flatnonzero(alive).astype(np.int32)
+        if len(live) ** 2 < np.take(runs.size, live).sum():
+            return runs.lookup(live)
+        return runs.gather(live, alive)
 
     def line_of_sight_binds(self, lisl_range_km: float) -> bool:
         """True iff the range exceeds the grazing chord, so that the Earth can
@@ -279,7 +293,8 @@ class LinkEngine:
         alive, a mask over the satellites, only the pairs of two live
         satellites, so that a pass over few satellites generates few
         candidate pairs; with ground, sharing that SlotGeometry.ground dict."""
-        union = np.logical_or.reduce([self._class_mask(r, mode) for r, mode in requests])
+        masks = [self._class_mask(r, mode) for r, mode in requests]
+        union = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
         pairs = self._candidate_pairs(union, alive)
         length = pairs.per_pair(positions, _distance, float)
         near = np.flatnonzero(length <= max(r for r, _ in requests))
@@ -341,6 +356,79 @@ class LinkEngine:
             gs_station_index=_concat(gs_station_index),
             gs_sat_index=_concat(gs_sat_index),
             gs_length_km=_concat(gs_length, dtype=float))
+
+
+@dataclass(frozen=True, eq=False)
+class _ClassRuns:
+    """The candidate pairs of one class mask (P x S) as runs of one table,
+    and, built when first read, as a lookup table by plane and slot offset.
+
+    Row s of step and cls (S x C) holds the mask's C classes seen from a
+    base of slot s, sorted by step = b - a, with the flat class of each;
+    base a's partners b > a in the shell are the entries
+    [start[a], start[a] + size[a]) of the flattened rows. gather reads
+    the runs of some bases; lookup looks every ordered pair of some
+    satellites up in table.
+    """
+
+    mask: np.ndarray
+    step: np.ndarray
+    cls: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The flat class of the pair (a, b), where b lies dp planes and ds
+        slots from a (|dp| < P, |ds| < S), at (dp + P, ds + S) of a 2P x 2S
+        table, flattened; -1 where b <= a or the class is not in the mask."""
+        planes, slots = self.mask.shape
+        dp = np.arange(-planes, planes)[:, None]
+        ds = np.arange(-slots, slots)
+        above = (dp > 0) | ((dp == 0) & (ds > 0))
+        cls = np.maximum(dp, 0) * slots + ds % slots
+        keep = above & self.mask.ravel()[cls]
+        table = np.where(keep, cls, -1).astype(np.int16).ravel()
+        table.setflags(write=False)
+        return table
+
+    def gather(self, a: np.ndarray, alive: np.ndarray | None = None) -> _PairRows:
+        """The pairs of the bases a (ascending int32 flat indices), sorted by
+        (a, b), gathered from their runs; with alive, only those whose b is
+        live too."""
+        size = np.take(self.size, a)
+        rows = _run_rows(np.take(self.start, a), size)
+        a = np.repeat(a, size)
+        b = a + np.take(self.step, rows)
+        if alive is not None:
+            # Gathering the few live pairs by index is faster than three masks.
+            live = np.flatnonzero(np.take(alive, b))
+            rows, a, b = np.take(rows, live), np.take(a, live), np.take(b, live)
+        return _PairRows(a=a, b=b, cls=np.take(self.cls, rows))
+
+    def lookup(self, live: np.ndarray) -> _PairRows:
+        """The pairs among the live satellites (ascending int32 flat indices),
+        sorted by (a, b), by looking every ordered live pair up in table:
+        a satellite at plane p and slot s has the key 2 S p + s, and the
+        pair (a, b) sits at key(b) - key(a) + 2 S P + S. Rows of bases are
+        looked up a block at a time, each against the later live
+        satellites, in int32 blocks of at most _PAIR_BLOCK entries."""
+        planes, slots = self.mask.shape
+        key = live + live // slots * slots
+        base = key - (2 * slots * planes + slots)
+        a, b, cls = [], [], []
+        lo = 0
+        while lo < len(live) - 1:
+            width = len(live) - lo - 1
+            hi = min(lo + max(_PAIR_BLOCK // width, 1), len(live))
+            block = np.take(self.table, key[None, lo + 1:] - base[lo:hi, None])
+            k = np.flatnonzero(block >= 0)
+            i = k // width  # np.divmod takes twice as long
+            a.append(np.take(live, i + lo))
+            b.append(np.take(live, k - i * width + (lo + 1)))
+            cls.append(np.take(block, k))
+            lo = hi
+        return _PairRows(a=_concat(a), b=_concat(b), cls=_concat(cls, dtype=np.int16))
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,16 +521,24 @@ class SlotGeometry:
 
     def ground_links(self, gs: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Station position, and the satellites it can link to with their slant
-        ranges: those within the station's slant range and above its horizon."""
+        ranges: those within the station's slant range and above its horizon.
+
+        A satellite x of the shell, of radius r, lies within slant range R
+        of the station g iff x.g >= (r^2 + |g|^2 - R^2)/2. Only the few
+        satellites that pass this test with a slack of 1e-6 r^2, far above
+        its rounding, are measured and put to the slant and horizon rule."""
         found = self.ground.get(gs)
         if found is None:
             engine = self.engine
             g = ground_station_position(gs, self.time_s, engine.earth_rotation0_deg,
                                         engine.constants.earth_radius_km)
-            delta = self.positions - g
+            r2 = engine.constellation.spec.orbit_radius_km ** 2
+            near = np.flatnonzero(self.positions @ g
+                                  >= 0.5 * (r2 + g @ g - gs.range_km ** 2) - 1e-6 * r2)
+            delta = np.take(self.positions, near, axis=0) - g
             slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
             feasible = np.flatnonzero((slant <= gs.range_km) & (delta @ g > 0.0))
-            found = (g, feasible.astype(np.int32), slant[feasible])
+            found = (g, np.take(near, feasible).astype(np.int32), np.take(slant, feasible))
             self.ground[gs] = found
         return found
 
@@ -455,18 +551,22 @@ def angle_beyond_reach(engine: LinkEngine, gs: GroundStation, time_s: float,
 
     A station at radius R_E with slant range g reaches satellites of the
     shell, of orbit radius r, up to the central angle theta_g from it,
-    sin^2(theta_g/2) = (g^2 - (r - R_E)^2)/(4 r R_E). The angles come from
-    atan2(|u x v|, u.v), the cross product written out per component as
-    np.cross computes it, which spares np.cross's set-up."""
+    sin^2(theta_g/2) = (g^2 - (r - R_E)^2)/(4 r R_E). The angle between a
+    satellite x and the station position p is atan2(|x x p|, x.p), with
+    |x x p| = sqrt(r^2 |p|^2 - (x.p)^2), so that x.p is the one product
+    taken per satellite. The root loses digits as the angle nears 0 or pi
+    (to about 2e-8 rad at exactly 0), so the few satellites within about
+    1.4e-3 rad of the station's zenith or nadir take the cross product."""
     r = engine.constellation.spec.orbit_radius_km
     r_e = engine.constants.earth_radius_km
     g_pos = ground_station_position(gs, time_s, engine.earth_rotation0_deg, r_e)
-    x, y, z = positions.T
-    cross = np.empty((len(positions), 3))
-    np.subtract(y * g_pos[2], z * g_pos[1], out=cross[:, 0])
-    np.subtract(z * g_pos[0], x * g_pos[2], out=cross[:, 1])
-    np.subtract(x * g_pos[1], y * g_pos[0], out=cross[:, 2])
-    theta = np.arctan2(np.sqrt(np.einsum("ij,ij->i", cross, cross)), positions @ g_pos)
+    dot = positions @ g_pos
+    rg = r * math.sqrt(g_pos @ g_pos)
+    cross = np.sqrt(np.maximum(rg * rg - dot * dot, 0.0))
+    steep = np.flatnonzero(np.abs(dot) > (1.0 - 1e-6) * rg)
+    if len(steep):
+        cross[steep] = np.linalg.norm(np.cross(np.take(positions, steep, axis=0), g_pos), axis=1)
+    theta = np.arctan2(cross, dot)
     g = gs.range_km
     reach = 2.0 * math.asin(math.sqrt(
         min(max((g - abs(r - r_e)) * (g + abs(r - r_e)) / (4.0 * r * r_e), 0.0), 1.0)))

@@ -6,9 +6,14 @@ slots are spread evenly in phase with an inter-plane phasing offset.
 Satellites and ground stations are propagated analytically, so every
 operation here is a pure function of (spec, id, time). Positions are
 kilometres in a right-handed inertial frame with the polar axis along +z.
+What a shell derives once from its spec (the cosines and sines of its
+RAANs and inclination, its satellites' formatted ids) is computed when
+first read, so that a shell built only to be inspected, such as each of
+a phasing scan's candidates, pays for none of it.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -152,6 +157,21 @@ class Constellation:
         s = self.spec.sats_per_plane
         return SatelliteId(flat_index // s, flat_index % s)
 
+    @functools.cached_property
+    def names(self) -> tuple[str, ...]:
+        """format_id of every satellite, by flat index. Each field of an id is
+        formatted on its own, so the plane and slot parts are formatted once
+        each and joined."""
+        spec = self.spec
+        planes = [format_id(SatelliteId(p, 0))[:4] for p in range(spec.plane_count)]
+        slots = [format_id(SatelliteId(0, s))[4:] for s in range(spec.sats_per_plane)]
+        return tuple(plane + slot for plane in planes for slot in slots)
+
+    @functools.cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """cos and sin of each satellite's RAAN, and of the inclination."""
+        return np.cos(self._raan), np.sin(self._raan), math.cos(self._incl), math.sin(self._incl)
+
     def positions_at(self, t: float) -> np.ndarray:
         """Inertial positions of all satellites at time t, shape (N, 3), km."""
         u = self._phase0 + self.spec.mean_motion_rad_s * t
@@ -167,8 +187,7 @@ class Constellation:
         """scale * (along_node, across_node), given per satellite in its orbit
         plane (along the ascending node and 90 deg ahead of it in the direction
         of motion), rotated into the inertial frame: R3(raan) R1(incl)."""
-        co, so = np.cos(self._raan), np.sin(self._raan)
-        ci, si = math.cos(self._incl), math.sin(self._incl)
+        co, so, ci, si = self._frame
         return np.stack([
             scale * (along_node * co - across_node * so * ci),
             scale * (along_node * so + across_node * co * ci),

@@ -57,21 +57,28 @@ def _directed_arcs(snap: GraphSnapshot, s: int, d: int):
                             snap.gs_length_km[out] * per_km + delay]))
 
 
-def _length_lookup(snap: GraphSnapshot, nodes: list[int]) -> dict[tuple[int, int], float]:
-    """Length of every link between two nodes of the path, both ways round."""
-    is_on_path = np.zeros(snap.node_count, dtype=bool)
-    is_on_path[nodes] = True
-    found: dict[tuple[int, int], float] = {}
-    for u, v, length_km in ((snap.sat_a, snap.sat_b, snap.sat_length_km),
-                            (snap.gs_sat_index, snap.gs_station_index + snap.satellite_count,
-                             snap.gs_length_km)):
-        # v is tested only where u is on the path.
-        on_path = np.flatnonzero(np.take(is_on_path, u))
-        on_path = on_path[np.take(is_on_path, v[on_path])]
-        for a, b, length in zip(u[on_path].tolist(), v[on_path].tolist(),
-                                length_km[on_path].tolist()):
-            found[(a, b)] = found[(b, a)] = length
-    return found
+def _link_lengths(snap: GraphSnapshot, nodes: list[int]) -> list[float]:
+    """Length of each link of the path nodes, in order. A satellite link
+    (a, b), a < b, is found by searchsorted on sat_a, then on sat_b within
+    a's run, as a GraphSnapshot sorts its links; in a graph built with its
+    links in another order, a link not found so is scanned for. A link to
+    a station is found among that station's ground links."""
+    n_sat, sat_a, sat_b = snap.satellite_count, snap.sat_a, snap.sat_b
+    a, b = np.sort(np.array([nodes[:-1], nodes[1:]], dtype=sat_a.dtype), axis=0)
+    sat = b < n_sat
+    start = np.searchsorted(sat_a, a[sat]).tolist()
+    stop = np.searchsorted(sat_a, a[sat], side="right").tolist()
+    lengths = np.empty(len(a))
+    for k, lo, hi in zip(np.flatnonzero(sat).tolist(), start, stop):
+        at = lo + int(np.searchsorted(sat_b[lo:hi], b[k]))
+        if at == hi or sat_a[at] != a[k] or sat_b[at] != b[k]:
+            at = np.argmax(((sat_a == a[k]) & (sat_b == b[k]))
+                           | ((sat_a == b[k]) & (sat_b == a[k])))
+        lengths[k] = snap.sat_length_km[at]
+    for k in np.flatnonzero(~sat).tolist():
+        at = (snap.gs_station_index == b[k] - n_sat) & (snap.gs_sat_index == a[k])
+        lengths[k] = snap.gs_length_km[np.argmax(at)]
+    return lengths.tolist()
 
 
 def shortest_path(snap: GraphSnapshot, src: str, dst: str) -> PathResult | None:
@@ -95,11 +102,10 @@ def shortest_path(snap: GraphSnapshot, src: str, dst: str) -> PathResult | None:
     while nodes[-1] != s:
         nodes.append(int(pred[nodes[-1]]))
     nodes.reverse()
-    length_of = _length_lookup(snap, nodes)
     per_km = 1e6 / snap.constants.c_mps
     prop_ms = 0.0
-    for u, v in zip(nodes, nodes[1:]):
-        prop_ms += length_of[(u, v)] * per_km
+    for length_km in _link_lengths(snap, nodes):
+        prop_ms += length_km * per_km
     hops = sum(1 for k in nodes if k < snap.satellite_count)
     node_ms = snap.constants.node_delay_ms * hops
     return PathResult(

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from fsosim import (BUNDLED_STATIONS, ConstellationSpec, GroundStation, LinkEngi
 from fsosim import links
 from fsosim.links import LinkType, Permanence, degree_counts, link_census
 from fsosim.orbital import Constellation, SatelliteId, ground_station_position
-from fsosim.scenario import lower_bounds
+from fsosim.scenario import _route_slot, evaluate_slot, lower_bounds
 from fsosim.validation import permanent_degree_profile, scan_phasing_offset
 
 STANDARD_RANGES = (659.5, 1319.0, 1500.0, 1700.0, 2500.0, 3500.0, 5016.0)
@@ -749,27 +750,157 @@ def test_live_pairs_are_the_filtered_list(case):
         assert np.array_equal(x, y[keep]), name
 
 
+def recording_branches(taken):
+    """Patches of the two generation branches that append their names,
+    "gather" or "lookup", to taken before they run."""
+    def recording(name):
+        method = getattr(links._ClassRuns, name)
+
+        def record(self, *args):
+            taken.append(name)
+            return method(self, *args)
+        return mock.patch.object(links._ClassRuns, name, record)
+    return recording("gather"), recording("lookup")
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=live_pair_cases(), block=st.sampled_from([links._PAIR_BLOCK, 1, 7, 100]))
+def test_both_generation_paths_give_the_filtered_list(case, block):
+    """The two ways of generating the pairs of m live satellites, from their
+    runs (_ClassRuns.gather) and by looking every ordered live pair up
+    (_ClassRuns.lookup, here also over blocks of a few entries), each give
+    the unmasked pairs whose two satellites are live, in the same order and
+    dtypes; and a masked _candidate_pairs takes the lookup exactly when m^2
+    lies below the live runs' summed size. The masks (none, one or all but
+    one live satellite, random, cut by lower bounds) lie on both sides of
+    that switch."""
+    engine, class_mask, alive = case
+    whole = engine._candidate_pairs(class_mask)
+    keep = alive[whole.a] & alive[whole.b]
+    runs = engine._class_runs(class_mask)
+    live = np.flatnonzero(alive).astype(np.int32)
+    with mock.patch.object(links, "_PAIR_BLOCK", block):
+        branches = [runs.gather(live, alive), runs.lookup(live)]
+    taken = []
+    gather_patch, lookup_patch = recording_branches(taken)
+    with gather_patch, lookup_patch:
+        dispatched = engine._candidate_pairs(class_mask, alive)
+    assert taken == ["lookup" if len(live) ** 2 < runs.size[live].sum() else "gather"]
+    for pairs in branches + [dispatched]:
+        for name in ("a", "b", "cls"):
+            x, y = getattr(pairs, name), getattr(whole, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y[keep]), name
+
+
+def test_a_pruned_starlink_pass_looks_its_pairs_up():
+    """Sydney-Sao Paulo NNG at 5,016 km, Earth rotation 105 deg, t = 0: the
+    one pass keeps 91 satellites, whose runs hold 30,211 entries against 8,281
+    ordered pairs, so it must generate its pairs by lookup; with the run
+    gather made to fail, the slot still gives the unpruned record."""
+    engine = LinkEngine(build_constellation(ConstellationSpec()), earth_rotation0_deg=105.0)
+    cfg = ScenarioConfig(BUNDLED_STATIONS[0], BUNDLED_STATIONS[1], 5016.0, Mode.NNG,
+                         slot_count=1)
+    expected = _route_slot(engine, cfg, 0)
+    taken = []
+    gather_patch, lookup_patch = recording_branches(taken)
+
+    def refuse(lo, size):
+        raise AssertionError("a pruned pass gathered its runs")
+
+    with gather_patch, lookup_patch, mock.patch.object(links, "_run_rows", refuse):
+        assert evaluate_slot(engine, cfg, 0) == expected
+    assert taken == ["lookup"]
+
+
+def whole_shell_ground_links(positions, g, range_km):
+    """Every satellite of the shell within range_km of the station position
+    g and above its horizon, with its slant range: the rule applied to the
+    whole shell."""
+    delta = positions - g
+    slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    feasible = np.flatnonzero((slant <= range_km) & (delta @ g > 0.0))
+    return feasible, slant[feasible]
+
+
+def cross_product_angle_beyond_reach(engine, gs, t, positions):
+    """angle_beyond_reach with every angle taken from the cross product,
+    as atan2(|x x g|, x.g)."""
+    r = engine.constellation.spec.orbit_radius_km
+    r_e = engine.constants.earth_radius_km
+    g = ground_station_position(gs, t, engine.earth_rotation0_deg, r_e)
+    theta = np.arctan2(np.linalg.norm(np.cross(positions, g), axis=1), positions @ g)
+    reach = 2.0 * math.asin(math.sqrt(min(max(
+        (gs.range_km - abs(r - r_e)) * (gs.range_km + abs(r - r_e)) / (4.0 * r * r_e), 0.0), 1.0)))
+    return np.maximum(theta - reach, 0.0)
+
+
+@st.composite
+def station_cases(draw):
+    """An engine on a random small shell at 300-2,000 km, at any Earth
+    rotation, a station at any latitude (the poles included) with a slant
+    range from below the altitude up to 3,000 km, and a time."""
+    shell = draw(small_shells())
+    spec = dataclasses.replace(shell.spec, altitude_km=draw(st.floats(300.0, 2000.0)))
+    engine = LinkEngine(build_constellation(spec),
+                        earth_rotation0_deg=draw(st.floats(0.0, 360.0)))
+    latitude = draw(st.sampled_from([-90.0, 90.0]) | st.floats(-90.0, 90.0))
+    range_km = draw(st.floats(0.5, 1.5)) * spec.altitude_km if draw(st.booleans()) else \
+        draw(st.floats(1.0, 3000.0))
+    gs = GroundStation("g", latitude, draw(st.floats(-180.0, 180.0)), range_km)
+    return engine, gs, draw(st.floats(0.0, 6000.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=station_cases())
+def test_station_geometry_equals_the_whole_shell_rule(case):
+    """A geometry's ground links, which measure only the satellites that a
+    dot-product test lets through, are the whole-shell rule's: the same
+    satellites and bit-equal slant ranges. The angles beyond reach, taken
+    from one dot product, lie within 1e-12 rad of the cross-product form."""
+    engine, gs, t = case
+    positions = engine.constellation.positions_at(t)
+    geometry = engine._measure(t, frozenset({(1000.0, Mode.NNG)}), positions)
+    g, feasible, slant = geometry.ground_links(gs)
+    expected, expected_slant = whole_shell_ground_links(positions, g, gs.range_km)
+    assert feasible.dtype == np.int32 and np.array_equal(feasible, expected)
+    assert np.array_equal(slant, expected_slant)
+    angle = links.angle_beyond_reach(engine, gs, t, positions)
+    expected_angle = cross_product_angle_beyond_reach(engine, gs, t, positions)
+    assert np.abs(angle - expected_angle).max() <= 1e-12
+
+
+def test_class_masks_are_built_once_and_read_only(engine):
+    for r in STANDARD_RANGES:
+        for mode in Mode:
+            mask = engine._class_mask(r, mode)
+            assert engine._class_mask(r, mode) is mask and not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[0, 0] = True
+
+
 def held_bytes(value) -> int:
     """Bytes of the numpy arrays reachable from value through dicts, lists,
-    tuples and dataclasses."""
+    tuples and dataclasses, their cached properties included."""
     if isinstance(value, np.ndarray):
         return value.nbytes
     if isinstance(value, dict):
         value = list(value.values())
     elif dataclasses.is_dataclass(value):
-        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        value = list(vars(value).values())
     return sum(map(held_bytes, value)) if isinstance(value, (list, tuple)) else 0
 
 
 def test_engine_holds_little_for_the_study_masks(shell):
     """After a snapshot at each of the 14 (range, mode) pairs of the study,
-    all that the engine holds besides its shell totals under 2 MiB, though
-    their candidate lists hold 383 k pairs at 5,016 km NNG alone: every
-    process of a pooled batch holds its own copy."""
+    and a read of each one's lookup table, all that the engine holds
+    besides its shell totals under 2 MiB, though their candidate lists
+    hold 383 k pairs at 5,016 km NNG alone: every process of a pooled
+    batch holds its own copy."""
     engine = LinkEngine(shell)
     for r in STANDARD_RANGES:
         for mode in Mode:
             engine.snapshot(0.0, r, mode)
+            engine._class_runs(engine._class_mask(r, mode)).table
     state = {key: value for key, value in vars(engine).items()
              if key not in ("constellation", "constants")}
     assert 0 < held_bytes(state) < 2 * 2**20

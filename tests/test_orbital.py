@@ -184,6 +184,23 @@ def test_spec_accepts_99_planes_of_99_and_formats_the_last_id():
     assert format_id(shell.satellite_id(len(shell) - 1)) == "x19999"
 
 
+@pytest.mark.parametrize("planes, slots", [(1, 1), (24, 66), (7, 13), (99, 99)])
+def test_shell_names_are_the_formatted_ids(planes, slots):
+    spec = ConstellationSpec(plane_count=planes, sats_per_plane=slots, phasing_offset=0)
+    shell = build_constellation(spec)
+    assert shell.names == tuple(format_id(shell.satellite_id(k)) for k in range(len(shell)))
+
+
+def test_shell_construction_derives_nothing_it_may_not_read(shell_spec):
+    """A shell computes its frame's cosines and sines and its names when
+    first read, not when built: a phasing scan builds shells that it only
+    inspects."""
+    shell = build_constellation(shell_spec)
+    assert "_frame" not in vars(shell) and "names" not in vars(shell)
+    shell.positions_at(12.5)
+    assert "_frame" in vars(shell) and "names" not in vars(shell)
+
+
 def test_parse_id_inverts_format_id():
     for sat in (SatelliteId(0, 0), SatelliteId(23, 53), SatelliteId(98, 98)):
         assert parse_id(format_id(sat)) == sat

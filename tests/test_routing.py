@@ -12,7 +12,9 @@ from scipy.sparse import csr_matrix
 from fsosim import (BUNDLED_STATIONS, ConstellationSpec, LinkEngine, Mode, PathResult,
                     PhysicalConstants, build_constellation)
 from fsosim.geometry import NODE_DELAY_MS, SPEED_OF_LIGHT_MPS
-from fsosim.routing import _directed_arcs, shortest_path
+from fsosim.links import degree_counts
+from fsosim.routing import _directed_arcs, _link_lengths, shortest_path
+from test_links import masked_shells
 
 LIGHT_MS_KM = 299.792458  # one light-millisecond
 ORACLE_MAX_NODES = 12
@@ -286,6 +288,17 @@ def test_paths_do_not_route_through_stations():
         assert sum(leg.latency_ms for leg in relayed) < result.latency_ms
 
 
+def test_links_in_any_order_give_the_oracle_record():
+    """A hand-built graph may hold its satellite links reversed and out of
+    order: the path record still sums the lengths of the path's own links."""
+    sats = ["s0", "s1", "s2"]
+    links = [("s2", "s1", 1.0), ("g0", "s0", 10.0), ("s1", "s0", 5.0), ("s2", "g1", 7.0),
+             ("s0", "s2", 100.0)]
+    for order in itertools.permutations(links):
+        graph = make_graph(sats, ["g0", "g1"], list(order))
+        assert shortest_path(graph, "g0", "g1") == oracle_shortest_path(graph, "g0", "g1")
+
+
 def test_oracle_equivalence_500_random_graphs():
     rng = np.random.default_rng(2024)
     checked = 0
@@ -484,3 +497,47 @@ def test_hand_built_arcs_build_the_reference_csr(links):
     for src, dst in itertools.permutations([2, 3, 4], 2):
         for delay in (0.0, 10.0):
             assert_same_csr(with_node_delay(graph, delay), src, dst)
+
+
+# -- path records ------------------------------------------------------------
+
+def scanned_lengths(snap, nodes):
+    """Length of each link of the path nodes, found by scanning every link
+    of the snapshot in both orientations."""
+    n_sat = snap.satellite_count
+    links = [(snap.sat_a, snap.sat_b, snap.sat_length_km),
+             (snap.gs_sat_index, snap.gs_station_index + n_sat, snap.gs_length_km)]
+    lengths = []
+    for u, v in zip(nodes, nodes[1:]):
+        found = [length for ends_a, ends_b, lengths_km in links
+                 for a, b, length in zip(ends_a.tolist(), ends_b.tolist(), lengths_km.tolist())
+                 if {a, b} == {u, v}]
+        assert len(found) == 1
+        lengths.append(found[0])
+    return lengths
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=masked_shells(), t=st.floats(0.0, 6000.0), mode=st.sampled_from(list(Mode)))
+def test_path_lengths_are_the_scanned_links(case, t, mode):
+    """On random masked small-shell snapshots, a routed path's propagation
+    delay is the sum, link by link from the source, of the lengths a scan
+    of every link finds; and the links of a walk that keeps entering the
+    satellite with the most links have the scanned lengths."""
+    engine, r, alive = case
+    snap = engine.snapshot(t, r, mode, FAR_STATIONS[:2], None, alive)
+    result = shortest_path(snap, FAR_STATIONS[0].name, FAR_STATIONS[1].name)
+    if result is not None:
+        nodes = [snap.node_index(name) for name in result.node_sequence]
+        per_km = 1e6 / snap.constants.c_mps
+        prop_ms = 0.0
+        for length_km in scanned_lengths(snap, nodes):
+            prop_ms += length_km * per_km
+        assert result.propagation_delay_ms == prop_ms
+    degree = degree_counts(snap)
+    walk = [int(np.argmax(degree))]
+    for _ in range(6 if degree.max() > 0 else 0):
+        x = walk[-1]
+        partners = np.concatenate([snap.sat_b[snap.sat_a == x], snap.sat_a[snap.sat_b == x]])
+        walk.append(int(partners[np.argmax(degree[partners])]))
+    assert _link_lengths(snap, walk) == scanned_lengths(snap, walk)
