@@ -30,7 +30,10 @@ satellites cost, not what the shell does: it generates their pairs either
 from their runs of the class table or, when there are fewer ordered live
 pairs than run entries, by looking every ordered live pair up in a table
 of classes by plane and slot offset (_ClassRuns.lookup), and it measures
-ground links only for the satellites that pass a dot-product test.
+ground links only for the satellites that pass a dot-product test. Since
+every link is a candidate pair, the connected components of a mask's
+candidate pairs can prove, without a snapshot, that no link path joins
+two stations (LinkEngine.proven_pathless).
 """
 from __future__ import annotations
 
@@ -40,6 +43,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import PhysicalConstants
 from .orbital import Constellation, GroundStation, ground_station_position, parse_id
@@ -357,11 +362,26 @@ class LinkEngine:
             gs_sat_index=_concat(gs_sat_index),
             gs_length_km=_concat(gs_length, dtype=float))
 
+    def proven_pathless(self, t: float, lisl_range_km: float, mode: Mode, src: GroundStation,
+                        dst: GroundStation, positions: np.ndarray, ground: dict) -> bool:
+        """True if no snapshot of (range, mode) at t can join the stations:
+        no satellite that src links to at positions, those at t, shares a
+        connected component of the mask's candidate-pair graph with one that
+        dst links to. Every satellite link of such a snapshot is a candidate
+        pair, so no path can cross between those components. The labels
+        are built once per class mask, when first read (_ClassRuns.labels);
+        ground shares the instant's ground links (see ground_links)."""
+        labels = self._class_runs(self._class_mask(float(lisl_range_km), Mode(mode))).labels
+        src_labels, dst_labels = (np.take(labels, ground_links(self, gs, t, positions, ground)[1])
+                                  for gs in (src, dst))
+        return not np.isin(src_labels, dst_labels).any()
+
 
 @dataclass(frozen=True, eq=False)
 class _ClassRuns:
     """The candidate pairs of one class mask (P x S) as runs of one table,
-    and, built when first read, as a lookup table by plane and slot offset.
+    and, built when first read, as a lookup table by plane and slot offset
+    and as the component labels of the graph they form.
 
     Row s of step and cls (S x C) holds the mask's C classes seen from a
     base of slot s, sorted by step = b - a, with the flat class of each;
@@ -391,6 +411,19 @@ class _ClassRuns:
         table = np.where(keep, cls, -1).astype(np.int16).ravel()
         table.setflags(write=False)
         return table
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """Per satellite, the label of its connected component in the graph
+        of every candidate pair of the mask."""
+        n = len(self.size)
+        pairs = self.gather(np.arange(n, dtype=np.int32))
+        # The pairs come sorted by a, so the runs' sizes are the CSR row counts.
+        indptr = np.concatenate(([0], np.cumsum(self.size)))
+        graph = csr_matrix((np.ones(len(pairs.b), dtype=bool), pairs.b, indptr), shape=(n, n))
+        labels = connected_components(graph, directed=False)[1]
+        labels.setflags(write=False)
+        return labels
 
     def gather(self, a: np.ndarray, alive: np.ndarray | None = None) -> _PairRows:
         """The pairs of the bases a (ascending int32 flat indices), sorted by
@@ -521,26 +554,33 @@ class SlotGeometry:
 
     def ground_links(self, gs: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Station position, and the satellites it can link to with their slant
-        ranges: those within the station's slant range and above its horizon.
+        ranges, kept in ground (see ground_links)."""
+        return ground_links(self.engine, gs, self.time_s, self.positions, self.ground)
 
-        A satellite x of the shell, of radius r, lies within slant range R
-        of the station g iff x.g >= (r^2 + |g|^2 - R^2)/2. Only the few
-        satellites that pass this test with a slack of 1e-6 r^2, far above
-        its rounding, are measured and put to the slant and horizon rule."""
-        found = self.ground.get(gs)
-        if found is None:
-            engine = self.engine
-            g = ground_station_position(gs, self.time_s, engine.earth_rotation0_deg,
-                                        engine.constants.earth_radius_km)
-            r2 = engine.constellation.spec.orbit_radius_km ** 2
-            near = np.flatnonzero(self.positions @ g
-                                  >= 0.5 * (r2 + g @ g - gs.range_km ** 2) - 1e-6 * r2)
-            delta = np.take(self.positions, near, axis=0) - g
-            slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-            feasible = np.flatnonzero((slant <= gs.range_km) & (delta @ g > 0.0))
-            found = (g, np.take(near, feasible).astype(np.int32), np.take(slant, feasible))
-            self.ground[gs] = found
-        return found
+
+def ground_links(engine: LinkEngine, gs: GroundStation, time_s: float, positions: np.ndarray,
+                 ground: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Station position, and the satellites at positions, those at time_s,
+    that it can link to with their slant ranges: those within the station's
+    slant range and above its horizon. Found once per station in ground,
+    which the geometries and proofs of one instant share.
+
+    A satellite x of the shell, of radius r, lies within slant range R of
+    the station g iff x.g >= (r^2 + |g|^2 - R^2)/2. Only the few satellites
+    that pass this test with a slack of 1e-6 r^2, far above its rounding,
+    are measured and put to the slant and horizon rule."""
+    found = ground.get(gs)
+    if found is None:
+        g = ground_station_position(gs, time_s, engine.earth_rotation0_deg,
+                                    engine.constants.earth_radius_km)
+        r2 = engine.constellation.spec.orbit_radius_km ** 2
+        near = np.flatnonzero(positions @ g >= 0.5 * (r2 + g @ g - gs.range_km ** 2) - 1e-6 * r2)
+        delta = np.take(positions, near, axis=0) - g
+        slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        feasible = np.flatnonzero((slant <= gs.range_km) & (delta @ g > 0.0))
+        found = (g, np.take(near, feasible).astype(np.int32), np.take(slant, feasible))
+        ground[gs] = found
+    return found
 
 
 def angle_beyond_reach(engine: LinkEngine, gs: GroundStation, time_s: float,

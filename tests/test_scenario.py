@@ -319,16 +319,24 @@ def small_shell_queries(draw):
     return engine, cfg
 
 
+def proven_pathless(engine, cfg, slot_index):
+    t = slot_index * cfg.slot_duration_s
+    return engine.proven_pathless(t, cfg.lisl_range_km, cfg.mode, cfg.src, cfg.dst,
+                                  engine.constellation.positions_at(t), {})
+
+
 @settings(deadline=None, max_examples=150)
 @given(case=small_shell_queries(), sibling_fraction=st.floats(0.3, 1.0))
 def test_pruned_runs_equal_unpruned_slots(case, sibling_fraction):
     """On random small shells and stations, a query's records equal those of
     unpruned slots when it runs alone, and in a shared batch with the other
     policy at its range, the same policy at a shorter range and the
-    reversed station pair. In each run, the pass whose record a slot keeps
-    is unpruned if the slot has no path; otherwise its mask keeps every
-    satellite of the unpruned path and every satellite whose lower bound is
-    at most the optimum, so its U was no less than the optimum."""
+    reversed station pair. In each run, a slot with no path is proven
+    pathless, after no pass or after pruned passes only, or ends with an
+    unpruned pass; a slot with a path ends with an unpruned pass or with
+    one whose mask keeps every satellite of the unpruned path and every
+    satellite whose lower bound is at most the optimum, so its U was no
+    less than the optimum."""
     engine, cfg = case
     other = dataclasses.replace(cfg, mode=Mode.NNG if cfg.mode is Mode.NG else Mode.NG)
     shorter = dataclasses.replace(cfg, lisl_range_km=sibling_fraction * cfg.lisl_range_km)
@@ -340,20 +348,27 @@ def test_pruned_runs_equal_unpruned_slots(case, sibling_fraction):
     with recorded_passes() as shared:
         # pruned within a shared geometry
         assert [records for records, _ in run_scenarios(engine, batch)] == expected
-    by_query = {query: records for query, records in zip(batch, expected)}
-    most = 0
-    for seen in (lone, shared):
+    most, proven = 0, 0
+    for seen, queries in ((lone, [cfg]), (shared, batch)):
         accepted, count = accepted_passes(seen)
-        most = max(most, *count.values())
-        for (query, i), (alive, record) in accepted.items():
-            assert record == by_query[query][i]
-            if alive is None:
-                continue
-            assert record.path_found
-            assert alive[path_satellites(engine, record)].all()
-            assert alive[bounds_at(engine, query, i) <= record.latency_ms].all()
+        most = max(most, *count.values(), 0)
+        for query in queries:
+            for record in expected[batch.index(query)]:
+                i = record.slot_index
+                alive, last = accepted.get((query, i), (None, None))
+                if not record.path_found:
+                    if last is None or alive is not None:
+                        assert proven_pathless(engine, query, i)
+                        proven += 1
+                    continue
+                assert last == record
+                if alive is None:
+                    continue
+                assert alive[path_satellites(engine, record)].all()
+                assert alive[bounds_at(engine, query, i) <= record.latency_ms].all()
     event(f"most passes in a slot: {min(most, 4)}{'+' if most > 4 else ''}")
     event(f"slots with a path: {sum(r.path_found for r in expected[0]) > 0}")
+    event(f"slots proven pathless: {proven > 0}")
 
 
 @settings(deadline=None, max_examples=150)
@@ -375,8 +390,8 @@ def test_lower_bounds_never_exceed_the_optimum(case):
 def test_any_last_latency_gives_the_unpruned_record(engine):
     """A last latency below the optimum, far above it or inf, or none at
     all, only changes the passes a slot takes, never its record. A guess
-    below the optimum cannot be confirmed, so it takes a second pass; inf
-    routes once, unpruned."""
+    below the optimum cannot be confirmed, so it takes a second pass; inf,
+    whose slot the component proof leaves open, guesses as none does."""
     cfg = short_cfg(5016.0, Mode.NNG, slots=2)
     expected = _route_slot(engine, cfg, 1)
     low, high = 0.9 * expected.latency_ms, 3.0 * expected.latency_ms
@@ -387,8 +402,101 @@ def test_any_last_latency_gives_the_unpruned_record(engine):
         unpruned_passes[last_ms] = [alive is None for _, _, alive, _ in seen]
     assert len(unpruned_passes[low]) >= 2
     assert len(unpruned_passes[high]) == 1
-    assert unpruned_passes[math.inf] == [True]
-    assert unpruned_passes[None] == [False]  # 10 % above the smallest bound holds here
+    # 10 % above the smallest bound holds here
+    assert unpruned_passes[math.inf] == unpruned_passes[None] == [False]
+
+
+def test_positions_alone_take_fresh_shared_dicts(engine):
+    """Given the instant's positions, evaluate_slot fills fresh dicts for
+    each of angles, ground and bounds that is omitted."""
+    cfg = short_cfg(1700.0, Mode.NNG, slots=3)
+    positions = engine.constellation.positions_at(2.0)
+    expected = _route_slot(engine, cfg, 2)
+    for last_ms in (None, expected.latency_ms, math.inf):
+        assert evaluate_slot(engine, cfg, 2, last_ms, positions) == expected
+        assert evaluate_slot(engine, cfg, 2, last_ms, positions, ground={}) == expected
+
+
+def test_chunk_starts_grow_their_guess(engine):
+    """Madrid-Tokyo's optimum lies well above its smallest lower bound, as
+    its great circle climbs above the shell's inclination. At a chunk's
+    first slot, with no last latency, a guess that misses grows, so the
+    slot takes at most three passes and none of them unpruned."""
+    counts = []
+    for rng_km in (1700.0, 5016.0):
+        for mode in Mode:
+            cfg = short_cfg(rng_km, mode, slots=1, src=BUNDLED_STATIONS[4],
+                            dst=BUNDLED_STATIONS[5])
+            expected = _route_slot(engine, cfg, 0)
+            with recorded_passes() as seen:
+                assert evaluate_slot(engine, cfg, 0) == expected
+            assert all(alive is not None for _, _, alive, _ in seen)
+            counts.append(len(seen))
+    assert all(1 <= count <= 3 for count in counts) and max(counts) > 1
+
+
+def test_pathless_study_queries_are_proven(engine):
+    """Sydney-Sao Paulo NG at 659.5 and 1,319 km has no path: every slot is
+    proven pathless, the first after its pruned guesses miss, the others
+    before any pass, so no slot routes unpruned."""
+    for rng_km in (659.5, 1319.0):
+        cfg = short_cfg(rng_km, Mode.NG, slots=20)
+        expected = unpruned(engine, cfg)
+        assert not any(record.path_found for record in expected)
+        with recorded_passes() as seen:
+            assert run_scenario(engine, cfg)[0] == expected
+        assert seen and all(alive is not None and i == 0 for _, i, alive, _ in seen)
+
+
+def test_a_path_after_a_pathless_slot_is_guessed(engine):
+    """A station at 60 deg N sees no satellite in some 20 s slots. Those
+    slots are proven pathless, and a slot with a path after one without
+    guesses U from its smallest lower bound, so no pass is unpruned."""
+    north = GroundStation("north", 60.0, 10.0)
+    for mode in Mode:
+        cfg = short_cfg(1700.0, mode, slots=24, src=north, dst=BUNDLED_STATIONS[5])
+        cfg = dataclasses.replace(cfg, slot_duration_s=20.0)
+        expected = unpruned(engine, cfg)
+        with recorded_passes() as seen:
+            assert run_scenario(engine, cfg)[0] == expected
+        assert all(alive is not None for _, _, alive, _ in seen)
+        assert any(not a.path_found and b.path_found for a, b in zip(expected, expected[1:]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=small_shell_queries())
+def test_component_labels_prove_only_pathless_slots(case):
+    """On random small shells, the component labels of a query's class mask
+    partition the satellites as a union-find over every candidate pair of
+    the mask does, and every slot that the proof calls pathless has no
+    path when routed unpruned."""
+    engine, cfg = case
+    spec = engine.constellation.spec
+    mask = engine._class_mask(cfg.lisl_range_km, cfg.mode)
+    n = spec.plane_count * spec.sats_per_plane
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    plane, slot = np.divmod(np.arange(n), spec.sats_per_plane)
+    for a in range(n):
+        b = np.arange(a + 1, n)
+        # The lower-plane endpoint reads the class; a plane offset never wraps.
+        ds = np.where(plane[b] >= plane[a], slot[b] - slot[a], slot[a] - slot[b])
+        for partner in b[mask[np.abs(plane[b] - plane[a]), ds % spec.sats_per_plane]]:
+            parent[find(a)] = find(int(partner))
+    roots = [find(x) for x in range(n)]
+    labels = engine._class_runs(mask).labels
+    assert len(set(labels)) == len(set(roots)) == len(set(zip(labels, roots)))
+    records = unpruned(engine, cfg)
+    proven = [i for i in range(cfg.slot_count) if proven_pathless(engine, cfg, i)]
+    assert not any(records[i].path_found for i in proven)
+    event(f"components: {min(len(set(roots)), 3)}{'+' if len(set(roots)) > 3 else ''}")
+    event(f"slots proven pathless: {len(proven) > 0}")
 
 
 def test_a_lone_slot_propagates_once(engine, monkeypatch):
@@ -442,7 +550,8 @@ def test_sibling_queries_share_lower_bounds(engine, monkeypatch):
     """The NG and NNG queries of one station pair and range share their
     lower bounds: over a batch of the 26 study queries, lower_bounds runs
     once per (src, dst, range) and instant at which one of its queries
-    prunes, that is, at its first slot or after a slot with a path."""
+    prunes, that is, at its first slot or after a slot with a path (a slot
+    after one without is proven pathless before it prunes, in the study)."""
     instants, calls = [], []
     positions_at, lower_bounds_ = Constellation.positions_at, scenario.lower_bounds
 
