@@ -23,7 +23,10 @@ argument of latitude u, where A = cos W, B = A cos^2 i + sin^2 i and
 C = cos i sin W; their separation r sqrt(2 (1 - cos g)) peaks and dips where
 cos(2u + delta) = +/-1. Intra-plane classes get the chord 2 r sin(delta/2).
 
-Candidate pairs, and so a snapshot's satellite links, come sorted by
+The state of one slot time that its snapshots, proofs and lower bounds
+share lives in one Instant: the shell's positions, and per station its
+position, ground links and central angles, each computed once, when first
+read. Candidate pairs, and so a snapshot's satellite links, come sorted by
 endpoints; plane-relation types and permanence are computed when first read.
 A pass over the few satellites that pruning keeps costs what those
 satellites cost, not what the shell does: it generates their pairs either
@@ -93,29 +96,40 @@ class GraphSnapshot:
     Satellite nodes use flat indices 0..N-1; ground stations follow in the
     order given, at indices N..N+K-1. Link data is held in parallel arrays,
     one set for satellite links (sat_a < sat_b, sorted) and one for ground
-    links, which are all temporary. The satellite links are the rows index
-    of a slot geometry's pairs; their types and permanence are read lazily.
+    links, which are all temporary: the links of (range, mode) among a slot
+    geometry's pairs, and the ground links of its Instant (with alive, a
+    mask over the satellites, only those to live satellites). Link types
+    and permanence are read lazily.
     """
 
-    def __init__(self, *, time_s, lisl_range_km, mode, constellation, constants,
-                 stations, geometry, index, gs_positions,
-                 gs_station_index, gs_sat_index, gs_length_km):
-        self.time_s = time_s
+    def __init__(self, geometry: SlotGeometry, lisl_range_km: float, mode: Mode, stations,
+                 alive: np.ndarray | None = None):
+        instant = geometry.instant
+        self.time_s = instant.time_s
         self.lisl_range_km = lisl_range_km
         self.mode = mode
-        self.constellation = constellation
-        self.constants = constants
+        self.constellation = instant.engine.constellation
+        self.constants = instant.engine.constants
         self.stations = tuple(stations)
         self._geometry = geometry
-        self._index = index
-        self.sat_positions = geometry.positions
-        self.gs_positions = gs_positions
+        self._index = index = geometry.selection(float(lisl_range_km), mode)
+        self.sat_positions = instant.positions
+        self.gs_positions = np.reshape([instant.station(gs)[0] for gs in self.stations], (-1, 3))
         self.sat_a = _pick(geometry.pairs.a, index)
         self.sat_b = _pick(geometry.pairs.b, index)
         self.sat_length_km = _pick(geometry.length_km, index)
-        self.gs_station_index = gs_station_index
-        self.gs_sat_index = gs_sat_index
-        self.gs_length_km = gs_length_km
+        sats, slants = [], []
+        for gs in self.stations:
+            feasible, slant = instant.ground_links(gs)
+            if alive is not None:
+                live = np.take(alive, feasible)
+                feasible, slant = feasible[live], slant[live]
+            sats.append(feasible)
+            slants.append(slant)
+        self.gs_station_index = np.repeat(np.arange(len(sats), dtype=np.int32),
+                                          [len(s) for s in sats])
+        self.gs_sat_index = _concat(sats)
+        self.gs_length_km = _concat(slants, dtype=float)
 
     @functools.cached_property
     def sat_type_code(self) -> np.ndarray:
@@ -123,7 +137,7 @@ class GraphSnapshot:
 
     @functools.cached_property
     def sat_permanent(self) -> np.ndarray:
-        permanent = self._geometry.engine._class_mask(self.lisl_range_km, Mode.NG)
+        permanent = self._geometry.instant.engine._class_mask(self.lisl_range_km, Mode.NG)
         return np.take(permanent, _pick(self._geometry.pairs.cls, self._index))
 
     @property
@@ -172,6 +186,8 @@ class LinkEngine:
     12.8 MiB. The caches have no lock, so threads must not build snapshots
     on one engine concurrently. Forked worker processes may share an
     engine; each builds the tables it reads.
+    Snapshots, geometries and proofs take their time in seconds or as an
+    Instant of this engine, whose state the calls at that time share.
     """
 
     def __init__(self, constellation: Constellation, constants: PhysicalConstants | None = None,
@@ -279,100 +295,78 @@ class LinkEngine:
         occ = self.constants.occlusion_radius_km
         return lisl_range_km > 2.0 * math.sqrt(max(r_orbit**2 - occ**2, 0.0))
 
-    def slot_geometry(self, t: float, requests) -> SlotGeometry:
+    def _instant(self, t: float | Instant) -> Instant:
+        """t as an Instant of this engine: t itself, or a new one at t seconds."""
+        instant = t if isinstance(t, Instant) else Instant(self, t)
+        if instant.engine is not self:
+            raise ValueError("an Instant serves only the engine it was made for")
+        return instant
+
+    def slot_geometry(self, t: float | Instant, requests) -> SlotGeometry:
         """The state at time t that snapshots for any of the requests share.
 
-        requests is an iterable of (lisl_range_km, Mode). Positions are
-        propagated once, and the candidate pairs of all requests are measured
-        once as one superset; pairs longer than the largest requested range
-        are dropped.
+        requests is an iterable of (lisl_range_km, Mode). The candidate
+        pairs of all requests are measured once as one superset, on the
+        positions of the Instant t; pairs longer than the largest requested
+        range are dropped.
         """
         requests = frozenset((float(r), Mode(mode)) for r, mode in requests)
         if not requests:
             raise ValueError("a slot geometry needs at least one (range, mode) request")
-        return self._measure(t, requests, self.constellation.positions_at(t))
+        return self._measure(self._instant(t), requests)
 
-    def _measure(self, t: float, requests: frozenset, positions: np.ndarray,
-                 alive: np.ndarray | None = None, ground: dict | None = None) -> SlotGeometry:
-        """The slot geometry of the requests at positions, those at t; with
-        alive, a mask over the satellites, only the pairs of two live
-        satellites, so that a pass over few satellites generates few
-        candidate pairs; with ground, sharing that SlotGeometry.ground dict."""
+    def _measure(self, instant: Instant, requests: frozenset,
+                 alive: np.ndarray | None = None) -> SlotGeometry:
+        """The slot geometry of the requests at the instant; with alive, a
+        mask over the satellites, only the pairs of two live satellites, so
+        that a pass over few satellites generates few candidate pairs."""
         masks = [self._class_mask(r, mode) for r, mode in requests]
         union = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
         pairs = self._candidate_pairs(union, alive)
-        length = pairs.per_pair(positions, _distance, float)
+        length = pairs.per_pair(instant.positions, _distance, float)
         near = np.flatnonzero(length <= max(r for r, _ in requests))
-        return SlotGeometry(engine=self, time_s=t, requests=requests, positions=positions,
-                            pairs=pairs.take(near), length_km=length[near],
-                            ground={} if ground is None else ground)
+        return SlotGeometry(instant=instant, requests=requests, pairs=pairs.take(near),
+                            length_km=length[near])
 
-    def snapshot(self, t: float, lisl_range_km: float, mode: Mode,
+    def snapshot(self, t: float | Instant, lisl_range_km: float, mode: Mode,
                  ground_stations: list[GroundStation] | tuple[GroundStation, ...] = (),
                  geometry: SlotGeometry | None = None,
-                 alive: np.ndarray | None = None,
-                 positions: np.ndarray | None = None,
-                 ground: dict | None = None) -> GraphSnapshot:
+                 alive: np.ndarray | None = None) -> GraphSnapshot:
         """All links feasible at time t under the range and link policy.
 
-        With geometry from slot_geometry at the same t and with (range, mode)
-        among its requests, the snapshot selects its links from that shared
-        state. Without it, the snapshot measures a geometry of its own, at
-        positions if given (the shell's positions at t, which it would
-        otherwise propagate), and shares ground, if given, the ground links
-        of the snapshots at t (SlotGeometry.ground). The links come out in
-        the same order either way. A non-positive range yields a snapshot
-        with no satellite links.
+        With geometry from slot_geometry at the same time and with (range,
+        mode) among its requests, the snapshot selects its links from that
+        shared state. Without it, the snapshot measures a geometry of its
+        own on the Instant t, whose positions and ground links the calls at
+        that time share. The links come out in the same order either way. A
+        non-positive range yields a snapshot with no satellite links.
 
         alive, if given, is a mask of the satellites that may carry links:
         the snapshot then measures only the pairs of live satellites,
         generated from their runs alone, and keeps only the ground links to
         them. A shared geometry takes no mask.
         """
+        instant = self._instant(t)
         if geometry is None:
-            if positions is None:
-                positions = self.constellation.positions_at(t)
-            geometry = self._measure(t, frozenset({(float(lisl_range_km), Mode(mode))}),
-                                     positions, alive, ground)
-        elif (alive is not None or geometry.engine is not self or geometry.time_s != t
+            geometry = self._measure(instant, frozenset({(float(lisl_range_km), Mode(mode))}),
+                                     alive)
+        elif (alive is not None or geometry.instant.engine is not self
+              or geometry.instant.time_s != instant.time_s
               or (float(lisl_range_km), mode) not in geometry.requests):
             raise ValueError(f"a shared geometry takes no mask and must cover {mode.value} at "
-                             f"{lisl_range_km:g} km and t = {t:g} s")
-        index = geometry.selection(float(lisl_range_km), mode)
+                             f"{lisl_range_km:g} km and t = {instant.time_s:g} s")
+        return GraphSnapshot(geometry, lisl_range_km, mode, ground_stations, alive)
 
-        stations = tuple(ground_stations)
-        gs_positions = np.zeros((len(stations), 3))
-        gs_station_index: list[np.ndarray] = []
-        gs_sat_index: list[np.ndarray] = []
-        gs_length: list[np.ndarray] = []
-        for k, gs in enumerate(stations):
-            gs_positions[k], feasible, slant = geometry.ground_links(gs)
-            if alive is not None:
-                live = np.take(alive, feasible)
-                feasible, slant = feasible[live], slant[live]
-            gs_station_index.append(np.full(len(feasible), k, dtype=np.int32))
-            gs_sat_index.append(feasible)
-            gs_length.append(slant)
-
-        return GraphSnapshot(
-            time_s=t, lisl_range_km=lisl_range_km, mode=mode,
-            constellation=self.constellation, constants=self.constants,
-            stations=stations, geometry=geometry, index=index, gs_positions=gs_positions,
-            gs_station_index=_concat(gs_station_index),
-            gs_sat_index=_concat(gs_sat_index),
-            gs_length_km=_concat(gs_length, dtype=float))
-
-    def proven_pathless(self, t: float, lisl_range_km: float, mode: Mode, src: GroundStation,
-                        dst: GroundStation, positions: np.ndarray, ground: dict) -> bool:
-        """True if no snapshot of (range, mode) at t can join the stations:
-        no satellite that src links to at positions, those at t, shares a
-        connected component of the mask's candidate-pair graph with one that
-        dst links to. Every satellite link of such a snapshot is a candidate
+    def proven_pathless(self, instant: Instant, lisl_range_km: float, mode: Mode,
+                        src: GroundStation, dst: GroundStation) -> bool:
+        """True if no snapshot of (range, mode) at the instant can join the
+        stations: no satellite that src links to shares a connected
+        component of the mask's candidate-pair graph with one that dst
+        links to. Every satellite link of such a snapshot is a candidate
         pair, so no path can cross between those components. The labels
-        are built once per class mask, when first read (_ClassRuns.labels);
-        ground shares the instant's ground links (see ground_links)."""
+        are built once per class mask, when first read (_ClassRuns.labels)."""
         labels = self._class_runs(self._class_mask(float(lisl_range_km), Mode(mode))).labels
-        src_labels, dst_labels = (np.take(labels, ground_links(self, gs, t, positions, ground)[1])
+        src_labels, dst_labels = (np.take(labels, instant.ground_links(gs)[0])
                                   for gs in (src, dst))
         return not np.isin(src_labels, dst_labels).any()
 
@@ -490,24 +484,99 @@ class _PairRows:
         return out
 
 
+class Instant:
+    """One slot time of an engine, and the state that its snapshots,
+    geometries, proofs and lower bounds share, each computed when first read:
+    the shell's positions, and per station its position g and x.g for every
+    satellite x, from which ground_links and angle_beyond_reach both derive.
+    bounds holds scenario.evaluate_slot's lower bounds by (src, dst, range),
+    which the NG and NNG queries of one station pair share."""
+
+    def __init__(self, engine: LinkEngine, time_s: float):
+        self.engine = engine
+        self.time_s = time_s
+        self.bounds: dict = {}
+        self._station, self._ground, self._angle = {}, {}, {}
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        return self.engine.constellation.positions_at(self.time_s)
+
+    def station(self, gs: GroundStation) -> tuple[np.ndarray, np.ndarray]:
+        """The station's position g, and x.g for every satellite x."""
+        found = self._station.get(gs)
+        if found is None:
+            g = ground_station_position(gs, self.time_s, self.engine.earth_rotation0_deg,
+                                        self.engine.constants.earth_radius_km)
+            found = self._station[gs] = (g, self.positions @ g)
+        return found
+
+    def ground_links(self, gs: GroundStation) -> tuple[np.ndarray, np.ndarray]:
+        """The satellites that the station can link to, with their slant
+        ranges: those within the station's slant range and above its horizon.
+
+        A satellite x of the shell, of radius r, lies within slant range R of
+        the station g iff x.g >= (r^2 + |g|^2 - R^2)/2. Only the few
+        satellites that pass this test with a slack of 1e-6 r^2, far above
+        its rounding, are measured and put to the slant and horizon rule."""
+        found = self._ground.get(gs)
+        if found is None:
+            g, dot = self.station(gs)
+            r2 = self.engine.constellation.spec.orbit_radius_km ** 2
+            near = np.flatnonzero(dot >= 0.5 * (r2 + g @ g - gs.range_km ** 2) - 1e-6 * r2)
+            delta = np.take(self.positions, near, axis=0) - g
+            slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+            feasible = np.flatnonzero((slant <= gs.range_km) & (delta @ g > 0.0))
+            found = self._ground[gs] = (np.take(near, feasible).astype(np.int32),
+                                        np.take(slant, feasible))
+        return found
+
+    def angle_beyond_reach(self, gs: GroundStation) -> np.ndarray:
+        """Per satellite, by how much the central angle between it and the
+        station exceeds theta_g, the largest at which the station reaches
+        the orbit sphere; 0 within theta_g.
+
+        A station at radius R_E with slant range g reaches satellites of the
+        shell, of orbit radius r, up to the central angle theta_g from it,
+        sin^2(theta_g/2) = (g^2 - (r - R_E)^2)/(4 r R_E). The angle between
+        a satellite x and the station position p is atan2(|x x p|, x.p),
+        with |x x p| = sqrt(r^2 |p|^2 - (x.p)^2), so that x.p is the one
+        product taken per satellite. The root loses digits as the angle
+        nears 0 or pi (to about 2e-8 rad at exactly 0), so the few
+        satellites within about 1.4e-3 rad of the station's zenith or nadir
+        take the cross product."""
+        found = self._angle.get(gs)
+        if found is None:
+            r = self.engine.constellation.spec.orbit_radius_km
+            r_e = self.engine.constants.earth_radius_km
+            p, dot = self.station(gs)
+            rp = r * math.sqrt(p @ p)
+            cross = np.sqrt(np.maximum(rp * rp - dot * dot, 0.0))
+            steep = np.flatnonzero(np.abs(dot) > (1.0 - 1e-6) * rp)
+            if len(steep):
+                cross[steep] = np.linalg.norm(np.cross(self.positions[steep], p), axis=1)
+            g = gs.range_km
+            reach = 2.0 * math.asin(math.sqrt(
+                min(max((g - abs(r - r_e)) * (g + abs(r - r_e)) / (4.0 * r * r_e), 0.0), 1.0)))
+            found = self._angle[gs] = np.maximum(np.arctan2(cross, dot) - reach, 0.0)
+        return found
+
+
 @dataclass(eq=False)
 class SlotGeometry:
-    """Satellite state at one instant, shared by the snapshots of many queries.
+    """Satellite pairs at one Instant, shared by the snapshots of many queries.
 
-    Made by LinkEngine.slot_geometry. pairs holds every pair of the
-    requests' candidate classes that lies within the largest requested
-    range, with its length. The plane-relation type codes, line of sight,
-    and each station's ground links (in ground, which geometries of one
-    instant may share) are computed on first use and then kept.
+    Made by LinkEngine.slot_geometry, or by a snapshot for itself. pairs
+    holds every pair of the requests' candidate classes that lies within
+    the largest requested range, with its length. The plane-relation type
+    codes and line of sight are computed on first use and then kept; the
+    positions and ground links are the instant's.
     """
 
-    engine: LinkEngine
-    time_s: float
+    instant: Instant
     requests: frozenset
-    positions: np.ndarray
     pairs: _PairRows
     length_km: np.ndarray
-    ground: dict = field(default_factory=dict, repr=False)
     _selected: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
@@ -516,8 +585,8 @@ class SlotGeometry:
         adjacent-plane (1) or nearby-plane (2) if the two satellites move the
         same way, crossing-plane (3) if not. The plane offset dp of a pair's
         class is wrapped around the shell to min(dp, plane_count - dp)."""
-        shell = self.engine.constellation
-        vel = shell.velocities_at(self.time_s)
+        shell = self.instant.engine.constellation
+        vel = shell.velocities_at(self.instant.time_s)
         pairs = self.pairs
         co_moving = pairs.per_pair(vel, lambda v, w: np.einsum("ij,ij->i", v, w) > 0.0, bool)
         dp = pairs.cls // shell.spec.sats_per_plane
@@ -532,8 +601,8 @@ class SlotGeometry:
     def clear_of_earth(self) -> np.ndarray:
         """Per pair, True iff the segment between the two satellites clears the
         occlusion sphere."""
-        occ = self.engine.constants.occlusion_radius_km
-        return self.pairs.per_pair(self.positions,
+        occ = self.instant.engine.constants.occlusion_radius_km
+        return self.pairs.per_pair(self.instant.positions,
                                    lambda p, q: _segments_clear_origin(p, q, occ), bool)
 
     def selection(self, lisl_range_km: float, mode: Mode) -> np.ndarray | slice:
@@ -541,7 +610,7 @@ class SlotGeometry:
         slice(None) if every pair is; selected once per (range, mode)."""
         index = self._selected.get((lisl_range_km, mode))
         if index is None:
-            engine = self.engine
+            engine = self.instant.engine
             keep = np.take(engine._class_mask(lisl_range_km, mode), self.pairs.cls)
             keep &= self.length_km <= lisl_range_km
             if engine.line_of_sight_binds(lisl_range_km):
@@ -551,66 +620,6 @@ class SlotGeometry:
             index = slice(None) if keep.all() else np.flatnonzero(keep).astype(np.int32)
             self._selected[(lisl_range_km, mode)] = index
         return index
-
-    def ground_links(self, gs: GroundStation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Station position, and the satellites it can link to with their slant
-        ranges, kept in ground (see ground_links)."""
-        return ground_links(self.engine, gs, self.time_s, self.positions, self.ground)
-
-
-def ground_links(engine: LinkEngine, gs: GroundStation, time_s: float, positions: np.ndarray,
-                 ground: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Station position, and the satellites at positions, those at time_s,
-    that it can link to with their slant ranges: those within the station's
-    slant range and above its horizon. Found once per station in ground,
-    which the geometries and proofs of one instant share.
-
-    A satellite x of the shell, of radius r, lies within slant range R of
-    the station g iff x.g >= (r^2 + |g|^2 - R^2)/2. Only the few satellites
-    that pass this test with a slack of 1e-6 r^2, far above its rounding,
-    are measured and put to the slant and horizon rule."""
-    found = ground.get(gs)
-    if found is None:
-        g = ground_station_position(gs, time_s, engine.earth_rotation0_deg,
-                                    engine.constants.earth_radius_km)
-        r2 = engine.constellation.spec.orbit_radius_km ** 2
-        near = np.flatnonzero(positions @ g >= 0.5 * (r2 + g @ g - gs.range_km ** 2) - 1e-6 * r2)
-        delta = np.take(positions, near, axis=0) - g
-        slant = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-        feasible = np.flatnonzero((slant <= gs.range_km) & (delta @ g > 0.0))
-        found = (g, np.take(near, feasible).astype(np.int32), np.take(slant, feasible))
-        ground[gs] = found
-    return found
-
-
-def angle_beyond_reach(engine: LinkEngine, gs: GroundStation, time_s: float,
-                       positions: np.ndarray) -> np.ndarray:
-    """Per satellite at positions, those at time_s, by how much the central
-    angle between it and the station exceeds theta_g, the largest at which
-    the station reaches the orbit sphere; 0 within theta_g.
-
-    A station at radius R_E with slant range g reaches satellites of the
-    shell, of orbit radius r, up to the central angle theta_g from it,
-    sin^2(theta_g/2) = (g^2 - (r - R_E)^2)/(4 r R_E). The angle between a
-    satellite x and the station position p is atan2(|x x p|, x.p), with
-    |x x p| = sqrt(r^2 |p|^2 - (x.p)^2), so that x.p is the one product
-    taken per satellite. The root loses digits as the angle nears 0 or pi
-    (to about 2e-8 rad at exactly 0), so the few satellites within about
-    1.4e-3 rad of the station's zenith or nadir take the cross product."""
-    r = engine.constellation.spec.orbit_radius_km
-    r_e = engine.constants.earth_radius_km
-    g_pos = ground_station_position(gs, time_s, engine.earth_rotation0_deg, r_e)
-    dot = positions @ g_pos
-    rg = r * math.sqrt(g_pos @ g_pos)
-    cross = np.sqrt(np.maximum(rg * rg - dot * dot, 0.0))
-    steep = np.flatnonzero(np.abs(dot) > (1.0 - 1e-6) * rg)
-    if len(steep):
-        cross[steep] = np.linalg.norm(np.cross(np.take(positions, steep, axis=0), g_pos), axis=1)
-    theta = np.arctan2(cross, dot)
-    g = gs.range_km
-    reach = 2.0 * math.asin(math.sqrt(
-        min(max((g - abs(r - r_e)) * (g + abs(r - r_e)) / (4.0 * r * r_e), 0.0), 1.0)))
-    return np.maximum(theta - reach, 0.0)
 
 
 def _distance(p, q):

@@ -5,14 +5,15 @@ link policy, and a slot grid; the runner routes the minimum-latency path on
 every slot's snapshot and aggregates the results. Averages cover only the
 slots where a path exists; pathless slots are data, not failures.
 
-A batch of scenarios is evaluated slot-major: at each instant the shell is
-propagated once, and each station's central angles and ground links are
-computed once, when first needed; every scenario then measures and routes
-a snapshot of its own on them, generating only the candidate pairs of the
-satellites it keeps. With parallelism > 1 one process pool serves the
-whole batch; its tasks are chunks of slots, and the workers use the
-caller's engine, which they inherit through the pool initializer. Records
-are always emitted in slot order regardless of the parallelism degree.
+A batch of scenarios is evaluated slot-major: each time gets one
+links.Instant, on which the shell is propagated once, and each station's
+position, central angles and ground links and each station pair's lower
+bounds are computed once, when first needed; every scenario then measures
+and routes a snapshot of its own on it, generating only the candidate
+pairs of the satellites it keeps. With parallelism > 1 one process pool
+serves the whole batch; its tasks are chunks of slots, and the workers use
+the caller's engine, which they inherit through the pool initializer.
+Records are always emitted in slot order regardless of the parallelism.
 
 Each slot guesses an upper bound U on its optimum and drops, before the
 snapshot is built, every satellite whose lower bound exceeds U; the route
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import routing
 from .errors import ConfigurationError
-from .links import LinkEngine, Mode, angle_beyond_reach
+from .links import Instant, LinkEngine, Mode
 from .orbital import GroundStation
 
 # Stations at the stock exchanges of the studied cities.
@@ -134,9 +135,7 @@ class ComparisonResult:
 
 
 def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
-                  last_ms: float | None = None, positions: np.ndarray | None = None,
-                  angles: dict | None = None, ground: dict | None = None,
-                  bounds: dict | None = None) -> SlotRecord:
+                  last_ms: float | None = None, instant: Instant | None = None) -> SlotRecord:
     """Route one slot of the scenario, with the satellites that no optimal
     path can visit left out.
 
@@ -158,32 +157,25 @@ def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
     A slot after one with no path that the proof leaves open guesses U as
     a slot with no last latency does.
 
-    positions, angles, ground and bounds, if given, are the shell's
-    positions at the slot's instant and dicts, which its queries share and
-    fill when first needed, of each station's angle_beyond_reach and ground
-    links and of each (src, dst, range)'s lower bounds.
+    instant, if given, is the slot's Instant, whose positions, station
+    state and lower bounds (Instant.bounds, by (src, dst, range)) the
+    queries of the slot's time share; without it the slot makes its own.
     """
-    t = slot_index * cfg.slot_duration_s
-    if positions is None:
-        positions = engine.constellation.positions_at(t)
-    angles, ground, bounds = ({} if d is None else d for d in (angles, ground, bounds))
+    instant = Instant(engine, slot_index * cfg.slot_duration_s) if instant is None else instant
     proof_due = True  # until a pass finds a path or a proof fails
     if last_ms == math.inf:
-        if engine.proven_pathless(t, cfg.lisl_range_km, cfg.mode, cfg.src, cfg.dst,
-                                  positions, ground):
+        if engine.proven_pathless(instant, cfg.lisl_range_km, cfg.mode, cfg.src, cfg.dst):
             return SlotRecord(slot_index=slot_index, path_found=False)
         last_ms, proof_due = None, False
     key = (cfg.src, cfg.dst, cfg.lisl_range_km)
-    if key not in bounds:
-        for gs in (cfg.src, cfg.dst):
-            if gs not in angles:
-                angles[gs] = angle_beyond_reach(engine, gs, t, positions)
-        bounds[key] = lower_bounds(engine, cfg, angles[cfg.src], angles[cfg.dst])
-    lower = bounds[key]
+    if key not in instant.bounds:
+        instant.bounds[key] = lower_bounds(engine, cfg, instant.angle_beyond_reach(cfg.src),
+                                           instant.angle_beyond_reach(cfg.dst))
+    lower = instant.bounds[key]
     base, margin = (lower.min(), _FIRST_MARGIN) if last_ms is None else (last_ms, _LAST_MARGIN)
     upper = base * (1.0 + margin)
     while not (alive := lower <= upper + _BOUND_SLACK_MS).all():
-        record = _route_slot(engine, cfg, slot_index, alive, positions, ground)
+        record = _route_slot(engine, cfg, slot_index, alive, instant)
         if record.path_found and record.latency_ms <= upper:
             return record
         if record.path_found:
@@ -191,20 +183,18 @@ def evaluate_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
         else:
             margin *= 2.0
             upper = base * (1.0 + margin)
-    if proof_due and engine.proven_pathless(t, cfg.lisl_range_km, cfg.mode, cfg.src, cfg.dst,
-                                            positions, ground):
+    if proof_due and engine.proven_pathless(instant, cfg.lisl_range_km, cfg.mode, cfg.src,
+                                            cfg.dst):
         return SlotRecord(slot_index=slot_index, path_found=False)
-    return _route_slot(engine, cfg, slot_index, None, positions, ground)
+    return _route_slot(engine, cfg, slot_index, None, instant)
 
 
 def _route_slot(engine: LinkEngine, cfg: ScenarioConfig, slot_index: int,
-                alive: np.ndarray | None = None, positions: np.ndarray | None = None,
-                ground: dict | None = None) -> SlotRecord:
+                alive: np.ndarray | None = None, instant: Instant | None = None) -> SlotRecord:
     # One pass of evaluate_slot, over the satellites alive marks (all if
-    # None), on the instant's positions and ground links if given.
-    t = slot_index * cfg.slot_duration_s
-    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), alive=alive,
-                           positions=positions, ground=ground)
+    # None), on the slot's Instant if given.
+    t = slot_index * cfg.slot_duration_s if instant is None else instant
+    snap = engine.snapshot(t, cfg.lisl_range_km, cfg.mode, (cfg.src, cfg.dst), alive=alive)
     result = routing.shortest_path(snap, cfg.src.name, cfg.dst.name)
     if result is None:
         return SlotRecord(slot_index=slot_index, path_found=False)
@@ -235,8 +225,8 @@ def lower_bounds(engine: LinkEngine, cfg: ScenarioConfig, src_angle: np.ndarray,
     """Per satellite x, a lower bound LB_arc(x) on the latency of any path
     of the query from station s to station t through x, given the central
     angles from x to s and to t beyond the stations' reach
-    (links.angle_beyond_reach), which depend on the instant but not on the
-    query's range.
+    (Instant.angle_beyond_reach), which depend on the instant but not on
+    the query's range.
 
     Each satellite adds the node delay d, so a satellite link of length
     l <= R, the link range, costs l/c + d, one more d aside. On the orbit
@@ -284,8 +274,8 @@ def summarize(records: list[SlotRecord] | tuple[SlotRecord, ...]) -> MetricsSumm
 
 # -- batch evaluation --------------------------------------------------
 
-# One instant of a batch: its time and the (query, slot index) pairs due then.
-_Instant = tuple[float, list[tuple[int, int]]]
+# One time of a batch and the (query, slot index) pairs due then.
+_Due = tuple[float, list[tuple[int, int]]]
 
 _MIN_CHUNK = 5  # instants a pool task holds at least, unless that would idle a worker
 
@@ -299,21 +289,21 @@ def _worker_init(engine: LinkEngine, configs: list[ScenarioConfig]):
 
 
 def _evaluate_instants(engine: LinkEngine, configs: list[ScenarioConfig],
-                       instants: list[_Instant]) -> list[tuple[int, SlotRecord]]:
+                       instants: list[_Due]) -> list[tuple[int, SlotRecord]]:
     last: dict[int, float] = {}  # each query's last latency, inf if it found no path
     out = []
     for t, due in instants:
-        # The queries share the shell, not the pairs: each measures only the
-        # pairs of the satellites its own bounds keep.
-        shared = engine.constellation.positions_at(t), {}, {}, {}
+        # The queries share the Instant, not the pairs: each measures only
+        # the pairs of the satellites its own bounds keep.
+        instant = Instant(engine, t)
         for q, i in due:
-            record = evaluate_slot(engine, configs[q], i, last.get(q), *shared)
+            record = evaluate_slot(engine, configs[q], i, last.get(q), instant)
             last[q] = record.latency_ms if record.path_found else math.inf
             out.append((q, record))
     return out
 
 
-def _chunks(instants: list[_Instant], parallelism: int) -> list[list[_Instant]]:
+def _chunks(instants: list[_Due], parallelism: int) -> list[list[_Due]]:
     """Consecutive runs of the instants, one pool task each. Four chunks a
     worker balance the load, but a chunk's first instant has no last
     latency to guess U from, so a chunk holds at least _MIN_CHUNK
@@ -325,7 +315,7 @@ def _chunks(instants: list[_Instant], parallelism: int) -> list[list[_Instant]]:
     return [instants[k:k + size] for k in range(0, len(instants), size)]
 
 
-def _worker_chunk(instants: list[_Instant]) -> list[tuple[int, SlotRecord]]:
+def _worker_chunk(instants: list[_Due]) -> list[tuple[int, SlotRecord]]:
     return _evaluate_instants(_WORKER_ENGINE, _WORKER_CONFIGS, instants)
 
 

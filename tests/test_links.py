@@ -444,6 +444,13 @@ def test_snapshot_rejects_geometry_that_does_not_cover_it(engine):
         engine.snapshot(5.0, 5016.0, Mode.NG, geometry=shared)
     with pytest.raises(ValueError):
         engine.snapshot(6.0, 1700.0, Mode.NG, geometry=shared)
+    with pytest.raises(ValueError):
+        engine.snapshot(links.Instant(engine, 6.0), 1700.0, Mode.NG, geometry=shared)
+    other = small_walker_engine()
+    with pytest.raises(ValueError):  # another engine's geometry or Instant
+        other.snapshot(5.0, 1700.0, Mode.NG, geometry=shared)
+    with pytest.raises(ValueError):
+        engine.snapshot(links.Instant(other, 5.0), 1700.0, Mode.NG, geometry=shared)
     with pytest.raises(ValueError):  # a mask is for a geometry of the snapshot's own
         engine.snapshot(5.0, 1700.0, Mode.NG, geometry=shared,
                         alive=np.ones(len(engine.constellation), dtype=bool))
@@ -611,7 +618,7 @@ def assert_repeats_every_walker_period(shell):
     for t in (0.0, 17.3, 1234.5):
         geometries = [engine.slot_geometry(s, requests) for s in (t, t + tau)]
         for r, mode in requests:
-            now, later = (engine.snapshot(g.time_s, r, mode, geometry=g) for g in geometries)
+            now, later = (engine.snapshot(g.instant, r, mode, geometry=g) for g in geometries)
             assert now.link_count == later.link_count, (t, r, mode)
             assert link_census(now).counts == link_census(later).counts, (t, r, mode)
             assert np.allclose(np.sort(now.sat_length_km), np.sort(later.sat_length_km),
@@ -667,10 +674,10 @@ def bound_mask(engine, t, r, src, dst, quantile):
     from src to dst at range r lies within the given quantile of the
     bounds: a mask clustered about the great circle between the stations,
     as evaluate_slot cuts."""
-    positions = engine.constellation.positions_at(t)
+    instant = links.Instant(engine, t)
     cfg = ScenarioConfig(src, dst, lisl_range_km=r)
-    bounds = lower_bounds(engine, cfg, *(links.angle_beyond_reach(engine, gs, t, positions)
-                                         for gs in (src, dst)))
+    bounds = lower_bounds(engine, cfg, instant.angle_beyond_reach(src),
+                          instant.angle_beyond_reach(dst))
     return bounds <= np.quantile(bounds, quantile)
 
 
@@ -853,19 +860,20 @@ def station_cases(draw):
 @settings(deadline=None, max_examples=300)
 @given(case=station_cases())
 def test_station_geometry_equals_the_whole_shell_rule(case):
-    """A geometry's ground links, which measure only the satellites that a
+    """An Instant's ground links, which measure only the satellites that a
     dot-product test lets through, are the whole-shell rule's: the same
     satellites and bit-equal slant ranges. The angles beyond reach, taken
-    from one dot product, lie within 1e-12 rad of the cross-product form."""
+    from the same dot product, lie within 1e-12 rad of the cross-product
+    form."""
     engine, gs, t = case
-    positions = engine.constellation.positions_at(t)
-    geometry = engine._measure(t, frozenset({(1000.0, Mode.NNG)}), positions)
-    g, feasible, slant = geometry.ground_links(gs)
-    expected, expected_slant = whole_shell_ground_links(positions, g, gs.range_km)
+    instant = links.Instant(engine, t)
+    feasible, slant = instant.ground_links(gs)
+    g, _ = instant.station(gs)
+    expected, expected_slant = whole_shell_ground_links(instant.positions, g, gs.range_km)
     assert feasible.dtype == np.int32 and np.array_equal(feasible, expected)
     assert np.array_equal(slant, expected_slant)
-    angle = links.angle_beyond_reach(engine, gs, t, positions)
-    expected_angle = cross_product_angle_beyond_reach(engine, gs, t, positions)
+    angle = instant.angle_beyond_reach(gs)
+    expected_angle = cross_product_angle_beyond_reach(engine, gs, t, instant.positions)
     assert np.abs(angle - expected_angle).max() <= 1e-12
 
 

@@ -9,9 +9,9 @@ from hypothesis import event, given, settings, strategies as st
 from fsosim import (BUNDLED_STATIONS, ComparisonResult, ConstellationSpec, GroundStation,
                     LinkEngine, Mode, PhysicalConstants, ScenarioConfig, build_constellation,
                     run_scenario)
-from fsosim import scenario
+from fsosim import links, scenario
 from fsosim.errors import ConfigurationError
-from fsosim.links import SlotGeometry, angle_beyond_reach
+from fsosim.links import Instant
 from fsosim.orbital import Constellation, parse_id
 from fsosim.scenario import (DEFAULT_RANGES_KM, SlotRecord, _chunks, _route_slot, compare_many,
                              evaluate_slot, lower_bounds, run_scenarios, summarize,
@@ -250,8 +250,8 @@ def recorded_passes():
     seen = []
     route = scenario._route_slot
 
-    def recording(engine, cfg, slot_index, alive=None, positions=None, ground=None):
-        record = route(engine, cfg, slot_index, alive, positions, ground)
+    def recording(engine, cfg, slot_index, alive=None, instant=None):
+        record = route(engine, cfg, slot_index, alive, instant)
         seen.append((cfg, slot_index, alive, record))
         return record
 
@@ -273,10 +273,9 @@ def accepted_passes(seen):
 
 
 def bounds_at(engine, cfg, slot_index):
-    t = slot_index * cfg.slot_duration_s
-    positions = engine.constellation.positions_at(t)
-    return lower_bounds(engine, cfg, *(angle_beyond_reach(engine, gs, t, positions)
-                                       for gs in (cfg.src, cfg.dst)))
+    instant = Instant(engine, slot_index * cfg.slot_duration_s)
+    return lower_bounds(engine, cfg, instant.angle_beyond_reach(cfg.src),
+                        instant.angle_beyond_reach(cfg.dst))
 
 
 def path_satellites(engine, record):
@@ -320,9 +319,8 @@ def small_shell_queries(draw):
 
 
 def proven_pathless(engine, cfg, slot_index):
-    t = slot_index * cfg.slot_duration_s
-    return engine.proven_pathless(t, cfg.lisl_range_km, cfg.mode, cfg.src, cfg.dst,
-                                  engine.constellation.positions_at(t), {})
+    return engine.proven_pathless(Instant(engine, slot_index * cfg.slot_duration_s),
+                                  cfg.lisl_range_km, cfg.mode, cfg.src, cfg.dst)
 
 
 @settings(deadline=None, max_examples=150)
@@ -406,15 +404,21 @@ def test_any_last_latency_gives_the_unpruned_record(engine):
     assert unpruned_passes[math.inf] == unpruned_passes[None] == [False]
 
 
-def test_positions_alone_take_fresh_shared_dicts(engine):
-    """Given the instant's positions, evaluate_slot fills fresh dicts for
-    each of angles, ground and bounds that is omitted."""
-    cfg = short_cfg(1700.0, Mode.NNG, slots=3)
-    positions = engine.constellation.positions_at(2.0)
-    expected = _route_slot(engine, cfg, 2)
-    for last_ms in (None, expected.latency_ms, math.inf):
-        assert evaluate_slot(engine, cfg, 2, last_ms, positions) == expected
-        assert evaluate_slot(engine, cfg, 2, last_ms, positions, ground={}) == expected
+def test_a_shared_instant_gives_a_lone_slots_record(engine):
+    """One Instant reused by the queries of two ranges under both modes, a
+    fresh Instant and none give each query the unpruned record, for no
+    last latency, the optimum or inf. The NG and NNG queries of a range
+    share the shared Instant's lower bounds."""
+    shared = Instant(engine, 2.0)
+    for rng_km in (1700.0, 5016.0):
+        for mode in Mode:
+            cfg = short_cfg(rng_km, mode, slots=3)
+            expected = _route_slot(engine, cfg, 2)
+            for last_ms in (None, expected.latency_ms, math.inf):
+                assert evaluate_slot(engine, cfg, 2, last_ms, shared) == expected
+                assert evaluate_slot(engine, cfg, 2, last_ms, Instant(engine, 2.0)) == expected
+                assert evaluate_slot(engine, cfg, 2, last_ms) == expected
+    assert set(shared.bounds) == {(SYDNEY, SAO_PAULO, 1700.0), (SYDNEY, SAO_PAULO, 5016.0)}
 
 
 def test_chunk_starts_grow_their_guess(engine):
@@ -503,8 +507,9 @@ def test_a_lone_slot_propagates_once(engine, monkeypatch):
     """A query alone at its instant propagates the shell once a slot, for
     its bounds and every pass, also when a slot takes a second pass. A
     batch of the 26 study queries propagates once an instant, and computes
-    each station's central angles and ground links at most once an
-    instant, for the stations of the queries due then."""
+    each station's position (and so its x.g over the shell), central
+    angles and ground links at most once an instant, for the stations of
+    the queries due then."""
     calls = []
     positions_at = Constellation.positions_at
 
@@ -521,29 +526,33 @@ def test_a_lone_slot_propagates_once(engine, monkeypatch):
         assert evaluate_slot(engine, cfg, 1, last_ms=0.9 * records[1].latency_ms) == records[1]
     assert len(seen) >= 2 and calls == [1.0]
 
-    angles, ground = [], {}
-    angle_beyond_reach_ = scenario.angle_beyond_reach
-    ground_links = SlotGeometry.ground_links
+    located, found = [], {}
+    ground_station_position = links.ground_station_position
 
-    def counting_angles(engine, gs, t, positions):
-        angles.append((t, gs))
-        return angle_beyond_reach_(engine, gs, t, positions)
+    def locating(gs, t, *args):
+        located.append((t, gs))
+        return ground_station_position(gs, t, *args)
 
-    def counting_ground(self, gs):
-        # A computed result is a new tuple; a cached one is the same tuple.
-        found = ground_links(self, gs)
-        ground.setdefault((self.time_s, gs), {})[id(found)] = found
-        return found
+    def counting(method):
+        def counted(self, gs):
+            # A computed result is a new object; a cached one is the same.
+            result = method(self, gs)
+            found.setdefault(method.__name__, {}).setdefault((self.time_s, gs), {})[
+                id(result)] = result
+            return result
+        return counted
 
-    monkeypatch.setattr(scenario, "angle_beyond_reach", counting_angles)
-    monkeypatch.setattr(SlotGeometry, "ground_links", counting_ground)
+    monkeypatch.setattr(links, "ground_station_position", locating)
+    for name in ("angle_beyond_reach", "ground_links"):
+        monkeypatch.setattr(Instant, name, counting(getattr(Instant, name)))
     calls.clear()
     queries = study_queries(slots=5)
     run_scenarios(engine, queries)
     assert calls == [float(i) for i in range(5)]
     due = {(float(i), gs) for i in range(5) for q in queries for gs in (q.src, q.dst)}
-    assert len(angles) == len(set(angles)) and set(angles) <= due
-    assert set(ground) == due and all(len(found) == 1 for found in ground.values())
+    assert len(located) == len(set(located)) and set(located) == due
+    assert set(found["angle_beyond_reach"]) <= due and set(found["ground_links"]) == due
+    assert all(len(results) == 1 for per in found.values() for results in per.values())
 
 
 def test_sibling_queries_share_lower_bounds(engine, monkeypatch):
