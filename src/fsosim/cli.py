@@ -421,16 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="YAML run configuration (defaults apply when omitted)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_scenario=True):
+    def add_common(p):
         p.add_argument("--output-dir", help="output directory (default from config)")
-        if with_scenario:
-            p.add_argument("--src", help="source station name")
-            p.add_argument("--dst", help="destination station name")
-            p.add_argument("--range", type=finite, action="append",
-                           help="laser link range in km (repeatable)")
-            p.add_argument("--slots", type=int, help="number of time slots")
-            p.add_argument("--slot-duration", type=finite,
-                           help="slot duration in seconds (default from config, else 1)")
+        p.add_argument("--src", help="source station name")
+        p.add_argument("--dst", help="destination station name")
+        p.add_argument("--range", type=finite, action="append",
+                       help="laser link range in km (repeatable)")
+        p.add_argument("--slots", type=int, help="number of time slots")
+        p.add_argument("--slot-duration", type=finite,
+                       help="slot duration in seconds (default from config, else 1)")
 
     p_census = sub.add_parser("census", help="link counts by type and permanence")
     p_census.add_argument("--range", type=finite, action="append",

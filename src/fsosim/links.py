@@ -26,17 +26,19 @@ cos(2u + delta) = +/-1. Intra-plane classes get the chord 2 r sin(delta/2).
 The state of one slot time that its snapshots, proofs and lower bounds
 share lives in one Instant: the shell's positions, and per station its
 position, ground links and central angles, each computed once, when first
-read. Candidate pairs, and so a snapshot's satellite links, come sorted by
-endpoints; plane-relation types and permanence are computed when first read.
-A pass over the few satellites that pruning keeps costs what those
-satellites cost, not what the shell does: it generates their pairs either
-from their runs of the class table or, when there are fewer ordered live
-pairs than run entries, by looking every ordered live pair up in a table
-of classes by plane and slot offset (_ClassRuns.lookup), and it measures
-ground links only for the satellites that pass a dot-product test. Since
-every link is a candidate pair, the connected components of a mask's
-candidate pairs can prove, without a snapshot, that no link path joins
-two stations (LinkEngine.proven_pathless).
+read; that of one (range, mode), its class mask and the tables its
+candidate pairs come from, in one LinkClasses. Candidate pairs, and so a
+snapshot's satellite links, come sorted by endpoints; plane-relation types
+and permanence are computed when first read. A pass over the few
+satellites that pruning keeps costs what those satellites cost, not what
+the shell does: it generates their pairs either from their runs of the
+class table or, when there are fewer ordered live pairs than run entries,
+by looking every ordered live pair up in a table of classes by plane and
+slot offset (LinkClasses.lookup), and it measures ground links only for
+the satellites that pass a dot-product test. Since every link is a
+candidate pair, the connected components of a mask's candidate pairs can
+prove, without a snapshot, that no link path joins two stations
+(LinkEngine.proven_pathless).
 """
 from __future__ import annotations
 
@@ -96,25 +98,24 @@ class GraphSnapshot:
     Satellite nodes use flat indices 0..N-1; ground stations follow in the
     order given, at indices N..N+K-1. Link data is held in parallel arrays,
     one set for satellite links (sat_a < sat_b, sorted) and one for ground
-    links, which are all temporary: the links of (range, mode) among a slot
+    links, which are all temporary: the links of a LinkClasses among a slot
     geometry's pairs, and the ground links of its Instant (with alive, a
     mask over the satellites, only those to live satellites). Link types
     and permanence are read lazily.
     """
 
-    def __init__(self, geometry: SlotGeometry, lisl_range_km: float, mode: Mode, stations,
+    def __init__(self, geometry: SlotGeometry, classes: LinkClasses, stations,
                  alive: np.ndarray | None = None):
         instant = geometry.instant
         self.time_s = instant.time_s
-        self.lisl_range_km = lisl_range_km
-        self.mode = mode
+        self.lisl_range_km = classes.lisl_range_km
+        self.mode = classes.mode
         self.constellation = instant.engine.constellation
         self.constants = instant.engine.constants
         self.stations = tuple(stations)
         self._geometry = geometry
-        self._index = index = geometry.selection(float(lisl_range_km), mode)
+        self._index = index = geometry.selection(classes)
         self.sat_positions = instant.positions
-        self.gs_positions = np.reshape([instant.station(gs)[0] for gs in self.stations], (-1, 3))
         self.sat_a = _pick(geometry.pairs.a, index)
         self.sat_b = _pick(geometry.pairs.b, index)
         self.sat_length_km = _pick(geometry.length_km, index)
@@ -132,12 +133,17 @@ class GraphSnapshot:
         self.gs_length_km = _concat(slants, dtype=float)
 
     @functools.cached_property
+    def gs_positions(self) -> np.ndarray:
+        instant = self._geometry.instant
+        return np.reshape([instant.station(gs)[0] for gs in self.stations], (-1, 3))
+
+    @functools.cached_property
     def sat_type_code(self) -> np.ndarray:
         return _pick(self._geometry.type_code, self._index)
 
     @functools.cached_property
     def sat_permanent(self) -> np.ndarray:
-        permanent = self._geometry.instant.engine._class_mask(self.lisl_range_km, Mode.NG)
+        permanent = self._geometry.instant.engine.classes(self.lisl_range_km, Mode.NG).mask
         return np.take(permanent, _pick(self._geometry.pairs.cls, self._index))
 
     @property
@@ -178,14 +184,14 @@ class LinkEngine:
     pair_min_table_km (the largest and smallest separation over one period
     by plane offset and slot offset), are computed once at construction and
     are read-only afterwards, so one engine can serve any number of slots,
-    ranges, and modes. Each (range, mode)'s class mask (_class_mask,
-    read-only) and each class mask's runs (_class_runs) are built when
-    first read and then kept, and every pass generates its candidate pairs
-    from them: the 14 runs tables of the Starlink study hold 0.8 MiB and
-    their lookup tables 0.17 MiB, where their candidate lists held
-    12.8 MiB. The caches have no lock, so threads must not build snapshots
-    on one engine concurrently. Forked worker processes may share an
-    engine; each builds the tables it reads.
+    ranges, and modes. Each (range, mode) has one LinkClasses (classes),
+    built when first asked for and then kept in one dict, and every pass
+    generates its candidate pairs from the tables it holds: the 14 runs
+    tables of the Starlink study hold 0.8 MiB and their lookup tables
+    0.17 MiB, where their candidate lists held 12.8 MiB. The cache has no
+    lock, so threads must not build snapshots on one engine concurrently.
+    Forked worker processes may share an engine; each builds the tables it
+    reads.
     Snapshots, geometries and proofs take their time in seconds or as an
     Instant of this engine, whose state the calls at that time share.
     """
@@ -196,7 +202,7 @@ class LinkEngine:
         self.constants = constants if constants is not None else PhysicalConstants()
         self.earth_rotation0_deg = earth_rotation0_deg
         self.pair_max_table_km, self.pair_min_table_km = self._build_class_tables()
-        self._runs_cache: dict[bytes, tuple] = {}
+        self._classes: dict[tuple, LinkClasses] = {}
 
     # -- pair classes -------------------------------------------------
 
@@ -217,76 +223,22 @@ class LinkEngine:
         pair_max[0, 0] = pair_min[0, 0] = np.inf  # a satellite is no pair with itself
         return pair_max, pair_min
 
-    # -- snapshots ----------------------------------------------------
-
-    @functools.cached_property
-    def _masks(self) -> dict:
-        """Each (range, mode)'s class mask, as _class_mask first built it."""
-        return {}
-
-    def _class_mask(self, lisl_range_km: float, mode: Mode) -> np.ndarray:
-        """Pair classes (dp, ds) that can ever satisfy (range, mode), as a
-        read-only array built once per (range, mode).
-
-        NG keeps classes whose max stays within range (permanent); NNG keeps
-        classes whose min ever comes within range.
-        """
-        mask = self._masks.get((lisl_range_km, mode))
-        if mask is None:
+    def classes(self, lisl_range_km: float, mode: Mode) -> LinkClasses:
+        """The LinkClasses of (range, mode), built once and then kept. NG
+        keeps classes whose max stays within range (permanent); NNG keeps
+        classes whose min ever comes within range."""
+        r, mode = float(lisl_range_km), Mode(mode)
+        found = self._classes.get((r, mode))
+        if found is None:
             if mode is Mode.NG:
-                mask = self.pair_max_table_km <= lisl_range_km
+                mask = self.pair_max_table_km <= r
             else:
                 # The 1 m guard absorbs rounding in the exact extrema and in
                 # measured lengths, so the cut keeps every pair ever in range.
-                mask = self.pair_min_table_km <= lisl_range_km + 1e-3
+                mask = self.pair_min_table_km <= r + 1e-3
             mask.setflags(write=False)
-            self._masks[(lisl_range_km, mode)] = mask
-        return mask
-
-    def _class_runs(self, class_mask: np.ndarray) -> _ClassRuns:
-        """The candidate pairs of class_mask as runs of one table, cached per
-        mask (see _ClassRuns)."""
-        key = class_mask.tobytes()
-        cached = self._runs_cache.get(key)
-        if cached is not None:
-            return cached
-        spec = self.constellation.spec
-        # Class (dp, ds) takes base a = p S + s to b = p S + k, with
-        # k = dp S + (s + ds) mod S, so a < b iff k > s, and b lies in the
-        # shell iff dp < P - p. With each slot's classes sorted by k once,
-        # a base's partners are one run of its slot's row, sorted by b.
-        planes, slots = spec.plane_count, spec.sats_per_plane
-        cls_dp, cls_ds = np.nonzero(class_mask)
-        slot = np.arange(slots)[:, None]
-        k = cls_dp * slots + (slot + cls_ds) % slots
-        order = np.argsort(k, axis=1)
-        first = np.count_nonzero(k <= slot, axis=1)
-        stop = np.cumsum(np.bincount(cls_dp, minlength=planes))[::-1]  # classes with dp < P - p
-        result = _ClassRuns(
-            mask=class_mask.copy(),
-            step=(np.take_along_axis(k, order, axis=1) - slot).astype(np.int32),
-            cls=(cls_dp * slots + cls_ds).astype(np.int16)[order],
-            start=np.tile(np.arange(slots) * len(cls_dp) + first, planes).astype(np.int32),
-            size=(stop[:, None] - first).ravel().astype(np.int32))
-        self._runs_cache[key] = result
-        return result
-
-    def _candidate_pairs(self, class_mask: np.ndarray,
-                         alive: np.ndarray | None = None) -> _PairRows:
-        """Satellite pairs a < b whose class lies in class_mask, sorted by
-        (a, b); with alive, a mask over the satellites, only the pairs of
-        two live satellites. The m live satellites' pairs come from their
-        runs, or, if m^2 is below the runs' summed size, from a lookup of
-        every ordered live pair (_ClassRuns.lookup), so that a pass costs the
-        smaller of the two. The pairs of a smaller mask are an
-        order-preserving subsequence of those of a larger one."""
-        runs = self._class_runs(class_mask)
-        if alive is None:
-            return runs.gather(np.arange(len(runs.size), dtype=np.int32))
-        live = np.flatnonzero(alive).astype(np.int32)
-        if len(live) ** 2 < np.take(runs.size, live).sum():
-            return runs.lookup(live)
-        return runs.gather(live, alive)
+            found = self._classes[r, mode] = LinkClasses(r, mode, mask, self.line_of_sight_binds(r))
+        return found
 
     def line_of_sight_binds(self, lisl_range_km: float) -> bool:
         """True iff the range exceeds the grazing chord, so that the Earth can
@@ -294,6 +246,8 @@ class LinkEngine:
         r_orbit = self.constellation.spec.orbit_radius_km
         occ = self.constants.occlusion_radius_km
         return lisl_range_km > 2.0 * math.sqrt(max(r_orbit**2 - occ**2, 0.0))
+
+    # -- snapshots ----------------------------------------------------
 
     def _instant(self, t: float | Instant) -> Instant:
         """t as an Instant of this engine: t itself, or a new one at t seconds."""
@@ -305,27 +259,28 @@ class LinkEngine:
     def slot_geometry(self, t: float | Instant, requests) -> SlotGeometry:
         """The state at time t that snapshots for any of the requests share.
 
-        requests is an iterable of (lisl_range_km, Mode). The candidate
-        pairs of all requests are measured once as one superset, on the
-        positions of the Instant t; pairs longer than the largest requested
-        range are dropped.
+        requests is an iterable of (lisl_range_km, Mode). They are measured
+        once, on the positions of the Instant t, as the one class set that
+        covers them all: since classes grow with the range and an NG class
+        set lies inside the NNG one of its range, that is the classes of the
+        largest requested range, under NNG if any request is NNG.
         """
-        requests = frozenset((float(r), Mode(mode)) for r, mode in requests)
+        requests = [(float(r), Mode(mode)) for r, mode in requests]
         if not requests:
             raise ValueError("a slot geometry needs at least one (range, mode) request")
-        return self._measure(self._instant(t), requests)
+        mode = Mode.NNG if any(m is Mode.NNG for _, m in requests) else Mode.NG
+        return self._measure(self._instant(t), self.classes(max(r for r, _ in requests), mode))
 
-    def _measure(self, instant: Instant, requests: frozenset,
+    def _measure(self, instant: Instant, cover: LinkClasses,
                  alive: np.ndarray | None = None) -> SlotGeometry:
-        """The slot geometry of the requests at the instant; with alive, a
-        mask over the satellites, only the pairs of two live satellites, so
-        that a pass over few satellites generates few candidate pairs."""
-        masks = [self._class_mask(r, mode) for r, mode in requests]
-        union = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
-        pairs = self._candidate_pairs(union, alive)
+        """The candidate pairs of cover at the instant that lie within its
+        range; with alive, a mask over the satellites, only the pairs of two
+        live satellites, so that a pass over few satellites generates few
+        candidate pairs."""
+        pairs = cover.pairs(alive)
         length = pairs.per_pair(instant.positions, _distance, float)
-        near = np.flatnonzero(length <= max(r for r, _ in requests))
-        return SlotGeometry(instant=instant, requests=requests, pairs=pairs.take(near),
+        near = np.flatnonzero(length <= cover.lisl_range_km)
+        return SlotGeometry(instant=instant, cover=cover, pairs=pairs.take(near),
                             length_km=length[near])
 
     def snapshot(self, t: float | Instant, lisl_range_km: float, mode: Mode,
@@ -334,8 +289,8 @@ class LinkEngine:
                  alive: np.ndarray | None = None) -> GraphSnapshot:
         """All links feasible at time t under the range and link policy.
 
-        With geometry from slot_geometry at the same time and with (range,
-        mode) among its requests, the snapshot selects its links from that
+        With geometry from slot_geometry at the same time, whose cover
+        covers (range, mode), the snapshot selects its links from that
         shared state. Without it, the snapshot measures a geometry of its
         own on the Instant t, whose positions and ground links the calls at
         that time share. The links come out in the same order either way. A
@@ -347,15 +302,16 @@ class LinkEngine:
         them. A shared geometry takes no mask.
         """
         instant = self._instant(t)
+        classes = self.classes(lisl_range_km, mode)
         if geometry is None:
-            geometry = self._measure(instant, frozenset({(float(lisl_range_km), Mode(mode))}),
-                                     alive)
+            geometry = self._measure(instant, classes, alive)
         elif (alive is not None or geometry.instant.engine is not self
               or geometry.instant.time_s != instant.time_s
-              or (float(lisl_range_km), mode) not in geometry.requests):
+              or geometry.cover.lisl_range_km < classes.lisl_range_km
+              or (geometry.cover.mode, classes.mode) == (Mode.NG, Mode.NNG)):
             raise ValueError(f"a shared geometry takes no mask and must cover {mode.value} at "
                              f"{lisl_range_km:g} km and t = {instant.time_s:g} s")
-        return GraphSnapshot(geometry, lisl_range_km, mode, ground_stations, alive)
+        return GraphSnapshot(geometry, classes, ground_stations, alive)
 
     def proven_pathless(self, instant: Instant, lisl_range_km: float, mode: Mode,
                         src: GroundStation, dst: GroundStation) -> bool:
@@ -364,32 +320,52 @@ class LinkEngine:
         component of the mask's candidate-pair graph with one that dst
         links to. Every satellite link of such a snapshot is a candidate
         pair, so no path can cross between those components. The labels
-        are built once per class mask, when first read (_ClassRuns.labels)."""
-        labels = self._class_runs(self._class_mask(float(lisl_range_km), Mode(mode))).labels
+        are built once per (range, mode), when first read (LinkClasses.labels)."""
+        labels = self.classes(lisl_range_km, mode).labels
         src_labels, dst_labels = (np.take(labels, instant.ground_links(gs)[0])
                                   for gs in (src, dst))
         return not np.isin(src_labels, dst_labels).any()
 
 
 @dataclass(frozen=True, eq=False)
-class _ClassRuns:
-    """The candidate pairs of one class mask (P x S) as runs of one table,
-    and, built when first read, as a lookup table by plane and slot offset
-    and as the component labels of the graph they form.
+class LinkClasses:
+    """The candidate classes of one (range, mode) (LinkEngine.classes):
+    mask (P x S, read-only) holds the pair classes (dp, ds) that can ever
+    be its links, and line_of_sight whether the Earth can block a pair
+    within range. Built when first read: its candidate pairs as runs of one
+    table, a lookup table by plane and slot offset, and the component
+    labels of the graph the pairs form.
 
-    Row s of step and cls (S x C) holds the mask's C classes seen from a
-    base of slot s, sorted by step = b - a, with the flat class of each;
-    base a's partners b > a in the shell are the entries
-    [start[a], start[a] + size[a]) of the flattened rows. gather reads
-    the runs of some bases; lookup looks every ordered pair of some
-    satellites up in table.
+    runs is (step, cls, start, size). Row s of step and cls (S x C) holds
+    the mask's C classes seen from a base of slot s, sorted by step = b - a,
+    with the flat class of each; base a's partners b > a in the shell are
+    the entries [start[a], start[a] + size[a]) of the flattened rows.
+    pairs reads the runs of some bases (gather) or looks every ordered pair
+    of some satellites up in table (lookup), whichever is cheaper.
     """
 
+    lisl_range_km: float
+    mode: Mode
     mask: np.ndarray
-    step: np.ndarray
-    cls: np.ndarray
-    start: np.ndarray
-    size: np.ndarray
+    line_of_sight: bool
+
+    @functools.cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # Class (dp, ds) takes base a = p S + s to b = p S + k, with
+        # k = dp S + (s + ds) mod S, so a < b iff k > s, and b lies in the
+        # shell iff dp < P - p. With each slot's classes sorted by k once,
+        # a base's partners are one run of its slot's row, sorted by b.
+        planes, slots = self.mask.shape
+        cls_dp, cls_ds = np.nonzero(self.mask)
+        slot = np.arange(slots)[:, None]
+        k = cls_dp * slots + (slot + cls_ds) % slots
+        order = np.argsort(k, axis=1)
+        first = np.count_nonzero(k <= slot, axis=1)
+        stop = np.cumsum(np.bincount(cls_dp, minlength=planes))[::-1]  # classes with dp < P - p
+        return ((np.take_along_axis(k, order, axis=1) - slot).astype(np.int32),
+                (cls_dp * slots + cls_ds).astype(np.int16)[order],
+                np.tile(np.arange(slots) * len(cls_dp) + first, planes).astype(np.int32),
+                (stop[:, None] - first).ravel().astype(np.int32))
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -410,28 +386,45 @@ class _ClassRuns:
     def labels(self) -> np.ndarray:
         """Per satellite, the label of its connected component in the graph
         of every candidate pair of the mask."""
-        n = len(self.size)
+        n = self.mask.size
         pairs = self.gather(np.arange(n, dtype=np.int32))
         # The pairs come sorted by a, so the runs' sizes are the CSR row counts.
-        indptr = np.concatenate(([0], np.cumsum(self.size)))
+        indptr = np.concatenate(([0], np.cumsum(self.runs[3])))
         graph = csr_matrix((np.ones(len(pairs.b), dtype=bool), pairs.b, indptr), shape=(n, n))
         labels = connected_components(graph, directed=False)[1]
         labels.setflags(write=False)
         return labels
 
+    def pairs(self, alive: np.ndarray | None = None) -> _PairRows:
+        """Satellite pairs a < b whose class lies in the mask, sorted by
+        (a, b); with alive, a mask over the satellites, only the pairs of
+        two live satellites. The m live satellites' pairs come from their
+        runs, or, if m^2 is below the runs' summed size, from a lookup of
+        every ordered live pair, so that a pass costs the smaller of the
+        two. The pairs of a smaller mask are an order-preserving
+        subsequence of those of a larger one."""
+        size = self.runs[3]
+        if alive is None:
+            return self.gather(np.arange(len(size), dtype=np.int32))
+        live = np.flatnonzero(alive).astype(np.int32)
+        if len(live) ** 2 < np.take(size, live).sum():
+            return self.lookup(live)
+        return self.gather(live, alive)
+
     def gather(self, a: np.ndarray, alive: np.ndarray | None = None) -> _PairRows:
         """The pairs of the bases a (ascending int32 flat indices), sorted by
         (a, b), gathered from their runs; with alive, only those whose b is
         live too."""
-        size = np.take(self.size, a)
-        rows = _run_rows(np.take(self.start, a), size)
+        step, cls, start, size = self.runs
+        size = np.take(size, a)
+        rows = _run_rows(np.take(start, a), size)
         a = np.repeat(a, size)
-        b = a + np.take(self.step, rows)
+        b = a + np.take(step, rows)
         if alive is not None:
             # Gathering the few live pairs by index is faster than three masks.
             live = np.flatnonzero(np.take(alive, b))
             rows, a, b = np.take(rows, live), np.take(a, live), np.take(b, live)
-        return _PairRows(a=a, b=b, cls=np.take(self.cls, rows))
+        return _PairRows(a=a, b=b, cls=np.take(cls, rows))
 
     def lookup(self, live: np.ndarray) -> _PairRows:
         """The pairs among the live satellites (ascending int32 flat indices),
@@ -567,14 +560,14 @@ class SlotGeometry:
     """Satellite pairs at one Instant, shared by the snapshots of many queries.
 
     Made by LinkEngine.slot_geometry, or by a snapshot for itself. pairs
-    holds every pair of the requests' candidate classes that lies within
-    the largest requested range, with its length. The plane-relation type
-    codes and line of sight are computed on first use and then kept; the
-    positions and ground links are the instant's.
+    holds every candidate pair of cover, the LinkClasses that covers each
+    (range, mode) it serves, within cover's range, with its length. The
+    plane-relation type codes and line of sight are computed on first use
+    and then kept; the positions and ground links are the instant's.
     """
 
     instant: Instant
-    requests: frozenset
+    cover: LinkClasses
     pairs: _PairRows
     length_km: np.ndarray
     _selected: dict = field(default_factory=dict, init=False, repr=False)
@@ -605,20 +598,19 @@ class SlotGeometry:
         return self.pairs.per_pair(self.instant.positions,
                                    lambda p, q: _segments_clear_origin(p, q, occ), bool)
 
-    def selection(self, lisl_range_km: float, mode: Mode) -> np.ndarray | slice:
-        """Index of the pairs that are links of (range, mode), as int32, or
-        slice(None) if every pair is; selected once per (range, mode)."""
-        index = self._selected.get((lisl_range_km, mode))
+    def selection(self, classes: LinkClasses) -> np.ndarray | slice:
+        """Index of the pairs that are links of classes' (range, mode), as
+        int32, or slice(None) if every pair is; selected once per classes."""
+        index = self._selected.get(classes)
         if index is None:
-            engine = self.instant.engine
-            keep = np.take(engine._class_mask(lisl_range_km, mode), self.pairs.cls)
-            keep &= self.length_km <= lisl_range_km
-            if engine.line_of_sight_binds(lisl_range_km):
+            keep = np.take(classes.mask, self.pairs.cls)
+            keep &= self.length_km <= classes.lisl_range_km
+            if classes.line_of_sight:
                 keep &= self.clear_of_earth
             # Keeping every pair hands out views of the geometry's arrays,
             # which snapshots, like their shared positions, never write to.
             index = slice(None) if keep.all() else np.flatnonzero(keep).astype(np.int32)
-            self._selected[(lisl_range_km, mode)] = index
+            self._selected[classes] = index
         return index
 
 

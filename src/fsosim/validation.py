@@ -51,7 +51,7 @@ def permanent_degree_profile(constellation: Constellation,
                              ranges_km=DEFAULT_RANGES_KM) -> tuple[int, ...]:
     """Permanent-link degree of every satellite (they are all equal) per range."""
     engine = LinkEngine(constellation)
-    return tuple(int(engine._class_mask(r, Mode.NG).sum()) for r in ranges_km)
+    return tuple(int(engine.classes(r, Mode.NG).mask.sum()) for r in ranges_km)
 
 
 def total_degree_profile(constellation: Constellation, t: float,

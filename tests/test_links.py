@@ -397,7 +397,9 @@ def assert_same_snapshot(expected, actual):
 @pytest.mark.parametrize("shell_name", ["starlink", "walker-6x20"])
 def test_shared_geometry_selection_equals_own_snapshot(shell_name, engine):
     """Selecting from one superset geometry gives each of the 14 (range, mode)
-    snapshots exactly, in the same link order, as measuring it alone."""
+    snapshots exactly, in the same link order, as measuring it alone: a
+    geometry requested for all 14, and one requested only for their cover,
+    NNG at 5,016 km."""
     if shell_name != "starlink":
         engine = small_walker_engine()
     stations = (GroundStation("Sydney", -33.8614, 151.2099),
@@ -405,16 +407,18 @@ def test_shared_geometry_selection_equals_own_snapshot(shell_name, engine):
                 GroundStation("Quito", -0.18, -78.47))
     requests = [(r, mode) for r in STANDARD_RANGES for mode in Mode]
     for t in SHARED_PASS_TIMES:
-        shared = engine.slot_geometry(t, requests)
+        geometries = [engine.slot_geometry(t, asked) for asked in (requests, [(5016.0, Mode.NNG)])]
         for r, mode in requests:
             alone = engine.snapshot(t, r, mode, stations)
-            assert_same_snapshot(alone, engine.snapshot(t, r, mode, stations, shared))
+            for shared in geometries:
+                assert_same_snapshot(alone, engine.snapshot(t, r, mode, stations, shared))
 
 
 def test_shared_geometry_selects_each_range_and_mode_once(engine, monkeypatch):
     """The 26 study queries of one instant hold 14 (range, mode) pairs: from
     a shared geometry they select their links 14 times, and each snapshot
-    equals the one the query measures alone."""
+    equals the one the query measures alone. Each of the 14 selections is
+    keyed by the engine's LinkClasses of its (range, mode)."""
     queries = [(BUNDLED_STATIONS[a], BUNDLED_STATIONS[b], r, mode)
                for a, b, ranges in ((0, 1, STANDARD_RANGES), (2, 3, (1700.0, 5016.0)),
                                     (4, 5, (1700.0, 5016.0)), (6, 7, (1700.0, 5016.0)))
@@ -422,16 +426,17 @@ def test_shared_geometry_selects_each_range_and_mode_once(engine, monkeypatch):
     alone = [engine.snapshot(7.0, r, mode, (src, dst)) for src, dst, r, mode in queries]
     shared = engine.slot_geometry(7.0, {(r, mode) for _, _, r, mode in queries})
     selections = []
-    class_mask = LinkEngine._class_mask
+    selection = links.SlotGeometry.selection
 
-    def counting(self, lisl_range_km, mode):
-        selections.append((lisl_range_km, mode))
-        return class_mask(self, lisl_range_km, mode)
+    def counting(self, classes):
+        if classes not in self._selected:
+            selections.append(classes)
+        return selection(self, classes)
 
-    monkeypatch.setattr(LinkEngine, "_class_mask", counting)
+    monkeypatch.setattr(links.SlotGeometry, "selection", counting)
     selected = [engine.snapshot(7.0, r, mode, (src, dst), shared) for src, dst, r, mode in queries]
-    monkeypatch.undo()  # permanence, read lazily below, states its rule with _class_mask too
     assert len(queries) == 26 and len(selections) == 14
+    assert set(selections) == {engine.classes(r, mode) for _, _, r, mode in queries}
     for expected, snap in zip(alone, selected):
         assert_same_snapshot(expected, snap)
 
@@ -482,19 +487,19 @@ def reference_type_codes(shell, a, b, t):
 
 @pytest.mark.parametrize("count", [0, 1, links._PAIR_BLOCK - 1, links._PAIR_BLOCK,
                                    links._PAIR_BLOCK + 1])
-def test_blockwise_geometry_equals_one_pass(count, shell):
+def test_blockwise_geometry_equals_one_pass(count, shell, monkeypatch):
     """Lengths, plane-relation types and line of sight computed block by
     block equal one einsum over the whole candidate list, bit for bit."""
     engine = LinkEngine(shell)
     t, r = 321.0, 5016.0
-    candidates = engine._candidate_pairs(engine._class_mask(r, Mode.NNG)).take(slice(0, count))
+    candidates = engine.classes(r, Mode.NNG).pairs().take(slice(0, count))
     assert len(candidates.a) == count
 
-    def first_candidates(_mask, alive):
+    def first_candidates(_classes, alive=None):
         assert alive is None
         return candidates
 
-    engine._candidate_pairs = first_candidates
+    monkeypatch.setattr(links.LinkClasses, "pairs", first_candidates)
     geometry = engine.slot_geometry(t, [(r, Mode.NNG)])
 
     pos = shell.positions_at(t)
@@ -558,32 +563,37 @@ def test_candidate_pairs_come_sorted(shell, mode, chord_fraction):
     """Candidate lists are strictly increasing in a * N + b, and hold the
     pairs and classes that unsorted generation gives."""
     engine = LinkEngine(shell)
-    mask = engine._class_mask(chord_fraction * grazing_chord_km(engine), mode)
-    pairs = engine._candidate_pairs(mask)
+    classes = engine.classes(chord_fraction * grazing_chord_km(engine), mode)
+    pairs = classes.pairs()
     assert np.all(np.diff(pairs.a.astype(np.int64) * len(shell) + pairs.b) > 0)
     found = set(zip(pairs.a.tolist(), pairs.b.tolist(), pairs.cls.tolist()))
     assert len(found) == len(pairs.a)
-    assert found == generated_candidate_pairs(engine, mask)
+    assert found == generated_candidate_pairs(engine, classes.mask)
 
 
 def test_empty_mask_gives_empty_lists(shell):
     engine = LinkEngine(shell)
-    pairs = engine._candidate_pairs(np.zeros_like(engine.pair_max_table_km, dtype=bool))
+    classes = engine.classes(1.0, Mode.NG)  # below every class
+    assert not classes.mask.any()
+    pairs = classes.pairs()
     assert [(len(x), x.dtype) for x in (pairs.a, pairs.b, pairs.cls)] == [
         (0, np.int32), (0, np.int32), (0, np.int16)]
 
 
 def test_starlink_lists_equal_generated_pairs(shell):
-    """Each of the 14 Starlink candidate lists, and the list of their union,
-    holds the pairs and classes that unsorted generation gives, strictly
-    ascending in a * N + b."""
+    """Each of the 14 Starlink candidate lists holds the pairs and classes
+    that unsorted generation gives, strictly ascending in a * N + b; and a
+    geometry shared by all 14 measures the candidate pairs of their cover,
+    the very classes of NNG at 5,016 km."""
     engine = LinkEngine(shell)
-    masks = [engine._class_mask(r, mode) for r in STANDARD_RANGES for mode in Mode]
-    for mask in masks + [np.logical_or.reduce(masks)]:
-        pairs = engine._candidate_pairs(mask)
+    requests = [(r, mode) for r in STANDARD_RANGES for mode in Mode]
+    assert engine.slot_geometry(0.0, requests).cover is engine.classes(5016.0, Mode.NNG)
+    for r, mode in requests:
+        classes = engine.classes(r, mode)
+        pairs = classes.pairs()
         assert pairs.a.dtype == pairs.b.dtype == np.int32 and pairs.cls.dtype == np.int16
         assert np.all(np.diff(pairs.a.astype(np.int64) * len(shell) + pairs.b) > 0)
-        generated = generated_candidate_pairs(engine, mask)
+        generated = generated_candidate_pairs(engine, classes.mask)
         assert len(pairs.a) == len(generated)
         assert set(zip(pairs.a.tolist(), pairs.b.tolist(), pairs.cls.tolist())) == generated
 
@@ -727,16 +737,18 @@ def starlink_engine():
 
 @st.composite
 def live_pair_cases(draw):
-    """An engine, a class mask and a mask of live satellites: a masked small
-    shell's mask under either mode, or on the Starlink shell one of the 14
-    study masks or their union, under a mask of any of MASK_KINDS."""
+    """An engine, a LinkClasses and a mask of live satellites: a masked small
+    shell's range under either mode, or on the Starlink shell one of the
+    14 study (range, mode) pairs, whose cover is among them
+    (test_starlink_lists_equal_generated_pairs), under a mask of any of
+    MASK_KINDS."""
     if draw(st.booleans()):
         engine, r, alive = draw(masked_shells())
-        return engine, engine._class_mask(r, draw(st.sampled_from(list(Mode)))), alive
+        return engine, engine.classes(r, draw(st.sampled_from(list(Mode)))), alive
     engine = starlink_engine()
-    masks = [engine._class_mask(r, mode) for r in STANDARD_RANGES for mode in Mode]
-    mask = draw(st.sampled_from(masks + [np.logical_or.reduce(masks)]))
-    return engine, mask, draw(alive_masks(engine, draw(st.sampled_from(STANDARD_RANGES))))
+    classes = engine.classes(draw(st.sampled_from(STANDARD_RANGES)),
+                             draw(st.sampled_from(list(Mode))))
+    return engine, classes, draw(alive_masks(engine, draw(st.sampled_from(STANDARD_RANGES))))
 
 
 @settings(deadline=None, max_examples=300)
@@ -746,10 +758,10 @@ def test_live_pairs_are_the_filtered_list(case):
     unmasked pairs whose two satellites are live, in the same order and
     dtypes; and an engine that has built other masks' tables generates the
     unmasked pairs that a fresh engine does."""
-    engine, class_mask, alive = case
-    whole = engine._candidate_pairs(class_mask)
-    live = engine._candidate_pairs(class_mask, alive)
-    fresh = LinkEngine(engine.constellation)._candidate_pairs(class_mask)
+    engine, classes, alive = case
+    whole = classes.pairs()
+    live = classes.pairs(alive)
+    fresh = LinkEngine(engine.constellation).classes(classes.lisl_range_km, classes.mode).pairs()
     keep = alive[whole.a] & alive[whole.b]
     for name in ("a", "b", "cls"):
         x, y, z = getattr(live, name), getattr(whole, name), getattr(fresh, name)
@@ -761,12 +773,12 @@ def recording_branches(taken):
     """Patches of the two generation branches that append their names,
     "gather" or "lookup", to taken before they run."""
     def recording(name):
-        method = getattr(links._ClassRuns, name)
+        method = getattr(links.LinkClasses, name)
 
         def record(self, *args):
             taken.append(name)
             return method(self, *args)
-        return mock.patch.object(links._ClassRuns, name, record)
+        return mock.patch.object(links.LinkClasses, name, record)
     return recording("gather"), recording("lookup")
 
 
@@ -774,25 +786,25 @@ def recording_branches(taken):
 @given(case=live_pair_cases(), block=st.sampled_from([links._PAIR_BLOCK, 1, 7, 100]))
 def test_both_generation_paths_give_the_filtered_list(case, block):
     """The two ways of generating the pairs of m live satellites, from their
-    runs (_ClassRuns.gather) and by looking every ordered live pair up
-    (_ClassRuns.lookup, here also over blocks of a few entries), each give
+    runs (LinkClasses.gather) and by looking every ordered live pair up
+    (LinkClasses.lookup, here also over blocks of a few entries), each give
     the unmasked pairs whose two satellites are live, in the same order and
-    dtypes; and a masked _candidate_pairs takes the lookup exactly when m^2
+    dtypes; and a masked LinkClasses.pairs takes the lookup exactly when m^2
     lies below the live runs' summed size. The masks (none, one or all but
     one live satellite, random, cut by lower bounds) lie on both sides of
     that switch."""
-    engine, class_mask, alive = case
-    whole = engine._candidate_pairs(class_mask)
+    _engine, classes, alive = case
+    whole = classes.pairs()
     keep = alive[whole.a] & alive[whole.b]
-    runs = engine._class_runs(class_mask)
     live = np.flatnonzero(alive).astype(np.int32)
     with mock.patch.object(links, "_PAIR_BLOCK", block):
-        branches = [runs.gather(live, alive), runs.lookup(live)]
+        branches = [classes.gather(live, alive), classes.lookup(live)]
     taken = []
     gather_patch, lookup_patch = recording_branches(taken)
     with gather_patch, lookup_patch:
-        dispatched = engine._candidate_pairs(class_mask, alive)
-    assert taken == ["lookup" if len(live) ** 2 < runs.size[live].sum() else "gather"]
+        dispatched = classes.pairs(alive)
+    size = classes.runs[3]
+    assert taken == ["lookup" if len(live) ** 2 < size[live].sum() else "gather"]
     for pairs in branches + [dispatched]:
         for name in ("a", "b", "cls"):
             x, y = getattr(pairs, name), getattr(whole, name)
@@ -880,8 +892,9 @@ def test_station_geometry_equals_the_whole_shell_rule(case):
 def test_class_masks_are_built_once_and_read_only(engine):
     for r in STANDARD_RANGES:
         for mode in Mode:
-            mask = engine._class_mask(r, mode)
-            assert engine._class_mask(r, mode) is mask and not mask.flags.writeable
+            classes = engine.classes(r, mode)
+            mask = classes.mask
+            assert engine.classes(r, mode) is classes and not mask.flags.writeable
             with pytest.raises(ValueError):
                 mask[0, 0] = True
 
@@ -908,7 +921,7 @@ def test_engine_holds_little_for_the_study_masks(shell):
     for r in STANDARD_RANGES:
         for mode in Mode:
             engine.snapshot(0.0, r, mode)
-            engine._class_runs(engine._class_mask(r, mode)).table
+            engine.classes(r, mode).table
     state = {key: value for key, value in vars(engine).items()
              if key not in ("constellation", "constants")}
     assert 0 < held_bytes(state) < 2 * 2**20

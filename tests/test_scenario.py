@@ -476,7 +476,8 @@ def test_component_labels_prove_only_pathless_slots(case):
     path when routed unpruned."""
     engine, cfg = case
     spec = engine.constellation.spec
-    mask = engine._class_mask(cfg.lisl_range_km, cfg.mode)
+    classes = engine.classes(cfg.lisl_range_km, cfg.mode)
+    mask = classes.mask
     n = spec.plane_count * spec.sats_per_plane
     parent = list(range(n))
 
@@ -494,7 +495,7 @@ def test_component_labels_prove_only_pathless_slots(case):
         for partner in b[mask[np.abs(plane[b] - plane[a]), ds % spec.sats_per_plane]]:
             parent[find(a)] = find(int(partner))
     roots = [find(x) for x in range(n)]
-    labels = engine._class_runs(mask).labels
+    labels = classes.labels
     assert len(set(labels)) == len(set(roots)) == len(set(zip(labels, roots)))
     records = unpruned(engine, cfg)
     proven = [i for i in range(cfg.slot_count) if proven_pathless(engine, cfg, i)]

@@ -1,4 +1,5 @@
 import collections
+import functools
 
 import pytest
 
@@ -62,6 +63,7 @@ def test_census_checks_share_one_geometry(monkeypatch):
     counts, shell, counting = collections.Counter(), [None], [True]
     positions_at, ground_position = Constellation.positions_at, links.ground_station_position
     latitude_check = validation.check_latitude_connectivity
+    build_runs = links.LinkClasses.runs.func
 
     class CountingEngine(LinkEngine):
         def __init__(self, constellation, *args):
@@ -69,10 +71,13 @@ def test_census_checks_share_one_geometry(monkeypatch):
             shell[0] = constellation
             counts.clear()
 
-        def _class_runs(self, class_mask):
-            if counting[0] and class_mask.tobytes() not in self._runs_cache:
-                counts["table builds"] += 1
-            return super()._class_runs(class_mask)
+    def building_runs(self):
+        if counting[0]:
+            counts["table builds"] += 1
+        return build_runs(self)
+
+    runs = functools.cached_property(building_runs)
+    runs.__set_name__(links.LinkClasses, "runs")
 
     def propagating(self, t):
         if counting[0] and self is shell[0]:
@@ -92,6 +97,7 @@ def test_census_checks_share_one_geometry(monkeypatch):
             counting[0] = True
 
     monkeypatch.setattr(validation, "LinkEngine", CountingEngine)
+    monkeypatch.setattr(links.LinkClasses, "runs", runs)
     monkeypatch.setattr(Constellation, "positions_at", propagating)
     monkeypatch.setattr(links, "ground_station_position", station_position)
     monkeypatch.setattr(validation, "check_latitude_connectivity", uncounted)
