@@ -8,8 +8,8 @@ Produces, under the output directory:
 
 The sweep and the comparisons run as one batch on one process pool. A
 full-fidelity run evaluates 3,600 one-second slots per scenario and
-takes about a minute on two cores (47-54 s with --workers 2 on a 2-vCPU
-x86_64 machine); use --slots for a quick look.
+took 44 s with 2 workers on a 2-vCPU x86_64 machine (2026-10-21); use
+--slots for a quick look.
 """
 import argparse
 import os
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from fsosim import DEFAULT_RANGES_KM, ScenarioConfig
-from fsosim.cli import main as cli_main, parse_config, write_comparisons
+from fsosim.cli import main as cli_main, parse_config, usable_cpus, write_comparisons
 from fsosim.errors import ConfigurationError
 
 # (output kind, source, destination, ranges in km) of each comparison file.
@@ -32,8 +32,8 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--output", default="out/full_study", help="output directory")
     parser.add_argument("--slots", type=int, default=3600, help="time slots per scenario")
-    parser.add_argument("--workers", type=int, default=os.cpu_count(),
-                        help="parallel slot workers")
+    parser.add_argument("--workers", type=int, default=usable_cpus(),
+                        help="parallel slot workers (default: the CPUs this process may use)")
     args = parser.parse_args()
 
     config_path = write_config(args.output, args.workers)

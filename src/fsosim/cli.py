@@ -61,7 +61,8 @@ configuration file keys (YAML; every key optional, defaults in parentheses):
                                   (659.5...5016), modes ([NG, NNG]),
                                   slot_count (3600), slot_duration_s (1)}
   output_dir                      where result files go (out)
-  parallelism                     worker processes; 0 = all cores (0)
+  parallelism                     worker processes; 0 = every CPU this
+                                  process may run on (0)
 """
 
 
@@ -237,7 +238,15 @@ def parse_config(path: str | Path | None) -> RunConfig:
         stations=stations,
         scenarios=scenarios,
         output_dir=_coerce(raw.get("output_dir", "out"), str, "config.output_dir"),
-        parallelism=parallelism if parallelism > 0 else os.cpu_count() or 1)
+        parallelism=parallelism if parallelism > 0 else usable_cpus())
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # -- output helpers ----------------------------------------------------

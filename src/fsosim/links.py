@@ -48,8 +48,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .geometry import PhysicalConstants
 from .orbital import Constellation, GroundStation, ground_station_position, parse_id
@@ -100,8 +98,11 @@ class GraphSnapshot:
     one set for satellite links (sat_a < sat_b, sorted) and one for ground
     links, which are all temporary: the links of a LinkClasses among a slot
     geometry's pairs, and the ground links of its Instant (with alive, a
-    mask over the satellites, only those to live satellites). Link types
-    and permanence are read lazily.
+    mask over the satellites, only those to live satellites). The ground
+    links are picked at construction; the satellite links' endpoints
+    (sat_a, sat_b), lengths, types and permanence are picked from the
+    geometry when first read, and link_count reads none of them, so a
+    snapshot that is only counted or censused copies no link arrays.
     """
 
     def __init__(self, geometry: SlotGeometry, classes: LinkClasses, stations,
@@ -114,11 +115,8 @@ class GraphSnapshot:
         self.constants = instant.engine.constants
         self.stations = tuple(stations)
         self._geometry = geometry
-        self._index = index = geometry.selection(classes)
+        self._index = geometry.selection(classes)
         self.sat_positions = instant.positions
-        self.sat_a = _pick(geometry.pairs.a, index)
-        self.sat_b = _pick(geometry.pairs.b, index)
-        self.sat_length_km = _pick(geometry.length_km, index)
         sats, slants = [], []
         for gs in self.stations:
             feasible, slant = instant.ground_links(gs)
@@ -131,6 +129,18 @@ class GraphSnapshot:
                                           [len(s) for s in sats])
         self.gs_sat_index = _concat(sats)
         self.gs_length_km = _concat(slants, dtype=float)
+
+    @functools.cached_property
+    def sat_a(self) -> np.ndarray:
+        return _pick(self._geometry.pairs.a, self._index)
+
+    @functools.cached_property
+    def sat_b(self) -> np.ndarray:
+        return _pick(self._geometry.pairs.b, self._index)
+
+    @functools.cached_property
+    def sat_length_km(self) -> np.ndarray:
+        return _pick(self._geometry.length_km, self._index)
 
     @functools.cached_property
     def gs_positions(self) -> np.ndarray:
@@ -156,7 +166,9 @@ class GraphSnapshot:
 
     @property
     def link_count(self) -> int:
-        return len(self.sat_a) + len(self.gs_sat_index)
+        index = self._index
+        sat_links = len(self._geometry.length_km) if isinstance(index, slice) else len(index)
+        return sat_links + len(self.gs_sat_index)
 
     def node_name(self, index: int) -> str:
         if index < self.satellite_count:
@@ -385,7 +397,11 @@ class LinkClasses:
     @functools.cached_property
     def labels(self) -> np.ndarray:
         """Per satellite, the label of its connected component in the graph
-        of every candidate pair of the mask."""
+        of every candidate pair of the mask. scipy is imported on first
+        use, so that a process that proves nothing never loads it."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
         n = self.mask.size
         pairs = self.gather(np.arange(n, dtype=np.int32))
         # The pairs come sorted by a, so the runs' sizes are the CSR row counts.

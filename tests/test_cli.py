@@ -212,8 +212,13 @@ def test_help_documents_config_keys(capsys):
         assert key in out
 
 
-@pytest.mark.parametrize("given, resolved", [(0, os.cpu_count() or 1), (-1, os.cpu_count() or 1),
-                                             (3, 3)], ids=["zero", "negative", "three"])
+# The CPUs the process may run on, not all of the machine's.
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("given, resolved", [(0, USABLE_CPUS), (-1, USABLE_CPUS), (3, 3)],
+                         ids=["zero", "negative", "three"])
 def test_parallelism_resolved_once(tmp_path, given, resolved):
     f = tmp_path / "cfg.yaml"
     f.write_text(f"parallelism: {given}\n")

@@ -611,6 +611,41 @@ def test_plane_relation_types_on_random_shells(shell, mode, chord_fraction, t):
     assert np.array_equal(geometry.type_code, reference_type_codes(shell, pairs.a, pairs.b, t))
 
 
+@settings(deadline=None)
+@given(shell=small_shells(), mode=st.sampled_from(list(Mode)),
+       chord_fraction=st.floats(0.1, 1.3), t=st.floats(0.0, 6000.0),
+       geometry_kind=st.sampled_from(["lone", "masked", "shared", "wider"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_lazily_picked_link_arrays_equal_the_eager_ones(shell, mode, chord_fraction, t,
+                                                        geometry_kind, seed):
+    """A snapshot's link count reads no link array, and the satellite links'
+    endpoints and lengths it picks when first read are those its geometry's
+    selection picks: on a geometry of its own, with or without a mask of
+    live satellites, and on a shared one measured for its own (range, mode)
+    or for a wider cover."""
+    engine = LinkEngine(shell)
+    r = chord_fraction * grazing_chord_km(engine)
+    alive = None
+    if geometry_kind == "masked":
+        alive = np.random.default_rng(seed).random(len(shell)) < 0.5
+    geometry = None
+    if geometry_kind == "shared":
+        geometry = engine.slot_geometry(t, [(r, mode)])
+    elif geometry_kind == "wider":
+        geometry = engine.slot_geometry(t, [(r, mode), (1.5 * r, Mode.NNG)])
+    snap = engine.snapshot(t, r, mode, BUNDLED_STATIONS[:4], geometry, alive)
+    count = snap.link_count
+    assert not {"sat_a", "sat_b", "sat_length_km"} & set(vars(snap))
+    geometry = snap._geometry
+    index = geometry.selection(engine.classes(r, mode))
+    for name, eager in (("sat_a", geometry.pairs.a), ("sat_b", geometry.pairs.b),
+                        ("sat_length_km", geometry.length_km)):
+        lazy = getattr(snap, name)
+        assert lazy.dtype == eager.dtype and np.array_equal(lazy, eager[index]), name
+    assert count == len(snap.sat_a) + len(snap.gs_sat_index)
+    assert count == link_census(snap).total_undirected
+
+
 def walker_period_s(spec):
     """The time gcd(P, f) T / N after which a Walker-delta shell of P planes,
     N satellites, phasing offset f and period T, with a 360 degree RAAN

@@ -5,7 +5,7 @@ import pytest
 
 from fsosim import (BUNDLED_STATIONS, ConstellationSpec, LinkEngine, Mode, PhysicalConstants,
                     build_constellation)
-from fsosim import links, validation
+from fsosim import cli, links, validation
 from fsosim.links import degree_counts, link_census
 from fsosim.orbital import Constellation
 from fsosim.validation import (DEFAULT_RANGES_KM, PERMANENT_EXACT_COUNT,
@@ -121,3 +121,18 @@ def test_range_check_reads_the_engines_grazing_chord():
     assert engine.line_of_sight_binds(4977.75)
     assert validation.check_geometry_constants(ConstellationSpec(), constants)[1].line() == (
         "[PASS] maximum visibility-limited link range: 5016.54 km (5016 +/- 1)")
+
+
+def test_validation_needs_no_velocities(monkeypatch, capsys):
+    """The census ratio counts links without typing them, so validate
+    propagates no velocities, and prints what it prints with them allowed."""
+    assert cli.main(["validate"]) == 0
+    allowed = capsys.readouterr().out
+
+    def refuse(self, t):
+        raise AssertionError("velocities propagated for validate")
+
+    monkeypatch.setattr(Constellation, "velocities_at", refuse)
+    assert cli.main(["validate"]) == 0
+    assert capsys.readouterr().out == allowed
+    assert len(allowed.splitlines()) == 24
