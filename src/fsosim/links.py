@@ -16,7 +16,8 @@ Because every orbit shares the same radius, period, and inclination, the
 distance history of a pair depends only on the plane offset and slot offset
 between its members. Permanence is therefore precomputed once per
 constellation into a (plane_count x sats_per_plane) class table of
-max/min separations over one period, in closed form. Two satellites with
+max/min separations over one period, in closed form (class_tables, which
+stacks the tables of many phasing offsets in one call). Two satellites with
 RAAN difference W, inclination i and phase lead delta subtend an angle g,
 cos g = (A+B)/2 cos(delta) - C sin(delta) + (A-B)/2 cos(2u + delta) at
 argument of latitude u, where A = cos W, B = A cos^2 i + sin^2 i and
@@ -50,7 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import PhysicalConstants
-from .orbital import Constellation, GroundStation, ground_station_position, parse_id
+from .orbital import (Constellation, ConstellationSpec, GroundStation, ground_station_position,
+                      parse_id)
 
 
 class LinkType(enum.Enum):
@@ -99,10 +101,12 @@ class GraphSnapshot:
     links, which are all temporary: the links of a LinkClasses among a slot
     geometry's pairs, and the ground links of its Instant (with alive, a
     mask over the satellites, only those to live satellites). The ground
-    links are picked at construction; the satellite links' endpoints
-    (sat_a, sat_b), lengths, types and permanence are picked from the
-    geometry when first read, and link_count reads none of them, so a
-    snapshot that is only counted or censused copies no link arrays.
+    links are picked at construction; the index of the satellite links
+    among the geometry's pairs is selected when their endpoints (sat_a,
+    sat_b), lengths, types or permanence are first read. link_count counts
+    the geometry's links of the snapshot's (range, mode) (SlotGeometry.count)
+    and reads none of them, so a snapshot that is only counted builds no
+    index and copies no link arrays.
     """
 
     def __init__(self, geometry: SlotGeometry, classes: LinkClasses, stations,
@@ -115,7 +119,7 @@ class GraphSnapshot:
         self.constants = instant.engine.constants
         self.stations = tuple(stations)
         self._geometry = geometry
-        self._index = geometry.selection(classes)
+        self._classes = classes
         self.sat_positions = instant.positions
         sats, slants = [], []
         for gs in self.stations:
@@ -129,6 +133,10 @@ class GraphSnapshot:
                                           [len(s) for s in sats])
         self.gs_sat_index = _concat(sats)
         self.gs_length_km = _concat(slants, dtype=float)
+
+    @functools.cached_property
+    def _index(self) -> np.ndarray | slice:
+        return self._geometry.selection(self._classes)
 
     @functools.cached_property
     def sat_a(self) -> np.ndarray:
@@ -166,9 +174,7 @@ class GraphSnapshot:
 
     @property
     def link_count(self) -> int:
-        index = self._index
-        sat_links = len(self._geometry.length_km) if isinstance(index, slice) else len(index)
-        return sat_links + len(self.gs_sat_index)
+        return self._geometry.count(self._classes) + len(self.gs_sat_index)
 
     def node_name(self, index: int) -> str:
         if index < self.satellite_count:
@@ -194,14 +200,15 @@ class LinkEngine:
 
     The pair-class permanence tables, pair_max_table_km and
     pair_min_table_km (the largest and smallest separation over one period
-    by plane offset and slot offset), are computed once at construction and
-    are read-only afterwards, so one engine can serve any number of slots,
-    ranges, and modes. Each (range, mode) has one LinkClasses (classes),
-    built when first asked for and then kept in one dict, and every pass
-    generates its candidate pairs from the tables it holds: the 14 runs
-    tables of the Starlink study hold 0.8 MiB and their lookup tables
-    0.17 MiB, where their candidate lists held 12.8 MiB. The cache has no
-    lock, so threads must not build snapshots on one engine concurrently.
+    by plane offset and slot offset, class_tables), are computed once at
+    construction and are read-only afterwards, so one engine can serve any
+    number of slots, ranges, and modes. Each (range, mode) has one
+    LinkClasses (classes), built when first asked for and then kept in one
+    dict, and every pass generates its candidate pairs from the tables it
+    holds: the 14 runs tables of the Starlink study hold 0.8 MiB and their
+    lookup tables 0.17 MiB, where their candidate lists held 12.8 MiB. The
+    cache has no lock, so threads must not build snapshots on one engine
+    concurrently.
     Forked worker processes may share an engine; each builds the tables it
     reads.
     Snapshots, geometries and proofs take their time in seconds or as an
@@ -213,27 +220,10 @@ class LinkEngine:
         self.constellation = constellation
         self.constants = constants if constants is not None else PhysicalConstants()
         self.earth_rotation0_deg = earth_rotation0_deg
-        self.pair_max_table_km, self.pair_min_table_km = self._build_class_tables()
+        self.pair_max_table_km, self.pair_min_table_km = class_tables(constellation.spec)
         self._classes: dict[tuple, LinkClasses] = {}
 
     # -- pair classes -------------------------------------------------
-
-    def _build_class_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        spec = self.constellation.spec
-        planes, slots = spec.plane_count, spec.sats_per_plane
-        dp = np.arange(planes)[:, None]
-        raan = 2.0 * np.pi * dp / planes * (spec.raan_spread_deg / 360.0)
-        delta = 2.0 * np.pi * (np.arange(slots) / slots + dp * spec.phasing_offset / (planes * slots))
-        incl = math.radians(spec.inclination_deg)
-        ci, si = math.cos(incl), math.sin(incl)
-        # (A+B)/2 and |A-B|/2 of the module docstring; A - B = -si^2 (1 - cos W).
-        mean = (0.5 * (np.cos(raan) * (1.0 + ci**2) + si**2) * np.cos(delta)
-                - ci * np.sin(raan) * np.sin(delta))
-        swing = 0.5 * si**2 * (1.0 - np.cos(raan))
-        pair_max = spec.orbit_radius_km * np.sqrt(np.maximum(2.0 * (1.0 - mean + swing), 0.0))
-        pair_min = spec.orbit_radius_km * np.sqrt(np.maximum(2.0 * (1.0 - mean - swing), 0.0))
-        pair_max[0, 0] = pair_min[0, 0] = np.inf  # a satellite is no pair with itself
-        return pair_max, pair_min
 
     def classes(self, lisl_range_km: float, mode: Mode) -> LinkClasses:
         """The LinkClasses of (range, mode), built once and then kept. NG
@@ -290,7 +280,7 @@ class LinkEngine:
         live satellites, so that a pass over few satellites generates few
         candidate pairs."""
         pairs = cover.pairs(alive)
-        length = pairs.per_pair(instant.positions, _distance, float)
+        length = pairs.per_pair(instant.positions, pair_distance, float)
         near = np.flatnonzero(length <= cover.lisl_range_km)
         return SlotGeometry(instant=instant, cover=cover, pairs=pairs.take(near),
                             length_km=length[near])
@@ -337,6 +327,31 @@ class LinkEngine:
         src_labels, dst_labels = (np.take(labels, instant.ground_links(gs)[0])
                                   for gs in (src, dst))
         return not np.isin(src_labels, dst_labels).any()
+
+
+def class_tables(spec: ConstellationSpec,
+                 phasing_offsets=None) -> tuple[np.ndarray, np.ndarray]:
+    """The largest and smallest separation over one period, in km, of every
+    pair class (dp, ds) of the shell, as (P x S) tables; pair (0, 0), a
+    satellite with itself, reads inf. With phasing_offsets, a sequence of
+    Walker phasing offsets F, the tables of the shell under each offset are
+    stacked into (len x P x S) arrays, each equal to that offset's own."""
+    planes, slots = spec.plane_count, spec.sats_per_plane
+    offset = (spec.phasing_offset if phasing_offsets is None
+              else np.asarray(phasing_offsets, dtype=np.int64)[:, None, None])
+    dp = np.arange(planes)[:, None]
+    raan = 2.0 * np.pi * dp / planes * (spec.raan_spread_deg / 360.0)
+    delta = 2.0 * np.pi * (np.arange(slots) / slots + dp * offset / (planes * slots))
+    incl = math.radians(spec.inclination_deg)
+    ci, si = math.cos(incl), math.sin(incl)
+    # (A+B)/2 and |A-B|/2 of the module docstring; A - B = -si^2 (1 - cos W).
+    mean = (0.5 * (np.cos(raan) * (1.0 + ci**2) + si**2) * np.cos(delta)
+            - ci * np.sin(raan) * np.sin(delta))
+    swing = 0.5 * si**2 * (1.0 - np.cos(raan))
+    pair_max = spec.orbit_radius_km * np.sqrt(np.maximum(2.0 * (1.0 - mean + swing), 0.0))
+    pair_min = spec.orbit_radius_km * np.sqrt(np.maximum(2.0 * (1.0 - mean - swing), 0.0))
+    pair_max[..., 0, 0] = pair_min[..., 0, 0] = np.inf
+    return pair_max, pair_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -619,18 +634,36 @@ class SlotGeometry:
         int32, or slice(None) if every pair is; selected once per classes."""
         index = self._selected.get(classes)
         if index is None:
-            keep = np.take(classes.mask, self.pairs.cls)
-            keep &= self.length_km <= classes.lisl_range_km
-            if classes.line_of_sight:
-                keep &= self.clear_of_earth
+            keep = self._keep(classes)
             # Keeping every pair hands out views of the geometry's arrays,
             # which snapshots, like their shared positions, never write to.
             index = slice(None) if keep.all() else np.flatnonzero(keep).astype(np.int32)
             self._selected[classes] = index
         return index
 
+    def count(self, classes: LinkClasses) -> int:
+        """The number of pairs that are links of classes' (range, mode): the
+        length of its selection, counted without building the index when
+        none has been selected."""
+        index = self._selected.get(classes)
+        if index is None:
+            return int(np.count_nonzero(self._keep(classes)))
+        return len(self.length_km) if isinstance(index, slice) else len(index)
 
-def _distance(p, q):
+    def _keep(self, classes: LinkClasses) -> np.ndarray:
+        """Per pair, True iff it is a link of classes' (range, mode): its
+        class lies in the mask, it is within range and, where the Earth can
+        block the range, clear of the Earth."""
+        keep = np.take(classes.mask, self.pairs.cls)
+        keep &= self.length_km <= classes.lisl_range_km
+        if classes.line_of_sight:
+            keep &= self.clear_of_earth
+        return keep
+
+
+def pair_distance(p, q):
+    """Per row, the distance between points p and q, (n x 3) arrays or one
+    of them a single point: the one pair-distance rule of the package."""
     diff = p - q
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -339,7 +338,10 @@ def run_scenarios(engine: LinkEngine, configs,
     else:
         # Loaded once here, the router's scipy is inherited by every forked
         # worker, which would otherwise import it again (about 0.2 s of CPU
-        # each on a 2-vCPU x86_64 machine).
+        # each on a 2-vCPU x86_64 machine). The pool's own modules are
+        # imported here too, so that a serial run never loads them.
+        from concurrent.futures import ProcessPoolExecutor
+
         import scipy.sparse.csgraph  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=parallelism, initializer=_worker_init,

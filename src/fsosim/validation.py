@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationFailure
 from .geometry import PhysicalConstants, great_circle_distance, max_lisl_range
-from .links import LinkEngine, Mode, SlotGeometry, degree_counts
+from .links import LinkEngine, Mode, SlotGeometry, class_tables, degree_counts, pair_distance
 from .orbital import Constellation, ConstellationSpec, SatelliteId, build_constellation
 from .scenario import DEFAULT_RANGES_KM
 
@@ -50,8 +50,16 @@ class CheckResult:
 def permanent_degree_profile(constellation: Constellation,
                              ranges_km=DEFAULT_RANGES_KM) -> tuple[int, ...]:
     """Permanent-link degree of every satellite (they are all equal) per range."""
-    engine = LinkEngine(constellation)
-    return tuple(int(engine.classes(r, Mode.NG).mask.sum()) for r in ranges_km)
+    pair_max, _ = class_tables(constellation.spec)
+    return tuple(int(d) for d in _permanent_degrees(pair_max, ranges_km))
+
+
+def _permanent_degrees(pair_max: np.ndarray, ranges_km) -> np.ndarray:
+    """Per range, the number of classes whose largest separation stays
+    within it: the permanent degree, over the last two (plane, slot) axes
+    of a class table or a stack of them."""
+    return np.stack([np.count_nonzero(pair_max <= r, axis=(-2, -1)) for r in ranges_km],
+                    axis=-1)
 
 
 def total_degree_profile(constellation: Constellation, t: float,
@@ -60,7 +68,7 @@ def total_degree_profile(constellation: Constellation, t: float,
     """All-links degree of one satellite at time t per range."""
     pos = constellation.positions_at(t)
     k = constellation.flat_index(sat)
-    d = np.linalg.norm(pos - pos[k], axis=-1)
+    d = pair_distance(pos, pos[k])
     d[k] = np.inf
     return tuple(int((d <= r).sum()) for r in ranges_km)
 
@@ -80,28 +88,29 @@ def scan_phasing_offset(base_spec: ConstellationSpec) -> tuple[int, dict[int, tu
     Qualifying offsets match the low-range permanent degrees exactly and the
     high-range ones within +/-2; ties are broken by total deviation on the
     high ranges, then by deviation from the equatorial all-links census,
-    then by the offset itself. Raises ValidationFailure if nothing qualifies.
+    then by the offset itself. Every offset's permanent degrees come from
+    one stack of class tables, and only the offsets tied on the smallest
+    high-range deviation take the equatorial census. Raises
+    ValidationFailure if nothing qualifies.
     """
-    profiles: dict[int, tuple[int, ...]] = {}
-    candidates: list[tuple[int, int, int]] = []
-    for f in range(base_spec.plane_count):
-        spec = dataclasses.replace(base_spec, phasing_offset=f)
-        constellation = build_constellation(spec)
-        profile = permanent_degree_profile(constellation)
-        profiles[f] = profile
-        if profile[:PERMANENT_EXACT_COUNT] != REFERENCE_PERMANENT_DEGREES[:PERMANENT_EXACT_COUNT]:
-            continue
-        high_dev = [abs(a - b) for a, b in zip(profile[PERMANENT_EXACT_COUNT:],
-                                               REFERENCE_PERMANENT_DEGREES[PERMANENT_EXACT_COUNT:])]
-        if any(dev > PERMANENT_HIGH_TOLERANCE for dev in high_dev):
-            continue
-        equator = total_degree_profile(constellation, 0.0)
-        eq_dev = sum(abs(a - b) for a, b in zip(equator, REFERENCE_TOTAL_DEGREES_EQUATOR))
-        candidates.append((sum(high_dev), eq_dev, f))
-    if not candidates:
+    offsets = range(base_spec.plane_count)
+    degrees = _permanent_degrees(class_tables(base_spec, offsets)[0], DEFAULT_RANGES_KM)
+    profiles = {f: tuple(int(d) for d in degrees[f]) for f in offsets}
+    deviation = np.abs(degrees - REFERENCE_PERMANENT_DEGREES)
+    low, high = deviation[:, :PERMANENT_EXACT_COUNT], deviation[:, PERMANENT_EXACT_COUNT:]
+    qualifies = (low == 0).all(axis=1) & (high <= PERMANENT_HIGH_TOLERANCE).all(axis=1)
+    if not qualifies.any():
         raise ValidationFailure(
             "no phasing offset reproduces the reference permanent-link census")
-    return min(candidates)[2], profiles
+    high_total = high.sum(axis=1)
+    tied = np.flatnonzero(qualifies & (high_total == high_total[qualifies].min())).tolist()
+
+    def equator_deviation(f: int) -> int:
+        shell = build_constellation(dataclasses.replace(base_spec, phasing_offset=f))
+        return sum(abs(a - b) for a, b in zip(total_degree_profile(shell, 0.0),
+                                              REFERENCE_TOTAL_DEGREES_EQUATOR))
+
+    return min(tied, key=lambda f: (equator_deviation(f), f)), profiles
 
 
 def check_geometry_constants(spec: ConstellationSpec,

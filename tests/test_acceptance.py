@@ -7,14 +7,13 @@ once. Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 import dataclasses
 import math
-import os
 import time
 
 import numpy as np
 import pytest
 
 from fsosim import (BUNDLED_STATIONS, ConstellationSpec, LinkEngine, Mode,
-                    ScenarioConfig, build_constellation, great_circle_distance,
+                    ScenarioConfig, build_constellation, cli, great_circle_distance,
                     max_lisl_range, run_scenario)
 from fsosim.links import degree_counts, link_census
 from fsosim.orbital import SatelliteId
@@ -26,7 +25,7 @@ from test_routing import oracle_shortest_path, random_graph
 
 pytestmark = pytest.mark.acceptance
 
-WORKERS = min(4, os.cpu_count() or 1)
+WORKERS = min(4, cli.usable_cpus())
 SLOTS = 3600
 FEASIBLE_RANGES = (1500.0, 1700.0, 2500.0, 3500.0, 5016.0)
 NNG_AVG_LATENCY_MS = {1500.0: 171.61, 1700.0: 157.35, 2500.0: 124.17,

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from fsosim import ConstellationSpec, build_constellation
 from fsosim.geometry import PhysicalConstants, great_circle_distance, max_lisl_range
-from fsosim.links import _distance, _segments_clear_origin
+from fsosim.links import _segments_clear_origin, pair_distance
 from fsosim.orbital import SatelliteId
 
 ORBIT_RADIUS = 6928.0  # 6378 + 550
@@ -14,7 +14,7 @@ ORBIT_RADIUS = 6928.0  # 6378 + 550
 
 def distance(p, q) -> float:
     """One pair through the kernel that measures every snapshot's link lengths."""
-    return float(_distance(np.array([p], dtype=float), np.array([q], dtype=float))[0])
+    return float(pair_distance(np.array([p], dtype=float), np.array([q], dtype=float))[0])
 
 
 def has_line_of_sight(p, q, occlusion_radius_km) -> bool:

@@ -175,6 +175,33 @@ def test_closed_form_tables_bound_the_sampled_separations(planes, slots, data, i
     assert np.all(closed_max[pair] - sampled_max[pair] <= 1e-3)
 
 
+@settings(deadline=None)
+@given(planes=st.integers(1, 30), slots=st.integers(1, 70),
+       offsets=st.lists(st.integers(0, 29), min_size=1, max_size=30),
+       inclination_deg=st.floats(0.0, 180.0), altitude_km=st.floats(300.0, 2000.0),
+       raan_spread_deg=st.one_of(st.sampled_from([180.0, 360.0]), st.floats(1.0, 360.0)))
+@example(planes=1, slots=66, offsets=[0], inclination_deg=53.0, altitude_km=550.0,
+         raan_spread_deg=360.0)
+@example(planes=24, slots=1, offsets=list(range(24)), inclination_deg=53.0, altitude_km=550.0,
+         raan_spread_deg=360.0)
+@example(planes=1, slots=1, offsets=[0, 0], inclination_deg=90.0, altitude_km=550.0,
+         raan_spread_deg=180.0)
+def test_stacked_class_tables_equal_each_offsets_own(planes, slots, offsets, inclination_deg,
+                                                     altitude_km, raan_spread_deg):
+    """class_tables over many phasing offsets stacks, bit for bit, the
+    tables that an engine of each offset builds for itself."""
+    spec = ConstellationSpec(plane_count=planes, sats_per_plane=slots, phasing_offset=0,
+                             inclination_deg=inclination_deg, altitude_km=altitude_km,
+                             raan_spread_deg=raan_spread_deg)
+    offsets = [f % planes for f in offsets]
+    stacked_max, stacked_min = links.class_tables(spec, offsets)
+    assert stacked_max.shape == stacked_min.shape == (len(offsets), planes, slots)
+    for k, f in enumerate(offsets):
+        own = LinkEngine(build_constellation(dataclasses.replace(spec, phasing_offset=f)))
+        assert stacked_max[k].tobytes() == own.pair_max_table_km.tobytes(), f
+        assert stacked_min[k].tobytes() == own.pair_min_table_km.tobytes(), f
+
+
 def test_permanent_profile_equals_sampled_reference_at_every_offset():
     """The closed form sorts every Starlink-shell class as the 1 s sampling
     did at the seven paper ranges, so the phasing scan still pins 15."""
@@ -418,7 +445,9 @@ def test_shared_geometry_selects_each_range_and_mode_once(engine, monkeypatch):
     """The 26 study queries of one instant hold 14 (range, mode) pairs: from
     a shared geometry they select their links 14 times, and each snapshot
     equals the one the query measures alone. Each of the 14 selections is
-    keyed by the engine's LinkClasses of its (range, mode)."""
+    keyed by the engine's LinkClasses of its (range, mode). A snapshot
+    selects its links when they are first read, so the selections are
+    counted once the snapshots have been compared."""
     queries = [(BUNDLED_STATIONS[a], BUNDLED_STATIONS[b], r, mode)
                for a, b, ranges in ((0, 1, STANDARD_RANGES), (2, 3, (1700.0, 5016.0)),
                                     (4, 5, (1700.0, 5016.0)), (6, 7, (1700.0, 5016.0)))
@@ -429,16 +458,42 @@ def test_shared_geometry_selects_each_range_and_mode_once(engine, monkeypatch):
     selection = links.SlotGeometry.selection
 
     def counting(self, classes):
-        if classes not in self._selected:
+        if self is shared and classes not in self._selected:
             selections.append(classes)
         return selection(self, classes)
 
     monkeypatch.setattr(links.SlotGeometry, "selection", counting)
     selected = [engine.snapshot(7.0, r, mode, (src, dst), shared) for src, dst, r, mode in queries]
-    assert len(queries) == 26 and len(selections) == 14
-    assert set(selections) == {engine.classes(r, mode) for _, _, r, mode in queries}
     for expected, snap in zip(alone, selected):
         assert_same_snapshot(expected, snap)
+    assert len(queries) == 26 and len(selections) == 14
+    assert set(selections) == {engine.classes(r, mode) for _, _, r, mode in queries}
+
+
+def test_counted_snapshots_build_no_index(engine, monkeypatch):
+    """A shared-geometry snapshot that is only counted builds no link index:
+    for each of the 14 study (range, mode) pairs, its link_count equals the
+    length of the index that its links, read later, are picked through."""
+    requests = [(r, mode) for r in STANDARD_RANGES for mode in Mode]
+    stations = BUNDLED_STATIONS[:2]
+    shared = engine.slot_geometry(7.0, requests)
+    selection = links.SlotGeometry.selection
+
+    def refuse(self, classes):
+        raise AssertionError("a counted snapshot built its index")
+
+    monkeypatch.setattr(links.SlotGeometry, "selection", refuse)
+    snaps = [engine.snapshot(7.0, r, mode, stations, shared) for r, mode in requests]
+    counts = [snap.link_count for snap in snaps]
+    assert not shared._selected
+    assert not any("_index" in vars(snap) for snap in snaps)
+    monkeypatch.setattr(links.SlotGeometry, "selection", selection)
+    for (r, mode), snap, count in zip(requests, snaps, counts):
+        index = shared.selection(engine.classes(r, mode))
+        sat_links = len(shared.length_km) if isinstance(index, slice) else len(index)
+        assert count == sat_links + len(snap.gs_sat_index) == len(snap.sat_a) + len(
+            snap.gs_sat_index), (r, mode)
+        assert snap.link_count == count, (r, mode)  # now read from the index
 
 
 def test_snapshot_rejects_geometry_that_does_not_cover_it(engine):
@@ -635,7 +690,7 @@ def test_lazily_picked_link_arrays_equal_the_eager_ones(shell, mode, chord_fract
         geometry = engine.slot_geometry(t, [(r, mode), (1.5 * r, Mode.NNG)])
     snap = engine.snapshot(t, r, mode, BUNDLED_STATIONS[:4], geometry, alive)
     count = snap.link_count
-    assert not {"sat_a", "sat_b", "sat_length_km"} & set(vars(snap))
+    assert not {"_index", "sat_a", "sat_b", "sat_length_km"} & set(vars(snap))
     geometry = snap._geometry
     index = geometry.selection(engine.classes(r, mode))
     for name, eager in (("sat_a", geometry.pairs.a), ("sat_b", geometry.pairs.b),

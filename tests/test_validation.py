@@ -1,16 +1,73 @@
 import collections
+import dataclasses
 import functools
 
+import numpy as np
 import pytest
 
 from fsosim import (BUNDLED_STATIONS, ConstellationSpec, LinkEngine, Mode, PhysicalConstants,
                     build_constellation)
 from fsosim import cli, links, validation
+from fsosim.errors import ValidationFailure
 from fsosim.links import degree_counts, link_census
 from fsosim.orbital import Constellation
 from fsosim.validation import (DEFAULT_RANGES_KM, PERMANENT_EXACT_COUNT,
                                PERMANENT_HIGH_TOLERANCE, REFERENCE_PERMANENT_DEGREES,
-                               CheckResult)
+                               REFERENCE_TOTAL_DEGREES_EQUATOR, CheckResult)
+
+
+def reference_scan_candidates(base_spec):
+    """The phasing scan as one engine per offset: each offset's permanent
+    degrees from its engine's NG class masks, and the equatorial all-links
+    census of every offset that qualifies. Returns the sorted (high-range
+    deviation, equatorial deviation, offset) of the qualifying offsets and
+    every offset's profile."""
+    profiles, candidates = {}, []
+    for f in range(base_spec.plane_count):
+        shell = build_constellation(dataclasses.replace(base_spec, phasing_offset=f))
+        engine = LinkEngine(shell)
+        profile = tuple(int(engine.classes(r, Mode.NG).mask.sum()) for r in DEFAULT_RANGES_KM)
+        profiles[f] = profile
+        if profile[:PERMANENT_EXACT_COUNT] != REFERENCE_PERMANENT_DEGREES[:PERMANENT_EXACT_COUNT]:
+            continue
+        high_dev = [abs(a - b) for a, b in zip(profile[PERMANENT_EXACT_COUNT:],
+                                               REFERENCE_PERMANENT_DEGREES[PERMANENT_EXACT_COUNT:])]
+        if any(dev > PERMANENT_HIGH_TOLERANCE for dev in high_dev):
+            continue
+        pos = shell.positions_at(0.0)
+        d = np.linalg.norm(pos - pos[0], axis=-1)
+        d[0] = np.inf
+        equator = [int((d <= r).sum()) for r in DEFAULT_RANGES_KM]
+        eq_dev = sum(abs(a - b) for a, b in zip(equator, REFERENCE_TOTAL_DEGREES_EQUATOR))
+        candidates.append((sum(high_dev), eq_dev, f))
+    return sorted(candidates), profiles
+
+
+@pytest.mark.parametrize("changes, pinned, tied", [
+    ({}, 15, 1),                       # the Starlink shell: 7 offsets tie on high ranges
+    ({"inclination_deg": 52.0}, 3, 2),  # 3 and 11 tie on both deviations
+    ({"inclination_deg": 50.0}, 6, 1),  # the best high-range deviation is 2, not 0
+])
+def test_scan_pins_what_one_engine_per_offset_pins(changes, pinned, tied):
+    """The scan over one stack of class tables pins the offset, and returns
+    the profiles, that one engine per offset does, with ties broken by the
+    equatorial census and then by the offset."""
+    spec = dataclasses.replace(ConstellationSpec(), **changes)
+    candidates, profiles = reference_scan_candidates(spec)
+    assert sum(c[:2] == candidates[0][:2] for c in candidates) == tied
+    assert candidates[0][2] == pinned
+    assert validation.scan_phasing_offset(spec) == (pinned, profiles)
+    for f, profile in profiles.items():
+        assert validation.permanent_degree_profile(build_constellation(
+            dataclasses.replace(spec, phasing_offset=f))) == profile
+
+
+@pytest.mark.parametrize("changes", [{"inclination_deg": 60.0}, {"raan_spread_deg": 180.0}])
+def test_scan_fails_where_no_offset_qualifies(changes):
+    spec = dataclasses.replace(ConstellationSpec(), **changes)
+    assert reference_scan_candidates(spec)[0] == []
+    with pytest.raises(ValidationFailure, match="no phasing offset"):
+        validation.scan_phasing_offset(spec)
 
 
 def reference_permanent_census(engine, _geometry):
@@ -57,9 +114,8 @@ def test_shared_geometry_gives_the_reference_lines(monkeypatch, rotation_deg):
 def test_census_checks_share_one_geometry(monkeypatch):
     """At t = 0 the census checks propagate the pinned engine's shell once,
     build one runs table and compute each station's ground links once.
-    Counts start at the pinned engine's build, after the phasing scan's
-    engines; the latitude check, which propagates the shell itself, is not
-    counted."""
+    Counts start at the pinned engine's build, after the phasing scan; the
+    latitude check, which propagates the shell itself, is not counted."""
     counts, shell, counting = collections.Counter(), [None], [True]
     positions_at, ground_position = Constellation.positions_at, links.ground_station_position
     latitude_check = validation.check_latitude_connectivity
