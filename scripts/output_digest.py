@@ -16,7 +16,8 @@ most, a 40-slot New York-Jakarta NNG run at 1,700 km on 30 s slots,
 whose latency moves enough from slot to slot that a guess from the last
 latency misses and a second pass runs, and a 40-slot New York-Jakarta NG
 run at 1,700 km, whose passes keep about 60 % of the satellites, the
-densest mask of a query routed alone,
+densest mask of a query routed alone, and a census at 5,016 and 6,000 km,
+whose 6,000 km links are the only ones the Earth can block,
 
 then prints one "sha256  relative-path" line per file, sorted by path, and
 last the sha256 of that list. No golden digest is stored: to compare two
@@ -46,7 +47,8 @@ def produce(root: Path, env: dict) -> None:
     """Write every output under root: one subdirectory per parallelism,
     delay5 for the run with a 5 ms node delay, nng5016 and nng5016-nyc-jkt
     for the long runs, nng1700-nyc-jkt-30s for the run on 30 s slots and
-    ng1700-nyc-jkt for the densest lone mask."""
+    ng1700-nyc-jkt for the densest lone mask and census6000 for the census
+    beyond the grazing chord."""
     for workers in (1, 2):
         base = root / "out" / f"p{workers}"
         base.mkdir(parents=True)
@@ -72,6 +74,10 @@ def produce(root: Path, env: dict) -> None:
                    env=env, check=True, stdout=subprocess.DEVNULL)
     config = root / "config_serial.yaml"
     config.write_text("parallelism: 1\n")
+    subprocess.run([sys.executable, "-m", "fsosim.cli", "--config", str(config), "census",
+                    "--time", "1234", "--range", "5016", "--range", "6000",
+                    "--output-dir", str(root / "out" / "census6000" / "census")],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
     for src, dst, name, extra in (
             ("Sydney", "Sao Paulo", "nng5016", ["NNG", "--range", "5016", "--slots", "120"]),
             ("New York", "Jakarta", "nng5016-nyc-jkt",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -421,7 +422,10 @@ def finite(text: str) -> float:
     return _coerce(text, float, "flag")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing leaves it
+    as it was, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="fsosim",
         description="Connectivity and latency simulator for laser-linked LEO satellite networks.",
@@ -469,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.config)
         return args.func(config, args)

@@ -40,6 +40,14 @@ the satellites that pass a dot-product test. Since every link is a
 candidate pair, the connected components of a mask's candidate pairs can
 prove, without a snapshot, that no link path joins two stations
 (LinkEngine.proven_pathless).
+
+A geometry shared by many (range, mode) requests selects each one's links
+with one comparison per pair, not a look at its class mask: under NNG a
+pair is a link at r iff its length is at most r (a pair within r lies in
+the NNG(r) mask, whose 1 m guard keeps every class that ever comes within
+r), and under NG iff its class's largest separation and its length both
+are; the Earth test is added where it binds. Permanence at r is the same
+comparison of the class's largest separation, read once per geometry.
 """
 from __future__ import annotations
 
@@ -161,8 +169,9 @@ class GraphSnapshot:
 
     @functools.cached_property
     def sat_permanent(self) -> np.ndarray:
-        permanent = self._geometry.instant.engine.classes(self.lisl_range_km, Mode.NG).mask
-        return np.take(permanent, _pick(self._geometry.pairs.cls, self._index))
+        """Per satellite link, True iff its class's largest separation over
+        one period stays within the snapshot's range."""
+        return _pick(self._geometry.pair_max_km, self._index) <= self.lisl_range_km
 
     @property
     def satellite_count(self) -> int:
@@ -361,7 +370,8 @@ class LinkClasses:
     be its links, and line_of_sight whether the Earth can block a pair
     within range. Built when first read: its candidate pairs as runs of one
     table, a lookup table by plane and slot offset, and the component
-    labels of the graph the pairs form.
+    labels of the graph the pairs form. The mask only generates candidates;
+    a geometry selects links by comparisons (SlotGeometry._keep).
 
     runs is (step, cls, start, size). Row s of step and cls (S x C) holds
     the mask's C classes seen from a base of slot s, sorted by step = b - a,
@@ -593,8 +603,10 @@ class SlotGeometry:
     Made by LinkEngine.slot_geometry, or by a snapshot for itself. pairs
     holds every candidate pair of cover, the LinkClasses that covers each
     (range, mode) it serves, within cover's range, with its length. The
-    plane-relation type codes and line of sight are computed on first use
-    and then kept; the positions and ground links are the instant's.
+    plane-relation type codes, line of sight, each pair's class maximum
+    (pair_max_km) and NG reach are computed on first use and then kept, so
+    that each (range, mode) selects its links with one comparison per pair
+    (_keep); the positions and ground links are the instant's.
     """
 
     instant: Instant
@@ -620,6 +632,20 @@ class SlotGeometry:
         type_code[(offset >= 2) & co_moving] = 2
         type_code[offset == 0] = 0
         return type_code
+
+    @functools.cached_property
+    def pair_max_km(self) -> np.ndarray:
+        """Per pair, its class's largest separation over one period
+        (LinkEngine.pair_max_table_km): the pair is permanent at range r iff
+        this is at most r."""
+        return np.take(self.instant.engine.pair_max_table_km, self.pairs.cls)
+
+    @functools.cached_property
+    def ng_reach_km(self) -> np.ndarray:
+        """Per pair, the smallest range at which it is within range and
+        permanent, the larger of pair_max_km and its length: it is an NG
+        link at r, Earth aside, iff this is at most r."""
+        return np.maximum(self.pair_max_km, self.length_km)
 
     @functools.cached_property
     def clear_of_earth(self) -> np.ndarray:
@@ -651,11 +677,14 @@ class SlotGeometry:
         return len(self.length_km) if isinstance(index, slice) else len(index)
 
     def _keep(self, classes: LinkClasses) -> np.ndarray:
-        """Per pair, True iff it is a link of classes' (range, mode): its
-        class lies in the mask, it is within range and, where the Earth can
-        block the range, clear of the Earth."""
-        keep = np.take(classes.mask, self.pairs.cls)
-        keep &= self.length_km <= classes.lisl_range_km
+        """Per pair, True iff it is a link of classes' (range, mode): one
+        comparison with the range, of its length under NNG and of its
+        ng_reach_km under NG, and, where the Earth can block the range, clear
+        of the Earth. A pair within range r lies in the NNG(r) mask, since
+        the mask's 1 m guard keeps every class that ever comes within r, so
+        NNG needs no look at the mask."""
+        reach = self.length_km if classes.mode is Mode.NNG else self.ng_reach_km
+        keep = reach <= classes.lisl_range_km
         if classes.line_of_sight:
             keep &= self.clear_of_earth
         return keep
@@ -700,16 +729,16 @@ def degree_counts(snapshot: GraphSnapshot) -> np.ndarray:
 
 
 def link_census(snapshot: GraphSnapshot) -> LinkCensus:
-    """Counts of links by (type, permanence), plus undirected/directed totals."""
-    counts: dict[tuple[LinkType, Permanence], int] = {}
-    for code, link_type in enumerate(_SAT_TYPE_CODES):
-        of_type = snapshot.sat_type_code == code
-        n_perm = int((of_type & snapshot.sat_permanent).sum())
-        n_temp = int((of_type & ~snapshot.sat_permanent).sum())
-        if n_perm:
-            counts[(link_type, Permanence.PERMANENT)] = n_perm
-        if n_temp:
-            counts[(link_type, Permanence.TEMPORARY)] = n_temp
+    """Counts of links by (type, permanence), plus undirected/directed totals.
+    The satellite links are counted by one bincount over 2 * type code +
+    (0 if permanent else 1); keys come in type, then permanence, order and
+    zero counts are left out."""
+    tally = np.bincount(2 * snapshot.sat_type_code + ~snapshot.sat_permanent,
+                        minlength=2 * len(_SAT_TYPE_CODES))
+    counts: dict[tuple[LinkType, Permanence], int] = {
+        (link_type, permanence): int(tally[2 * code + k])
+        for code, link_type in enumerate(_SAT_TYPE_CODES)
+        for k, permanence in enumerate(Permanence) if tally[2 * code + k]}
     n_ground = len(snapshot.gs_sat_index)
     if n_ground:
         counts[(LinkType.GROUND_LINK, Permanence.TEMPORARY)] = n_ground

@@ -188,11 +188,13 @@ class Constellation:
         plane (along the ascending node and 90 deg ahead of it in the direction
         of motion), rotated into the inertial frame: R3(raan) R1(incl)."""
         co, so, ci, si = self._frame
-        return np.stack([
-            scale * (along_node * co - across_node * so * ci),
-            scale * (along_node * so + across_node * co * ci),
-            scale * (across_node * si),
-        ], axis=-1)
+        out = np.empty((len(along_node), 3))
+        x, y, z = out.T
+        np.subtract(np.multiply(along_node, co, out=x), across_node * so * ci, out=x)
+        np.add(np.multiply(along_node, so, out=y), across_node * co * ci, out=y)
+        np.multiply(across_node, si, out=z)
+        out *= scale
+        return out
 
     def latitude_deg(self, sat: SatelliteId, t):
         """Geocentric latitude of the satellite at time t (scalar or array), degrees."""

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -210,6 +211,23 @@ def test_help_documents_config_keys(capsys):
             assert field.name in out, f"{cls.__name__}.{field.name}"
     for key in ("earth_rotation0_deg", "stations", "scenarios", "parallelism", "output_dir"):
         assert key in out
+
+
+def test_in_process_calls_share_one_parser(tmp_path, monkeypatch):
+    """Two calls of main in one process, with different subcommands, both
+    succeed and parse their arguments with one parser."""
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert main(["census", "--range", "659.5", "--mode", "NG",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert main(["validate"]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 # The CPUs the process may run on, not all of the machine's.

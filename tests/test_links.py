@@ -1121,3 +1121,88 @@ def test_small_shell_snapshot_matches_brute_force(case, t):
             for snap in (engine.snapshot(t, r, mode, stations, None, mask),
                          whole if mask is None else cut_snapshot(whole, mask)):
                 assert_brute_force_links(snap, expected[mode])
+
+
+# -- one comparison per pair against the class masks ------------------------
+
+def class_mask_links(geometry, classes):
+    """Per pair of the geometry, True iff the class-mask rule makes it a link
+    of classes' (range, mode): its class lies in the mask, it is within
+    range and, where the Earth can block the range, the segment between its
+    satellites clears the occlusion sphere (an explicit closest-point test)."""
+    pairs = geometry.pairs
+    keep = classes.mask.ravel()[pairs.cls] & (geometry.length_km <= classes.lisl_range_km)
+    if classes.line_of_sight:
+        pos = geometry.instant.positions
+        p, chord = pos[pairs.a], pos[pairs.b] - pos[pairs.a]
+        s = np.clip(-np.sum(p * chord, axis=1) / np.sum(chord * chord, axis=1), 0.0, 1.0)
+        keep &= (np.linalg.norm(p + s[:, None] * chord, axis=1)
+                 >= geometry.instant.engine.constants.occlusion_radius_km)
+    return keep
+
+
+def masked_sum_census(types, permanent, ground_links):
+    """Census counts by (type, permanence) from one masked sum per key, in
+    the order of LinkType and then Permanence, zero counts left out."""
+    counts = {}
+    for code, link_type in enumerate(links._SAT_TYPE_CODES):
+        for permanence, of_permanence in ((Permanence.PERMANENT, permanent),
+                                          (Permanence.TEMPORARY, ~permanent)):
+            n = int(np.count_nonzero((types == code) & of_permanence))
+            if n:
+                counts[(link_type, permanence)] = n
+    if ground_links:
+        counts[(LinkType.GROUND_LINK, Permanence.TEMPORARY)] = ground_links
+    return counts
+
+
+@st.composite
+def wider_covers(draw):
+    """An engine on a random small shell or on the Starlink shell, a cover
+    range R on either side of the grazing chord, and a range r < R: a
+    fraction of R, or at or just below the smallest or the largest
+    separation of a class below R, where a pair is only barely in range or
+    only barely permanent."""
+    shell = draw(small_shells()) if draw(st.booleans()) else starlink_engine().constellation
+    engine = LinkEngine(shell)
+    cover = draw(st.floats(0.1, 1.3)) * grazing_chord_km(engine)
+    if draw(st.booleans()):
+        r = draw(st.floats(0.0, 1.0, exclude_max=True)) * cover
+    else:
+        table = draw(st.sampled_from([engine.pair_min_table_km, engine.pair_max_table_km]))
+        near = np.sort(table[table < cover])
+        r = cover if not len(near) else float(draw(st.sampled_from(near.tolist())))
+        r = min(r - draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3])), np.nextafter(cover, 0.0))
+    return engine, r, cover
+
+
+@settings(deadline=None, max_examples=60)
+@example(case=(starlink_engine(), 5016.0, 6000.0), t=1234.0)
+@example(case=(small_walker_engine(), 1700.0, 5100.0), t=7.0)
+@given(case=wider_covers(), t=st.floats(0.0, 6000.0))
+def test_one_comparison_selects_what_the_class_masks_select(case, t):
+    """On an NNG(R) geometry, every pair within r < R has its class in the
+    NNG(r) mask, which is what lets one comparison per pair stand in for
+    the class mask; and for r and R under NG and NNG, the geometry's count
+    and selection, and a snapshot's permanence and census, equal those of
+    the class-mask rule (class_mask_links, masked_sum_census)."""
+    engine, r, cover = case
+    geometry = engine.slot_geometry(t, [(cover, Mode.NNG)])
+    pairs, length = geometry.pairs, geometry.length_km
+    assert engine.classes(r, Mode.NNG).mask.ravel()[pairs.cls[length <= r]].all()
+    stations = (GroundStation("s", 10.0, 20.0, 2500.0), GroundStation("d", -35.0, 100.0, 4000.0))
+    for lisl_range_km in (r, cover):
+        permanent = engine.classes(lisl_range_km, Mode.NG).mask.ravel()[pairs.cls]
+        for mode in Mode:
+            classes = engine.classes(lisl_range_km, mode)
+            keep = class_mask_links(geometry, classes)
+            assert geometry.count(classes) == np.count_nonzero(keep), (lisl_range_km, mode)
+            index = np.arange(len(length))[geometry.selection(classes)]
+            assert np.array_equal(index, np.flatnonzero(keep)), (lisl_range_km, mode)
+            assert geometry.count(classes) == len(index)
+            snap = engine.snapshot(t, lisl_range_km, mode, stations, geometry)
+            assert np.array_equal(snap.sat_permanent, permanent[keep]), (lisl_range_km, mode)
+            census = link_census(snap)
+            expected = masked_sum_census(geometry.type_code[keep], permanent[keep],
+                                         len(snap.gs_sat_index))
+            assert list(census.counts.items()) == list(expected.items()), (lisl_range_km, mode)
